@@ -120,7 +120,7 @@ def cmd_p3(args) -> int:
             for tr in triples:
                 print("# %r: %s" % (tr, fixed_point_contribution(tr)))
     value = hilb_chern_integral(n, args.mode, seed=args.seed,
-                                samples=args.samples, workers=args.workers)
+                                samples=args.samples)
     _emit_value(value, args.format)
     return 0
 
@@ -266,9 +266,11 @@ def cmd_check(args) -> int:
                     hilb_index(MukaiVector(r, b2, tau))
         _expect(hilb_index(MukaiVector(2, -2, 3)) == 4, "frozen index value off")
 
-    def parallel_sum():
-        _expect(hilb_chern_integral(3, workers=3) == hilb_chern_integral(3),
-                "chunked summation changes the total")
+    def observed_identity():
+        series = goettsche_series(7, 5)
+        for n in range(6):
+            got, want = hilb_chern_integral(n), series.coefficient(n)
+            _expect(got == want, "n=%d: %s != %s" % (n, got, want))
 
     run("fixed-point sums n<=3", chern_values)
     run("sampled evaluation n=4", sampled_value)
@@ -279,7 +281,8 @@ def cmd_check(args) -> int:
     run("invariant symmetry pairing", symmetry_pairing)
     run("configuration counts", triple_counts)
     run("index formula agreement", index_forms)
-    run("parallel summation", parallel_sum)
+    run("p3 integral = [q^n] prod (1-q^m)^-7 (observed identity), "
+        "symbolic n <= 5", observed_identity)
 
     if failures:
         print("%d of 10 checks failed" % failures)
@@ -314,8 +317,6 @@ def build_parser() -> CliParser:
                    default="symbolic")
     p.add_argument("--samples", type=int, default=3,
                    help="evaluation points in sampled mode (>= 3)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="chunks for the fixed-point sum")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for sampled mode (fixed default)")
     p.add_argument("--verbose", action="store_true",

@@ -35,8 +35,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
-from .errors import ConsistencyError, PoleError
+from .errors import ConsistencyError
 from .partitions import arm, boxes, enumerate_triples, leg
 from .ratfunc import ONE, Poly, RationalFunction
 
@@ -75,31 +76,39 @@ def obstruction_character(triple):
     return _weights(triple, 1)
 
 
-def fixed_point_contribution(triple) -> RationalFunction:
-    """Contribution of one fixed point to the localization sum.
-
-    Direct closed product over the boxes of p2 and p3, specialized at
+def _direct_factors(triple):
+    """Numerator and denominator linear forms (j, i), meaning i*t + j, of
+    the direct closed product over the boxes of p2 and p3, specialized at
     s1 = t, s2 = 1:
 
       prod over p2 of ((a-l-2)t - a)((l-a-2)t + a+1)
                     / ((a-l-1)t - a)((l-a-1)t + a+1)
 
     times the same product over p3 with the roles of s1 and s2 swapped.
-    Every denominator factor is a nonzero polynomial: a-l-1 = 0 with a = 0
-    would need l = -1, and the other factor has constant term a+1 >= 1.
+    Both lists have two forms per box.  Every denominator form is a nonzero
+    polynomial: a-l-1 = 0 with a = 0 would need l = -1, and the other form
+    has constant term a+1 >= 1.
     """
     _, p2, p3 = triple
-    num = ONE
-    den = ONE
+    num = []
+    den = []
     for b in boxes(p2):
         a, l = arm(p2, b), leg(p2, b)
-        num = num * Poly((-a, a - l - 2)) * Poly((a + 1, l - a - 2))
-        den = den * Poly((-a, a - l - 1)) * Poly((a + 1, l - a - 1))
+        num += [(-a, a - l - 2), (a + 1, l - a - 2)]
+        den += [(-a, a - l - 1), (a + 1, l - a - 1)]
     for b in boxes(p3):
         a, l = arm(p3, b), leg(p3, b)
-        num = num * Poly((a - l - 2, -a)) * Poly((l - a - 2, a + 1))
-        den = den * Poly((a - l - 1, -a)) * Poly((l - a - 1, a + 1))
-    return RationalFunction(num, den)
+        num += [(a - l - 2, -a), (l - a - 2, a + 1)]
+        den += [(a - l - 1, -a), (l - a - 1, a + 1)]
+    return num, den
+
+
+def fixed_point_contribution(triple) -> RationalFunction:
+    """Contribution of one fixed point to the localization sum, as the
+    product of the linear forms of _direct_factors."""
+    num, den = _direct_factors(triple)
+    return RationalFunction(prod(map(Poly, num), start=ONE),
+                            prod(map(Poly, den), start=ONE))
 
 
 def contribution_from_characters(triple) -> RationalFunction:
@@ -125,33 +134,8 @@ def contribution_from_characters(triple) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def _contribution_at(triple, t0: Fraction) -> Fraction:
-    # fixed_point_contribution factor by factor, as numbers; avoids building
-    # polynomials in the inner loop of sampled mode
-    _, p2, p3 = triple
-    num = Fraction(1)
-    den = Fraction(1)
-    for b in boxes(p2):
-        a, l = arm(p2, b), leg(p2, b)
-        num *= ((a - l - 2) * t0 - a) * ((l - a - 2) * t0 + a + 1)
-        den *= ((a - l - 1) * t0 - a) * ((l - a - 1) * t0 + a + 1)
-    for b in boxes(p3):
-        a, l = arm(p3, b), leg(p3, b)
-        num *= ((a - l - 2) - a * t0) * ((l - a - 2) + (a + 1) * t0)
-        den *= ((a - l - 1) - a * t0) * ((l - a - 1) + (a + 1) * t0)
-    if not den:
-        raise PoleError("sample point t = %s hits a pole" % t0)
-    return num / den
-
-
-def _chunks(seq, k):
-    # round-robin split; any deterministic partition of the fixed-order
-    # list gives the same exact sum
-    return [seq[i::k] for i in range(k)]
-
-
 def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
-                        samples: int = 3, workers: int = 1) -> Fraction:
+                        samples: int = 3) -> Fraction:
     """Integral of the top Chern class over Hilb^n of the plane.
 
     symbolic mode sums the contributions as rational functions and reads
@@ -159,22 +143,14 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     ConsistencyError.  sampled mode evaluates the sum at `samples` distinct
     random rational points with numerators and denominators bounded by
     10**6, resampling on the rare pole hit, and requires exact agreement.
-    The sum may be partitioned across `workers` chunks; exact arithmetic
-    makes the result partition independent.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     triples = enumerate_triples(n)
-    chunks = _chunks(triples, workers)
     if mode == "symbolic":
         total = RationalFunction(0)
-        for chunk in chunks:
-            part = RationalFunction(0)
-            for t in chunk:
-                part = part + fixed_point_contribution(t)
-            total = total + part
+        for t in triples:
+            total = total + fixed_point_contribution(t)
         try:
             return total.as_constant()
         except ValueError:
@@ -184,6 +160,7 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     if mode == "sampled":
         if samples < 3:
             raise ValueError("sampled mode needs at least 3 points")
+        factors = [_direct_factors(t) for t in triples]
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
         seen = set()
         values = []
@@ -193,17 +170,18 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
             if t0 in seen:
                 continue
             seen.add(t0)
-            try:
-                total = Fraction(0)
-                for chunk in chunks:
-                    part = Fraction(0)
-                    for t in chunk:
-                        part += _contribution_at(t, t0)
-                    total += part
-            except PoleError:
-                continue
-            values.append(total)
-            points.append(t0)
+            # at t0 = p/q each form i*t0 + j is (i*p + j*q)/q; numerator and
+            # denominator have equal numbers of forms, so the q's cancel
+            p, q = t0.numerator, t0.denominator
+            total = Fraction(0)
+            for num, den in factors:
+                bottom = prod(i * p + j * q for j, i in den)
+                if not bottom:
+                    break  # t0 is a pole of this contribution: draw again
+                total += Fraction(prod(i * p + j * q for j, i in num), bottom)
+            else:
+                values.append(total)
+                points.append(t0)
         if any(v != values[0] for v in values):
             raise ConsistencyError(
                 "sampled localization values disagree for n=%d: %s"

@@ -287,6 +287,8 @@ def nl_loads(text: str) -> FibrationSpec:
         doc = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise NLValidationError("malformed document: %s" % exc) from exc
+    except RecursionError:
+        raise NLValidationError("malformed document: nested too deeply") from None
     return nl_load(doc)
 
 

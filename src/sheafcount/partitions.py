@@ -78,8 +78,7 @@ def enumerate_triples(n: int) -> list:
     """All triples (p1, p2, p3) of partitions with |p1|+|p2|+|p3| = n.
 
     Ordered by (|p1|, |p2|) ascending, then by the enumerate_partitions
-    order within each size slot.  The fixed order makes chunked parallel
-    summation over the list reproducible.
+    order within each size slot.
     """
     if n < 0:
         raise ValueError("total size must be nonnegative")

@@ -352,14 +352,3 @@ class RationalFunction:
     def __str__(self):
         return self.format()
 
-
-def add(a, b):
-    return RationalFunction._coerce(a) + b
-
-
-def mul(a, b):
-    return RationalFunction._coerce(a) * b
-
-
-def div(a, b):
-    return RationalFunction._coerce(a) / b

@@ -6,6 +6,9 @@ consistency failure.  Byte-identical output on identical invocations is
 part of the contract."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,11 +53,6 @@ def test_p3_sampled_seed_independent_value(capsys):
         code, out, _ = run(capsys, ["p3", "--n", "4", "--mode", "sampled",
                                     "--seed", seed])
         assert code == 0 and out.strip() == "490"
-
-
-def test_p3_workers(capsys):
-    code, out, _ = run(capsys, ["p3", "--n", "3", "--workers", "4"])
-    assert code == 0 and out.strip() == "140"
 
 
 def test_p3_verbose_lists_fixed_points(capsys):
@@ -206,6 +204,19 @@ def test_nl_validate_float_rejected(capsys, tmp_path):
     bad.write_text('{"ell": 2, "k": 0, "nl": [{"h": 1, "d": 0, "value": 0.5}]}')
     code, _, err = run(capsys, ["nl-validate", str(bad)])
     assert code == 1 and "float" in err
+
+
+def test_nl_validate_deep_nesting_is_one_line_error(tmp_path):
+    # in a fresh interpreter, so a traceback would reach stderr
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "sheafcount.cli", "nl-validate",
+                           str(deep)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_nl_extend_stdout(capsys):

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from sheafcount import localization
 from sheafcount.errors import ConsistencyError
 from sheafcount.localization import (
     DEFAULT_SEED,
@@ -82,6 +83,30 @@ def test_symbolic_sum_is_constant():
 def test_sampled_integrals():
     for n in range(8):
         assert hilb_chern_integral(n, "sampled") == INTEGRALS[n]
+    for n in range(6):
+        symbolic = hilb_chern_integral(n)
+        for seed in (1, 2, 3):
+            assert hilb_chern_integral(n, "sampled", seed=seed) == symbolic
+
+
+def test_sampled_resamples_on_pole(monkeypatch):
+    # the first point drawn is t = 1/1, a pole of the contribution of
+    # ((), (1,), ()); it must be skipped, not summed or raised
+    real = localization.random.Random
+    draws = []
+
+    class FirstDrawIsOne:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def randint(self, lo, hi):
+            draws.append((lo, hi))
+            return 1 if len(draws) <= 2 else self.rng.randint(lo, hi)
+
+    monkeypatch.setattr(localization.random, "Random", FirstDrawIsOne)
+    assert fixed_point_contribution(((), (1,), ())).den == Poly((-1, 1))
+    assert hilb_chern_integral(2, "sampled") == 35
+    assert len(draws) == 8   # the pole, then three good points
 
 
 def test_sampled_seed_determinism():
@@ -103,15 +128,6 @@ def test_sampled_needs_three_points():
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         hilb_chern_integral(2, "numeric")
-
-
-def test_workers_split_is_invisible():
-    for workers in (2, 3, 5):
-        assert hilb_chern_integral(3, workers=workers) == 140
-    # more chunks than fixed points
-    assert hilb_chern_integral(1, workers=9) == 7
-    with pytest.raises(ValueError):
-        hilb_chern_integral(2, workers=0)
 
 
 def test_point_count_table():
