@@ -3,8 +3,10 @@
 Exit codes form part of the contract: 0 on success, 1 for unusable input
 (bad arguments, malformed or invalid table documents, file errors), 2 when
 an internal cross-check fails, meaning two computations that must agree by
-theory did not.  argparse's habit of exiting 2 on bad arguments is
-overridden to keep code 2 unambiguous.
+theory did not, and 3 when any other exception escapes a subcommand, which
+is a bug; it is reported as one stderr line, "internal error: <Type>:
+<message>", not as a traceback.  argparse's habit of exiting 2 on bad
+arguments is overridden to keep code 2 unambiguous.
 
 All output is deterministic: same invocation, same bytes.  Sampled
 evaluation uses a fixed default seed unless --seed is given.
@@ -394,6 +396,10 @@ def main(argv=None) -> int:
     except (NLValidationError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug; still one line, not a traceback
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

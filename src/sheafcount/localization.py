@@ -24,10 +24,19 @@ character-quotient route in contribution_from_characters cancels them as
 multisets and serves as an independent check.
 
 The localization sum over all triples of total size n evaluates the
-integral of the top Chern class of the rank-2n obstruction bundle; by
-theory it is a constant (the equivariant parameters drop out), which the
-symbolic mode verifies literally and the sampled mode verifies at random
-rational points.
+integral of the top Chern class of the rank-2n obstruction bundle.  A
+triple contributes F(p2) * G(p3), one closed product per contributing leg,
+and p1 drops out, so the sum factors by partition size:
+
+  sum over |p1|+|p2|+|p3| = n of F(p2) G(p3)
+    = sum over a+b+c = n of p(a) * A_b * B_c,
+
+with p(a) the number of partitions of a, A_k the sum of F over the
+partitions of k and B_k the sum of G over them.  The cost is one product
+per partition of size at most n plus O(n^2) combinations, not one per
+triple.  By theory the result is a constant (the equivariant parameters
+drop out), which the symbolic mode verifies literally and the sampled mode
+verifies at random rational points.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from fractions import Fraction
 from math import prod
 
 from .errors import ConsistencyError
-from .partitions import arm, boxes, enumerate_triples, leg
+from .partitions import arm, boxes, enumerate_partitions, leg
 from .ratfunc import ONE, Poly, RationalFunction
 
 # default seed for sampled mode; any fixed value works, reproducibility is
@@ -76,39 +85,63 @@ def obstruction_character(triple):
     return _weights(triple, 1)
 
 
-def _direct_factors(triple):
+def _p2_factors(p):
     """Numerator and denominator linear forms (j, i), meaning i*t + j, of
-    the direct closed product over the boxes of p2 and p3, specialized at
-    s1 = t, s2 = 1:
+    F(p), the direct closed product over the boxes of p as the partition at
+    the second fixed point, specialized at s1 = t, s2 = 1:
 
-      prod over p2 of ((a-l-2)t - a)((l-a-2)t + a+1)
-                    / ((a-l-1)t - a)((l-a-1)t + a+1)
+      prod over p of ((a-l-2)t - a)((l-a-2)t + a+1)
+                   / ((a-l-1)t - a)((l-a-1)t + a+1)
 
-    times the same product over p3 with the roles of s1 and s2 swapped.
     Both lists have two forms per box.  Every denominator form is a nonzero
     polynomial: a-l-1 = 0 with a = 0 would need l = -1, and the other form
     has constant term a+1 >= 1.
     """
-    _, p2, p3 = triple
     num = []
     den = []
-    for b in boxes(p2):
-        a, l = arm(p2, b), leg(p2, b)
+    for b in boxes(p):
+        a, l = arm(p, b), leg(p, b)
         num += [(-a, a - l - 2), (a + 1, l - a - 2)]
         den += [(-a, a - l - 1), (a + 1, l - a - 1)]
-    for b in boxes(p3):
-        a, l = arm(p3, b), leg(p3, b)
-        num += [(a - l - 2, -a), (l - a - 2, a + 1)]
-        den += [(a - l - 1, -a), (l - a - 1, a + 1)]
     return num, den
 
 
-def fixed_point_contribution(triple) -> RationalFunction:
-    """Contribution of one fixed point to the localization sum, as the
-    product of the linear forms of _direct_factors."""
-    num, den = _direct_factors(triple)
+def _p3_factors(p):
+    """The forms of G(p), the same product for p as the partition at the
+    third fixed point: s1 and s2 swap roles, so (j, i) becomes (i, j)."""
+    num, den = _p2_factors(p)
+    return [f[::-1] for f in num], [f[::-1] for f in den]
+
+
+def _as_function(forms) -> RationalFunction:
+    num, den = forms
     return RationalFunction(prod(map(Poly, num), start=ONE),
                             prod(map(Poly, den), start=ONE))
+
+
+def _value_at(forms, p, q) -> Fraction:
+    # at t0 = p/q each form i*t0 + j is (i*p + j*q)/q; numerator and
+    # denominator have equal numbers of forms, so the q's cancel.  A zero
+    # denominator (t0 is a pole) raises ZeroDivisionError.
+    num, den = forms
+    return Fraction(prod(i * p + j * q for j, i in num),
+                    prod(i * p + j * q for j, i in den))
+
+
+def fixed_point_contribution(triple) -> RationalFunction:
+    """Contribution of one fixed point to the localization sum: the product
+    F(p2) * G(p3) of the per-leg forms; p1 drops out."""
+    _, p2, p3 = triple
+    num2, den2 = _p2_factors(p2)
+    num3, den3 = _p3_factors(p3)
+    return _as_function((num2 + num3, den2 + den3))
+
+
+def _convolve(counts, A, B):
+    """Sum of counts[a] * A[b] * B[c] over a + b + c = n = len(counts) - 1."""
+    n = len(counts) - 1
+    return sum(A[b] * sum(counts[n - b - c] * B[c] for c in range(n - b + 1))
+               for b in range(n + 1))
 
 
 def contribution_from_characters(triple) -> RationalFunction:
@@ -138,19 +171,25 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
                         samples: int = 3) -> Fraction:
     """Integral of the top Chern class over Hilb^n of the plane.
 
-    symbolic mode sums the contributions as rational functions and reads
-    off the constant; a non-constant sum would mean a bug and raises
+    Both modes take the factored sum of the module docstring.  symbolic
+    mode builds A_k and B_k as rational functions and reads off the
+    constant; a non-constant sum would mean a bug and raises
     ConsistencyError.  sampled mode evaluates the sum at `samples` distinct
     random rational points with numerators and denominators bounded by
-    10**6, resampling on the rare pole hit, and requires exact agreement.
+    10**6, resampling when a point is a pole of some F or G, and requires
+    exact agreement.  Every partition of size at most n is p2 or p3 of
+    some triple, so the poles are those of the per-triple sum.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    triples = enumerate_triples(n)
+    sizes = [enumerate_partitions(k) for k in range(n + 1)]
+    counts = [len(ps) for ps in sizes]
+    F = [[_p2_factors(lam) for lam in ps] for ps in sizes]
+    G = [[_p3_factors(lam) for lam in ps] for ps in sizes]
     if mode == "symbolic":
-        total = RationalFunction(0)
-        for t in triples:
-            total = total + fixed_point_contribution(t)
+        A = [sum(map(_as_function, fs)) for fs in F]
+        B = [sum(map(_as_function, gs)) for gs in G]
+        total = _convolve(counts, A, B)
         try:
             return total.as_constant()
         except ValueError:
@@ -160,7 +199,6 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     if mode == "sampled":
         if samples < 3:
             raise ValueError("sampled mode needs at least 3 points")
-        factors = [_direct_factors(t) for t in triples]
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
         seen = set()
         values = []
@@ -170,18 +208,14 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
             if t0 in seen:
                 continue
             seen.add(t0)
-            # at t0 = p/q each form i*t0 + j is (i*p + j*q)/q; numerator and
-            # denominator have equal numbers of forms, so the q's cancel
             p, q = t0.numerator, t0.denominator
-            total = Fraction(0)
-            for num, den in factors:
-                bottom = prod(i * p + j * q for j, i in den)
-                if not bottom:
-                    break  # t0 is a pole of this contribution: draw again
-                total += Fraction(prod(i * p + j * q for j, i in num), bottom)
-            else:
-                values.append(total)
-                points.append(t0)
+            try:
+                A = [sum(_value_at(f, p, q) for f in fs) for fs in F]
+                B = [sum(_value_at(g, p, q) for g in gs) for gs in G]
+            except ZeroDivisionError:
+                continue  # t0 is a pole of some F or G: draw again
+            values.append(_convolve(counts, A, B))
+            points.append(t0)
         if any(v != values[0] for v in values):
             raise ConsistencyError(
                 "sampled localization values disagree for n=%d: %s"

@@ -2,20 +2,26 @@
 
 Exit code semantics under test: 0 success, 1 unusable input (also the
 argparse path, which is overridden away from its default of 2), 2 internal
-consistency failure.  Byte-identical output on identical invocations is
-part of the contract."""
+consistency failure, 3 any other exception (a bug), reported in one line.
+Byte-identical output on identical invocations is part of the contract."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheafcount import cli
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "sheafcount" / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def fixture(name):
@@ -62,6 +68,18 @@ def test_p3_verbose_lists_fixed_points(capsys):
     assert "3 monomial configurations" in lines[0]
     assert lines[-1] == "7"
     assert len([ln for ln in lines if ln.startswith("#")]) == 4
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+def test_p3_verbose_golden(capsys, mode, fmt):
+    # captured from the per-triple summation; the listing still goes through
+    # fixed_point_contribution triple by triple
+    code, out, _ = run(capsys, ["p3", "--n", "3", "--verbose", "--mode", mode,
+                                "--format", fmt])
+    assert code == 0
+    golden = GOLDEN / ("p3_n3_verbose_%s_%s.out" % (mode, fmt))
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_p3_conflicting_selectors(capsys):
@@ -174,6 +192,16 @@ def test_missing_table_file(capsys):
     assert code == 1 and "error" in err
 
 
+def test_unexpected_exception_exits_three(capsys, monkeypatch):
+    def boom(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_goettsche", boom)
+    code, out, err = run(capsys, ["goettsche", "--terms", "2"])
+    assert code == 3 and out == ""
+    assert err == "internal error: KeyError: 'lost'\n"   # one line, no traceback
+
+
 # -- table maintenance ---------------------------------------------------
 
 def test_nl_validate_good(capsys):
@@ -217,6 +245,58 @@ def test_nl_validate_deep_nesting_is_one_line_error(tmp_path):
     assert proc.stderr.startswith("error: ") and "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.sampled_from(["1/2", "-3", "0", "1/0", "7/-2", " 5", "x"]))
+
+
+def _field(plausible):
+    # mostly plausible, so that many documents get past the first checks
+    return st.integers(0, 3).flatmap(
+        lambda i: _JSON_SCALARS if i == 0 else plausible)
+
+
+_ROWS = st.fixed_dictionaries(
+    {"h": _field(st.integers(-4, 1)), "d": _field(st.integers(0, 4)),
+     "value": _field(st.integers(-9, 9) | st.sampled_from(["1/2", "-3/4"]))},
+    optional={"note": _JSON_SCALARS})
+_TABLES = st.fixed_dictionaries(
+    {"ell": _field(st.integers(1, 8)), "k": _field(st.integers(-3, 3)),
+     "nl": _field(st.lists(_field(_ROWS), min_size=1, max_size=4))},
+    optional={"euler": _field(st.integers(-30, 30)),
+              "nodal": _field(st.booleans())})
+_TABLE_DOCS = _field(_TABLES)
+
+
+def _nl_validate_bytes(data: bytes):
+    """Exit code and stderr of nl-validate on a file holding data."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as f:
+            f.write(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["nl-validate", path])
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1), err
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(max_size=64))
+def test_nl_validate_fuzz_bytes(data):
+    _assert_clean_exit(*_nl_validate_bytes(data))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TABLE_DOCS)
+def test_nl_validate_fuzz_table_documents(doc):
+    _assert_clean_exit(*_nl_validate_bytes(json.dumps(doc).encode()))
 
 
 def test_nl_extend_stdout(capsys):

@@ -24,9 +24,11 @@ from sheafcount.localization import (
     tangent_character,
 )
 from sheafcount.partitions import enumerate_triples
+from sheafcount.qseries import goettsche_series
 from sheafcount.ratfunc import ONE, Poly, RationalFunction
 
-INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405]
+# n = 8..10 are the coefficients of prod (1-q^m)^-7 (test_integrals_match_series)
+INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 
 def test_single_box_characters_frozen():
@@ -78,6 +80,36 @@ def test_symbolic_sum_is_constant():
             total = total + fixed_point_contribution(tr)
         assert total.den == ONE
         assert total.num.degree <= 0
+
+
+def test_factored_sum_equals_per_triple_sum():
+    # reference: the per-triple sum over the weight-quotient route, which
+    # shares no weight algebra with the factored sum
+    for n in range(5):
+        total = RationalFunction(0)
+        for tr in enumerate_triples(n):
+            total = total + contribution_from_characters(tr)
+        assert hilb_chern_integral(n) == total.as_constant()
+
+
+def test_integrals_match_series():
+    series = goettsche_series(7, 10)
+    assert [series.coefficient(n) for n in range(11)] == INTEGRALS
+    for n in range(9):
+        assert hilb_chern_integral(n) == INTEGRALS[n]
+    for n in range(11):
+        for seed in (1, 2, 3):
+            assert hilb_chern_integral(n, "sampled", seed=seed) == INTEGRALS[n]
+
+
+def test_non_constant_sum_raises(monkeypatch):
+    # with G replaced by F the legs are no longer mirror images, and the
+    # factored sum is not constant in t
+    monkeypatch.setattr(localization, "_p3_factors", localization._p2_factors)
+    with pytest.raises(ConsistencyError):
+        hilb_chern_integral(2)
+    with pytest.raises(ConsistencyError):
+        hilb_chern_integral(2, "sampled")
 
 
 def test_sampled_integrals():
