@@ -33,7 +33,6 @@ from .nl_dt import (
     dt_symmetry_pair,
     hilb_index,
     moduli_dim,
-    mukai_from_data,
     nl_dump,
     nl_load,
     nl_load_path,
@@ -56,10 +55,6 @@ from .qseries import (
     eta24,
     goettsche_series,
     hilb_euler,
-    series_add,
-    series_invert,
-    series_mul,
-    series_shift,
 )
 from .ratfunc import Poly, RationalFunction
 
@@ -72,12 +67,11 @@ __all__ = [
     "obstruction_character", "p3_point_count", "tangent_character",
     "FibrationSpec", "HilbertPolyK3", "MukaiVector", "NLTable",
     "dt_from_nl", "dt_symmetry_pair", "hilb_index", "moduli_dim",
-    "mukai_from_data", "nl_dump", "nl_load", "nl_load_path", "nl_loads",
+    "nl_dump", "nl_load", "nl_load_path", "nl_loads",
     "nl_symmetry_extend", "phi_series", "z_series_closed", "z_series_direct",
     "arm", "boxes", "enumerate_partitions", "enumerate_triples", "leg",
     "triple_size",
     "PuiseuxSeries", "eta24", "goettsche_series", "hilb_euler",
-    "series_add", "series_invert", "series_mul", "series_shift",
     "Poly", "RationalFunction",
     "__version__",
 ]

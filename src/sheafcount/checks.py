@@ -1,0 +1,248 @@
+"""The ten release checks, written once.
+
+`sheafcount check` runs them all and exits 2 if any fails; the acceptance
+tests run each one as its own test and enforce its time budget.  A check
+is a function of the seed for sampled evaluation (None: the fixed default)
+that returns a one-line, timing-free description of what it verified and
+raises ConsistencyError when two computations that must agree do not.
+Random tables come from fixed seeds, so every run tests the same tables.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from importlib import resources
+
+from .errors import ConsistencyError, NLValidationError
+from .localization import (
+    contribution_from_characters,
+    fixed_point_contribution,
+    hilb_chern_integral,
+    obstruction_character,
+    tangent_character,
+)
+from .nl_dt import (
+    FibrationSpec,
+    HilbertPolyK3,
+    MukaiVector,
+    NLTable,
+    dt_from_nl,
+    dt_symmetry_pair,
+    hilb_index,
+    nl_loads,
+    nl_symmetry_extend,
+    z_series_closed,
+    z_series_direct,
+)
+from .partitions import enumerate_triples
+from .qseries import PuiseuxSeries, eta24, goettsche_series
+
+_FIXTURE_NAMES = ("two_copies", "mixed_shift", "symmetry_window", "quartic_pencil")
+
+
+@dataclass(frozen=True)
+class Check:
+    number: int
+    name: str
+    budget: float | None   # wall-clock seconds the acceptance test allows
+    fn: object             # fn(seed) -> detail; raises on disagreement
+
+
+def _expect(cond, msg: str):
+    if not cond:
+        raise ConsistencyError(msg)
+
+
+def _fixture(name: str) -> FibrationSpec:
+    path = resources.files("sheafcount") / "fixtures" / (name + ".json")
+    return nl_loads(path.read_text(encoding="utf-8"))
+
+
+def _random_entries(rng, ell: int, count: int, top: int) -> dict:
+    entries = {}
+    for _ in range(count):
+        d = rng.randrange(ell)
+        h = rng.randint(-4, 1 + (d * d) // (2 * ell))
+        v = Fraction(rng.randint(-top, top), rng.randint(1, 4))
+        if v:
+            entries[(h, d)] = v
+    return entries
+
+
+def point_values(seed) -> str:
+    values = [hilb_chern_integral(n) for n in range(6)]
+    series = goettsche_series(7, 5)
+    _expect(values[:4] == [1, 7, 35, 140],
+            "n <= 3: %s != 1, 7, 35, 140" % ", ".join(map(str, values[:4])))
+    for n, got in enumerate(values):
+        want = series.coefficient(n)
+        _expect(got == want, "n=%d: %s != [q^n] prod (1-q^m)^-7 = %s"
+                % (n, got, want))
+    return ("symbolic p3 integrals 1, 7, 35, 140 for n <= 3 and "
+            "[q^n] prod (1-q^m)^-7 (observed identity) for n <= 5")
+
+
+def sum_constancy(seed) -> str:
+    for n in range(1, 5):
+        total = sum(map(fixed_point_contribution, enumerate_triples(n)))
+        want = hilb_chern_integral(n)
+        _expect(total == want, "n=%d: per-triple sum %s != %s" % (n, total, want))
+    got = hilb_chern_integral(4, "sampled", seed=seed)
+    _expect(got == 490, "n=4 sampled: %s != 490" % got)
+    for n in range(5, 8):
+        # raises unless three random rational points give the same value
+        hilb_chern_integral(n, "sampled", seed=seed, samples=3)
+    return ("per-triple sums constant and equal to the integral for n = 1..4, "
+            "sampled n = 4 is 490, sampled agreement at 3 points for n = 5..7")
+
+
+def contribution_routes(seed) -> str:
+    checked = 0
+    for n in range(5):
+        for tr in enumerate_triples(n):
+            _expect(fixed_point_contribution(tr) == contribution_from_characters(tr),
+                    "contribution routes disagree at %r" % (tr,))
+            checked += 1
+    return ("direct product = weight quotient on all %d configurations "
+            "with n <= 4" % checked)
+
+
+def character_cardinalities(seed) -> str:
+    checked = 0
+    for n in range(7):
+        for tr in enumerate_triples(n):
+            _expect(len(tangent_character(tr)) == 2 * n,
+                    "tangent size off at %r" % (tr,))
+            _expect(len(obstruction_character(tr)) == 2 * n,
+                    "obstruction size off at %r" % (tr,))
+            checked += 1
+    return ("|tangent| = |obstruction| = 2n on all %d configurations "
+            "with n <= 6" % checked)
+
+
+def eta_identity(seed) -> str:
+    hilb = goettsche_series(24, 30).shift(-1)     # sum chi(Hilb^m) q^(m-1)
+    _expect(eta24(31) * hilb == PuiseuxSeries(1, {0: 1}, 30),
+            "eta product does not invert the Euler-number series")
+    _expect(goettsche_series(24, 1).coefficient(1) == 24,
+            "chi(Hilb^1) of a K3 surface is not 24")
+    return "eta24 * sum chi q^(m-1) = 1 through q^30, q^1 coefficient 24"
+
+
+def closed_equals_direct(seed) -> str:
+    rng = random.Random(1289)
+    for i in range(20):
+        ell = rng.choice([2, 4, 6])
+        entries = _random_entries(rng, ell, rng.randint(0, 10), 8)
+        spec = FibrationSpec(ell=ell, k=rng.randint(-3, 3), nl=NLTable(ell, entries))
+        closed = z_series_closed(spec, 10)
+        direct = z_series_direct(spec, 10)
+        for d in range(ell):
+            _expect(closed[d].grid == 2 * ell,
+                    "table %d: grid %d at d=%d" % (i, closed[d].grid, d))
+            _expect(closed[d] == direct[d],
+                    "table %d (ell=%d): series routes disagree at d=%d" % (i, ell, d))
+    for name in _FIXTURE_NAMES:
+        spec = _fixture(name)
+        _expect(z_series_closed(spec, 6) == z_series_direct(spec, 6),
+                "series routes disagree on %s" % name)
+    return ("20 randomized tables through q^10 on grid 1/2*ell, "
+            "the 4 bundled tables through q^6")
+
+
+def _pairs_hold(spec: FibrationSpec, degrees, constants) -> int:
+    for d in degrees:
+        for c in constants:
+            d2, c2, ok = dt_symmetry_pair(1, spec.ell, d, c)
+            _expect(ok, "pair (%d, %d) not integral" % (d, c))
+            a = dt_from_nl(spec, HilbertPolyK3(1, spec.ell, d, c))
+            b = dt_from_nl(spec, HilbertPolyK3(1, spec.ell, d2, int(c2)))
+            _expect(a == b, "pairing broken at ell=%d, d=%d, c=%d: %s vs %s"
+                    % (spec.ell, d, c, a, b))
+    return len(degrees) * len(constants)
+
+
+def invariant_symmetry(seed) -> str:
+    rng = random.Random(40961)
+    pairs = 0
+    for _ in range(10):
+        ell = rng.choice([2, 4, 6])
+        entries = _random_entries(rng, ell, rng.randint(1, 5), 6)
+        table = nl_symmetry_extend(NLTable(ell, entries), -10, 0, 2 * ell - 1)
+        pairs += _pairs_hold(FibrationSpec(ell=ell, k=0, nl=table),
+                             range(ell), range(-5, 6))
+    pairs += _pairs_hold(_fixture("symmetry_window"), (1,), range(-2, 3))
+    return ("%d symmetry pairs: closed rank-1 tables at c in [-5,5], "
+            "d in [0,ell), and symmetry_window at d = 1, c in [-2,2]" % pairs)
+
+
+def index_consistency(seed) -> str:
+    checked = 0
+    for r in range(1, 5):
+        for b2 in range(-2, 21, 2):      # even, and -2 is the floor
+            for tau in range(-20, 21):
+                hilb_index(MukaiVector(r, b2, tau))   # raises on disagreement
+                checked += 1
+    _expect(hilb_index(MukaiVector(2, -2, 3)) == 4, "frozen index value off")
+    return "two index formulas agree on %d Mukai vectors" % checked
+
+
+def triple_counts(seed) -> str:
+    literal = [1, 3, 9, 22, 51, 108, 221, 429, 810]
+    # independent count: cube of the partition series via binomial expansion
+    top = 12
+    co = [1] + [0] * top
+    for k in range(1, top + 1):
+        new = [0] * (top + 1)
+        for i, c in enumerate(co):
+            for j in range((top - i) // k + 1):
+                new[i + k * j] += c * math.comb(2 + j, j)
+        co = new
+    _expect(co[:len(literal)] == literal, "series cube %s != %s" % (co, literal))
+    for n in range(top + 1):
+        got = len(enumerate_triples(n))
+        _expect(got == co[n], "n=%d: %d triples, expected %d" % (n, got, co[n]))
+    return ("configuration counts match the series cube for n <= 12; "
+            "count at 12 is %d" % co[top])
+
+
+def bound_validation(seed) -> str:
+    try:
+        NLTable(4, {(2, 1): Fraction(1)})
+    except NLValidationError as exc:
+        _expect("h=2" in str(exc) and "d=1" in str(exc),
+                "violation message does not name h=2, d=1: %s" % exc)
+    else:
+        raise ConsistencyError("entry (h=2, d=1) at ell=4 was accepted")
+    rng = random.Random(77)
+    for _ in range(50):
+        ell = rng.choice([2, 4, 6, 8, 10])
+        base = {}
+        for _ in range(rng.randint(1, 6)):
+            d = rng.randrange(ell)
+            h = rng.randint(-5, 1 + (d * d) // (2 * ell))
+            base[(h, d)] = Fraction(rng.randint(1, 9))
+        out = nl_symmetry_extend(NLTable(ell, base), rng.randint(-9, 0),
+                                 0, rng.randint(ell, 4 * ell))
+        for (h, d) in out.entries:
+            _expect(2 * ell * (h - 1) <= d * d,
+                    "extension left the bound at ell=%d: (h=%d, d=%d)" % (ell, h, d))
+    return ("violations rejected by name; 50 randomized extensions "
+            "stayed inside the vanishing bound")
+
+
+CHECKS = (
+    Check(1, "point values", 1.0, point_values),
+    Check(2, "sum constancy", 60.0, sum_constancy),
+    Check(3, "contribution routes", None, contribution_routes),
+    Check(4, "character cardinalities", None, character_cardinalities),
+    Check(5, "eta identity", 1.0, eta_identity),
+    Check(6, "closed = direct", 30.0, closed_equals_direct),
+    Check(7, "symmetry pairing", None, invariant_symmetry),
+    Check(8, "index formulas", 1.0, index_consistency),
+    Check(9, "configuration counts", None, triple_counts),
+    Check(10, "bound validation", None, bound_validation),
+)

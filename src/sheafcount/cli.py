@@ -18,36 +18,22 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from .errors import ConsistencyError, NLValidationError
-from .localization import (
-    fixed_point_contribution,
-    hilb_chern_integral,
-    p3_point_count,
-    tangent_character,
-    obstruction_character,
-    contribution_from_characters,
-)
+from .localization import fixed_point_contribution, hilb_chern_integral, p3_point_count
 from .nl_dt import (
     FibrationSpec,
     HilbertPolyK3,
-    MukaiVector,
     dt_from_nl,
-    dt_symmetry_pair,
-    hilb_index,
     nl_dump,
     nl_load_path,
-    nl_loads,
     nl_symmetry_extend,
     phi_series,
     z_series_closed,
     z_series_direct,
 )
 from .partitions import enumerate_triples
-from .qseries import PuiseuxSeries, eta24, goettsche_series
-
-_FIXTURE_NAMES = ("two_copies", "mixed_shift", "symmetry_window", "quartic_pencil")
+from .qseries import PuiseuxSeries, goettsche_series
 
 
 class CliParser(argparse.ArgumentParser):
@@ -94,12 +80,6 @@ def _emit_components(comp: dict, fmt: str):
         for d in sorted(comp):
             print("# d = %d" % d)
             _print_series_text(comp[d])
-
-
-def _bundled_specs() -> dict:
-    root = resources.files("sheafcount") / "fixtures"
-    return {name: nl_loads((root / (name + ".json")).read_text(encoding="utf-8"))
-            for name in _FIXTURE_NAMES}
 
 
 # -- subcommands ---------------------------------------------------------
@@ -193,104 +173,35 @@ def cmd_nl_extend(args) -> int:
     return 0
 
 
-def _expect(cond, msg: str):
-    if not cond:
-        raise ConsistencyError(msg)
-
-
 def cmd_check(args) -> int:
-    """Deterministic self-test battery; exit 2 if anything disagrees."""
+    """Run the release checks of `checks.CHECKS`; exit 2 if any fails.
+
+    A failing check does not stop the rest.  Text output is one `ok:` or
+    `FAIL:` line per check and a summary line; structured output is one
+    JSON object per check with its name, outcome and detail.  Neither
+    carries timings, so the same invocation prints the same bytes.
+    """
+    from .checks import CHECKS  # here, so the other subcommands skip its import
+
     failures = 0
-
-    def run(name, fn):
-        nonlocal failures
+    for check in CHECKS:
         try:
-            fn()
+            detail, ok = check.fn(args.seed), True
         except Exception as exc:  # a failed check must not stop the rest
+            detail, ok = str(exc), False
             failures += 1
-            print("FAIL: %s (%s)" % (name, exc))
+        if args.format == "structured":
+            print(json.dumps({"name": check.name, "ok": ok, "detail": detail}))
+        elif ok:
+            print("ok: %s" % check.name)
         else:
-            print("ok: %s" % name)
-
-    def chern_values():
-        for n, want in enumerate([1, 7, 35, 140]):
-            got = hilb_chern_integral(n)
-            _expect(got == want, "n=%d: %s != %s" % (n, got, want))
-
-    def sampled_value():
-        got = hilb_chern_integral(4, "sampled", seed=args.seed)
-        _expect(got == 490, "n=4 sampled: %s != 490" % got)
-
-    def character_sizes():
-        for n in range(5):
-            for tr in enumerate_triples(n):
-                _expect(len(tangent_character(tr)) == 2 * n,
-                        "tangent size off at %r" % (tr,))
-                _expect(len(obstruction_character(tr)) == 2 * n,
-                        "obstruction size off at %r" % (tr,))
-
-    def weight_quotient():
-        for n in range(4):
-            for tr in enumerate_triples(n):
-                _expect(fixed_point_contribution(tr)
-                        == contribution_from_characters(tr),
-                        "contribution routes disagree at %r" % (tr,))
-
-    def eta_identity():
-        lhs = goettsche_series(24, 20) * eta24(21).shift(-1)
-        _expect(lhs == PuiseuxSeries(1, {0: 1}, 20),
-                "eta product does not invert the Euler-number series")
-
-    def closed_equals_direct():
-        for name, spec in _bundled_specs().items():
-            _expect(z_series_closed(spec, 6) == z_series_direct(spec, 6),
-                    "series routes disagree on %s" % name)
-
-    def symmetry_pairing():
-        spec = _bundled_specs()["symmetry_window"]
-        for c in range(-2, 3):
-            d2, c2, ok = dt_symmetry_pair(1, spec.ell, 1, c)
-            _expect(ok, "pair (1, %d) not integral" % c)
-            a = dt_from_nl(spec, HilbertPolyK3(1, spec.ell, 1, c))
-            b = dt_from_nl(spec, HilbertPolyK3(1, spec.ell, d2, int(c2)))
-            _expect(a == b, "pairing broken at c=%d: %s vs %s" % (c, a, b))
-
-    def triple_counts():
-        want = [1, 3, 9, 22, 51, 108, 221, 429, 810]
-        for n, w in enumerate(want):
-            got = len(enumerate_triples(n))
-            _expect(got == w, "n=%d: %d triples, expected %d" % (n, got, w))
-
-    def index_forms():
-        for r in range(1, 4):
-            for b2 in (-2, 0, 2, 4):
-                for tau in range(-3, 4):
-                    hilb_index(MukaiVector(r, b2, tau))
-        _expect(hilb_index(MukaiVector(2, -2, 3)) == 4, "frozen index value off")
-
-    def observed_identity():
-        series = goettsche_series(7, 5)
-        for n in range(6):
-            got, want = hilb_chern_integral(n), series.coefficient(n)
-            _expect(got == want, "n=%d: %s != %s" % (n, got, want))
-
-    run("fixed-point sums n<=3", chern_values)
-    run("sampled evaluation n=4", sampled_value)
-    run("character cardinalities", character_sizes)
-    run("contribution via weight quotient", weight_quotient)
-    run("eta product identity", eta_identity)
-    run("closed form = direct sum on bundled tables", closed_equals_direct)
-    run("invariant symmetry pairing", symmetry_pairing)
-    run("configuration counts", triple_counts)
-    run("index formula agreement", index_forms)
-    run("p3 integral = [q^n] prod (1-q^m)^-7 (observed identity), "
-        "symbolic n <= 5", observed_identity)
-
-    if failures:
-        print("%d of 10 checks failed" % failures)
-        return 2
-    print("all 10 checks passed")
-    return 0
+            print("FAIL: %s (%s)" % (check.name, detail))
+    if args.format == "text":
+        if failures:
+            print("%d of %d checks failed" % (failures, len(CHECKS)))
+        else:
+            print("all %d checks passed" % len(CHECKS))
+    return 2 if failures else 0
 
 
 # -- wiring --------------------------------------------------------------

@@ -41,11 +41,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, NLValidationError
-from .qseries import PuiseuxSeries, goettsche_series, hilb_euler, series_invert
+from .qseries import PuiseuxSeries, goettsche_series, hilb_euler
 
 __all__ = [
     "MukaiVector", "HilbertPolyK3", "NLTable", "FibrationSpec",
-    "mukai_from_data", "moduli_dim", "hilb_index",
+    "moduli_dim", "hilb_index",
     "nl_load", "nl_loads", "nl_load_path", "nl_dump",
     "nl_symmetry_extend", "dt_from_nl", "dt_symmetry_pair",
     "phi_series", "z_series_closed", "z_series_direct",
@@ -86,10 +86,6 @@ class MukaiVector:
     @property
     def h(self) -> int:
         return self.beta_sq // 2 + 1
-
-
-def mukai_from_data(r: int, beta_sq: int, tau: int) -> MukaiVector:
-    return MukaiVector(r, beta_sq, tau)
 
 
 def moduli_dim(v: MukaiVector, p0: int) -> int:
@@ -412,7 +408,7 @@ def phi_series(spec: FibrationSpec, d: int, terms: int) -> PuiseuxSeries:
 def _eta_inverse_half(terms: int, euler: int = 24) -> PuiseuxSeries:
     # 1 / (2 q prod (1-q^n)^e), known to order q^terms; e = 24 is 1/(2 eta^24)
     num = goettsche_series(-euler, terms + 1).shift(1)
-    return series_invert(num.scale(2))
+    return num.scale(2).invert()
 
 
 def z_series_closed(spec: FibrationSpec, terms: int, d=None):

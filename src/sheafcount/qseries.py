@@ -18,8 +18,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 
 __all__ = [
-    "PuiseuxSeries", "series_add", "series_mul", "series_shift",
-    "series_invert", "goettsche_series", "eta24", "hilb_euler",
+    "PuiseuxSeries", "goettsche_series", "eta24", "hilb_euler",
 ]
 
 
@@ -269,22 +268,6 @@ def _on_grid(exponent, grid: int, what: str) -> int:
     if n.denominator != 1:
         raise ValueError("%s %s does not lie on the 1/%d grid" % (what, e, grid))
     return int(n)
-
-
-def series_add(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    return a + b
-
-
-def series_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    return a * b
-
-
-def series_shift(a: PuiseuxSeries, exponent) -> PuiseuxSeries:
-    return a.shift(exponent)
-
-
-def series_invert(a: PuiseuxSeries) -> PuiseuxSeries:
-    return a.invert()
 
 
 # -- Euler products -----------------------------------------------------

@@ -6,6 +6,7 @@ consistency failure, 3 any other exception (a bug), reported in one line.
 Byte-identical output on identical invocations is part of the contract."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafcount import cli
+from sheafcount import checks, cli
+from sheafcount.errors import ConsistencyError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "sheafcount" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -355,10 +357,37 @@ def test_check_passes(capsys):
     assert not any(ln.startswith("FAIL") for ln in lines)
 
 
+def test_check_structured(capsys):
+    code, out, _ = run(capsys, ["check", "--format", "structured"])
+    docs = [json.loads(ln) for ln in out.splitlines()]
+    assert code == 0 and len(docs) == 10
+    assert all(doc["ok"] is True and doc["detail"] for doc in docs)
+
+
 def test_check_seed_reproducible(capsys):
-    _, out1, _ = run(capsys, ["check", "--seed", "17"])
-    _, out2, _ = run(capsys, ["check", "--seed", "17"])
-    assert out1 == out2
+    for fmt in ("text", "structured"):
+        argv = ["check", "--seed", "17", "--format", fmt]
+        _, out1, _ = run(capsys, argv)
+        _, out2, _ = run(capsys, argv)
+        assert out1 == out2
+
+
+def test_check_failure_runs_the_rest(capsys, monkeypatch):
+    def broken(seed):
+        raise ConsistencyError("planted disagreement")
+    patched = list(checks.CHECKS)
+    patched[7] = dataclasses.replace(patched[7], fn=broken)
+    monkeypatch.setattr(checks, "CHECKS", tuple(patched))
+    code, out, _ = run(capsys, ["check"])
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 11
+    assert lines[7] == "FAIL: %s (planted disagreement)" % patched[7].name
+    assert sum(ln.startswith("ok: ") for ln in lines) == 9
+    assert lines[-1] == "1 of 10 checks failed"
+    code, out, _ = run(capsys, ["check", "--format", "structured"])
+    assert code == 2
+    assert [json.loads(ln)["ok"] for ln in out.splitlines()] == \
+        [True] * 7 + [False] + [True] * 2
 
 
 # -- determinism ---------------------------------------------------------

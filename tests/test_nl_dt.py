@@ -23,7 +23,6 @@ from sheafcount.nl_dt import (
     dt_symmetry_pair,
     hilb_index,
     moduli_dim,
-    mukai_from_data,
     nl_dump,
     nl_load,
     nl_load_path,
@@ -47,7 +46,6 @@ def load_fixture(name):
 def test_mukai_vector_fields():
     v = MukaiVector(2, -2, 3)
     assert (v.s, v.omega, v.h) == (-2, -4, 0)
-    assert mukai_from_data(2, -2, 3) == v
 
 
 def test_mukai_validation():

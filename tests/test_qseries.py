@@ -16,9 +16,6 @@ from sheafcount.qseries import (
     eta24,
     goettsche_series,
     hilb_euler,
-    series_invert,
-    series_mul,
-    series_shift,
 )
 
 GOETTSCHE24 = [1, 24, 324, 3200, 25650, 176256, 1073720, 5930496, 30178575]
@@ -228,7 +225,7 @@ def test_ring_identities_random():
     for _ in range(300):
         a, b, c = rand_series(), rand_series(), rand_series()
         assert a + b == b + a
-        assert series_mul(a, b) == series_mul(b, a)
+        assert a * b == b * a
         assert (a + b) + c == a + (b + c)
         # distributivity needs a common truncation to compare on
         lhs = a * (b + c)
@@ -250,7 +247,7 @@ def test_shift_helper_and_min_exponent():
     s = PuiseuxSeries(2, {-1: 7}, 4)
     assert s.min_exponent() == Fraction(-1, 2)
     assert PuiseuxSeries(2, {}, 4).min_exponent() is None
-    assert series_shift(s, Fraction(1, 2)) == PuiseuxSeries(2, {0: 7}, 5)
+    assert s.shift(Fraction(1, 2)) == PuiseuxSeries(2, {0: 7}, 5)
 
 
 def test_monomial_and_zero_constructors():
@@ -274,6 +271,6 @@ def test_to_pairs_exact_strings():
     assert s.to_pairs() == [("-7/8", "3/4")]
 
 
-def test_invert_agrees_with_series_invert():
+def test_invert_geometric_series():
     s = PuiseuxSeries(1, {0: 1, 1: -1}, 6)
-    assert series_invert(s).coeffs == {m: Fraction(1) for m in range(7)}
+    assert s.invert().coeffs == {m: Fraction(1) for m in range(7)}
