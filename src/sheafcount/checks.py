@@ -73,8 +73,8 @@ def _random_entries(rng, ell: int, count: int, top: int) -> dict:
 
 
 def point_values(seed) -> str:
-    values = [hilb_chern_integral(n) for n in range(6)]
-    series = goettsche_series(7, 5)
+    values = [hilb_chern_integral(n) for n in range(9)]
+    series = goettsche_series(7, 8)
     _expect(values[:4] == [1, 7, 35, 140],
             "n <= 3: %s != 1, 7, 35, 140" % ", ".join(map(str, values[:4])))
     for n, got in enumerate(values):
@@ -82,7 +82,7 @@ def point_values(seed) -> str:
         _expect(got == want, "n=%d: %s != [q^n] prod (1-q^m)^-7 = %s"
                 % (n, got, want))
     return ("symbolic p3 integrals 1, 7, 35, 140 for n <= 3 and "
-            "[q^n] prod (1-q^m)^-7 (observed identity) for n <= 5")
+            "[q^n] prod (1-q^m)^-7 (observed identity) for n <= 8")
 
 
 def sum_constancy(seed) -> str:

@@ -84,6 +84,13 @@ def _emit_components(comp: dict, fmt: str):
 
 # -- subcommands ---------------------------------------------------------
 
+# p3 refuses larger requests up front (exit 1): the answer is one integer,
+# but the work grows about 1.7x per point, and by the number of samples.
+# hilb_chern_integral itself takes any n.
+P3_MAX_N = 16
+P3_MAX_SAMPLES = 50
+
+
 def cmd_p3(args) -> int:
     if args.n is not None:
         if args.s is not None or args.d is not None:
@@ -95,6 +102,12 @@ def cmd_p3(args) -> int:
         n = p3_point_count(args.s, args.d)
     if n < 0:
         raise ValueError("the number of points must be nonnegative")
+    if n > P3_MAX_N:
+        raise ValueError("n = %d is above the cap of %d points"
+                         % (n, P3_MAX_N))
+    if args.samples > P3_MAX_SAMPLES:
+        raise ValueError("--samples %d is above the cap of %d"
+                         % (args.samples, P3_MAX_SAMPLES))
     if args.verbose:
         triples = enumerate_triples(n)
         print("# %d monomial configurations for n = %d" % (len(triples), n))

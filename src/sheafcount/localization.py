@@ -37,6 +37,18 @@ per partition of size at most n plus O(n^2) combinations, not one per
 triple.  By theory the result is a constant (the equivariant parameters
 drop out), which the symbolic mode verifies literally and the sampled mode
 verifies at random rational points.
+
+The symbolic mode sums in integers, with no polynomial gcd and no Fraction.
+Each F(lam) is an integer times a product of numerator forms i*t + j over a
+product of denominator forms.  Made primitive, with a positive leading
+coefficient, equal forms compare equal, and the forms common to a
+numerator and its denominator cancel.  Then A_k = N_k / (c_k prod L_k):
+L_k is the multiset union of the denominator forms over the partitions of
+k, c_k the lcm of their integer contents, and N_k a plain integer
+coefficient list; B_k likewise.  The convolution is summed the same way,
+over the union of the L_b + L'_c, into one quotient N / D.  It is constant
+exactly when N = c * D coefficient by coefficient, which is checked
+literally before the constant c is returned.
 """
 
 from __future__ import annotations
@@ -44,7 +56,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from itertools import zip_longest
+from math import gcd, lcm, prod
 
 from .errors import ConsistencyError
 from .partitions import arm, boxes, enumerate_partitions, leg
@@ -137,6 +150,76 @@ def fixed_point_contribution(triple) -> RationalFunction:
     return _as_function((num2 + num3, den2 + den3))
 
 
+def _times_forms(coeffs, forms):
+    """Integer coefficient list (coeffs[k] is the coefficient of t^k) of the
+    polynomial coeffs times the product of the forms (j, i), i*t + j."""
+    for j, i in forms:
+        coeffs = [j * c + i * d for c, d in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def _common_sum(terms):
+    """Sum of the fractions coeffs / (c * prod(den)) over (coeffs, c, den)
+    in terms, each c a positive integer and each den a Counter of forms,
+    over one common denominator.
+
+    Returns (N, c, L): c is the lcm of the c's, L the multiset union of the
+    dens, and the sum is N / (c * prod(L)), with N the integer list of
+    sum of coeffs * (c / c_term) * prod(L - den).
+    """
+    c = lcm(*(k for _, k, _ in terms))
+    L = Counter()
+    for _, _, den in terms:
+        L |= den
+    N = []
+    for coeffs, k, den in terms:
+        part = _times_forms([x * (c // k) for x in coeffs],
+                            (L - den).elements())
+        N = [x + y for x, y in zip_longest(N, part, fillvalue=0)]
+    return N, c, L
+
+
+def _split(forms):
+    """(c, forms') with prod(forms) = c * prod(forms'): c an integer and
+    forms' a Counter of primitive nonconstant forms whose leading
+    coefficient is positive, so that equal factors compare equal."""
+    c = 1
+    out = Counter()
+    for j, i in forms:
+        g = gcd(i, j) if i > 0 or (i == 0 and j > 0) else -gcd(i, j)
+        c *= g
+        if i:
+            out[j // g, i // g] += 1
+    return c, out
+
+
+def _leg_sum(legs):
+    """A_k (or B_k) as (N_k, c_k, L_k): the sum of F(lam) (or G) over the
+    form lists in legs, over the common denominator c_k * prod(L_k) of
+    _common_sum.  Forms common to a numerator and its denominator cancel
+    first."""
+    terms = []
+    for num, den in legs:
+        cn, num = _split(num)
+        cd, den = _split(den)
+        common = num & den
+        if cd < 0:
+            cn, cd = -cn, -cd
+        terms.append((_times_forms([cn], (num - common).elements()), cd,
+                      den - common))
+    return _common_sum(terms)
+
+
+def _int_mul(a, b):
+    # product of two integer coefficient lists
+    out = [0] * (len(a) + len(b) - 1)
+    for x, ca in enumerate(a):
+        if ca:
+            for y, cb in enumerate(b):
+                out[x + y] += ca * cb
+    return out
+
+
 def _convolve(counts, A, B):
     """Sum of counts[a] * A[b] * B[c] over a + b + c = n = len(counts) - 1."""
     n = len(counts) - 1
@@ -172,12 +255,13 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     """Integral of the top Chern class over Hilb^n of the plane.
 
     Both modes take the factored sum of the module docstring.  symbolic
-    mode builds A_k and B_k as rational functions and reads off the
-    constant; a non-constant sum would mean a bug and raises
-    ConsistencyError.  sampled mode evaluates the sum at `samples` distinct
-    random rational points with numerators and denominators bounded by
-    10**6, resampling when a point is a pole of some F or G, and requires
-    exact agreement.  Every partition of size at most n is p2 or p3 of
+    mode sums A_k, B_k and their convolution over common denominators of
+    linear forms, in integers, and checks literally that the numerator N
+    is a constant multiple c * D of the denominator; a non-constant sum
+    would mean a bug and raises ConsistencyError.  sampled mode evaluates
+    the sum at `samples` distinct random rational points with numerators
+    and denominators bounded by 10**6, resampling when a point is a pole of
+    some F or G, and requires exact agreement.  Every partition of size at most n is p2 or p3 of
     some triple, so the poles are those of the per-triple sum.
     """
     if n < 0:
@@ -187,15 +271,22 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     F = [[_p2_factors(lam) for lam in ps] for ps in sizes]
     G = [[_p3_factors(lam) for lam in ps] for ps in sizes]
     if mode == "symbolic":
-        A = [sum(map(_as_function, fs)) for fs in F]
-        B = [sum(map(_as_function, gs)) for gs in G]
-        total = _convolve(counts, A, B)
-        try:
-            return total.as_constant()
-        except ValueError:
+        A = [_leg_sum(fs) for fs in F]
+        B = [_leg_sum(gs) for gs in G]
+        N, scale, L = _common_sum(
+            [([counts[n - b - c] * x for x in _int_mul(A[b][0], B[c][0])],
+              A[b][1] * B[c][1], A[b][2] + B[c][2])
+             for b in range(n + 1) for c in range(n + 1 - b)])
+        while N and not N[-1]:
+            N.pop()
+        D = _times_forms([scale], L.elements())
+        # constant c exactly when N = c * D coefficient by coefficient
+        if N and (len(N) != len(D)
+                  or any(x * D[-1] != y * N[-1] for x, y in zip(N, D))):
             raise ConsistencyError(
-                "localization sum for n=%d is not constant: %s" % (n, total)
-            ) from None
+                "localization sum for n=%d is not constant: %s"
+                % (n, RationalFunction(Poly(N), Poly(D))))
+        return Fraction(N[-1], D[-1]) if N else Fraction(0)
     if mode == "sampled":
         if samples < 3:
             raise ValueError("sampled mode needs at least 3 points")

@@ -417,14 +417,23 @@ def z_series_closed(spec: FibrationSpec, terms: int, d=None):
     Component d is (phi_series(d) - k*[d=0]) / (2 q prod (1-q^n)^e) with e
     the spec's fiber Euler number (for e = 24 the divisor is 2*eta^24),
     truncated at q^terms.  With d omitted, returns the dict of all
-    components indexed by d in [0, ell).
+    components indexed by d in [0, ell).  The divisor is inverted once per
+    call, whatever the number of components.
     """
+    eta = _eta_inverse_half(terms, spec.euler)
     if d is None:
-        return {dd: z_series_closed(spec, terms, dd) for dd in range(spec.ell)}
+        return {dd: _z_component(spec, terms, dd, eta)
+                for dd in range(spec.ell)}
+    return _z_component(spec, terms, d, eta)
+
+
+def _z_component(spec: FibrationSpec, terms: int, d: int,
+                 eta: PuiseuxSeries) -> PuiseuxSeries:
+    # component d of z_series_closed, eta = _eta_inverse_half(terms, euler)
     phi = phi_series(spec, d, terms + 1)
     if d == 0 and spec.k:
         phi = phi - Fraction(spec.k)
-    return (phi * _eta_inverse_half(terms, spec.euler)).truncate(terms)
+    return (phi * eta).truncate(terms)
 
 
 def z_series_direct(spec: FibrationSpec, terms: int, d=None, r: int = 1):

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from sheafcount import checks, cli
 from sheafcount.errors import ConsistencyError
+from sheafcount.qseries import goettsche_series
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "sheafcount" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -89,6 +91,28 @@ def test_p3_conflicting_selectors(capsys):
     assert code == 1 and "either" in err
     code, _, err = run(capsys, ["p3", "--s", "1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", str(10**6)],
+    ["--n", str(cli.P3_MAX_N + 1)],
+    ["--s", "2000", "--d", "0"],
+    ["--n", "3", "--samples", str(cli.P3_MAX_SAMPLES + 1)],
+    ["--n", "3", "--mode", "sampled", "--samples", str(cli.P3_MAX_SAMPLES + 1)],
+])
+def test_p3_caps_refuse_up_front(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["p3"] + argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "cap" in err
+
+
+def test_p3_at_cap_runs(capsys):
+    # the largest n is accepted; sampled, because symbolic takes seconds
+    n = cli.P3_MAX_N
+    code, out, _ = run(capsys, ["p3", "--n", str(n), "--mode", "sampled"])
+    assert code == 0 and out == "%s\n" % goettsche_series(7, n).coefficient(n)
 
 
 def test_p3_domain_error(capsys):

@@ -8,6 +8,7 @@ integer values.  Integer values up to n = 7 were cross-checked against a
 from-scratch reimplementation before being frozen here."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -23,7 +24,7 @@ from sheafcount.localization import (
     p3_point_count,
     tangent_character,
 )
-from sheafcount.partitions import enumerate_triples
+from sheafcount.partitions import enumerate_partitions, enumerate_triples
 from sheafcount.qseries import goettsche_series
 from sheafcount.ratfunc import ONE, Poly, RationalFunction
 
@@ -92,10 +93,22 @@ def test_factored_sum_equals_per_triple_sum():
         assert hilb_chern_integral(n) == total.as_constant()
 
 
+def test_leg_sum_equals_rational_sum():
+    # the integer common-denominator sum of each leg against the
+    # RationalFunction sum of the same per-partition products
+    for factors in (localization._p2_factors, localization._p3_factors):
+        for k in range(6):
+            legs = [factors(lam) for lam in enumerate_partitions(k)]
+            num, scale, den = localization._leg_sum(legs)
+            got = RationalFunction(
+                Poly(num), Poly((scale,)) * prod(map(Poly, den.elements())))
+            assert got == sum(map(localization._as_function, legs)), (factors, k)
+
+
 def test_integrals_match_series():
     series = goettsche_series(7, 10)
     assert [series.coefficient(n) for n in range(11)] == INTEGRALS
-    for n in range(9):
+    for n in range(11):
         assert hilb_chern_integral(n) == INTEGRALS[n]
     for n in range(11):
         for seed in (1, 2, 3):

@@ -489,6 +489,13 @@ def test_z_closed_equals_direct_on_fixtures():
         assert z_series_closed(spec, 8) == z_series_direct(spec, 8), name
 
 
+def test_z_closed_all_components_equal_single_components():
+    for name in ("two_copies", "mixed_shift", "symmetry_window", "quartic_pencil"):
+        spec = load_fixture(name)
+        assert z_series_closed(spec, 8) == {
+            d: z_series_closed(spec, 8, d) for d in range(spec.ell)}, name
+
+
 def _random_spec(rng):
     ell = rng.choice([2, 4, 6])
     entries = {}
