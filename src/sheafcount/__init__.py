@@ -2,15 +2,19 @@
 
 Two computational pillars, tied together by cross-checks:
 
-* torus fixed-point sums on Hilbert schemes of points of the plane, with
-  every intermediate an exact rational function in one equivariant
-  parameter (`partitions`, `ratfunc`, `localization`);
+* torus fixed-point sums on Hilbert schemes of points of the plane, in
+  one equivariant parameter t (`partitions`, `localization`): the
+  symbolic sum adds fractions of products of integer linear forms
+  i t + j over one common denominator, in integer arithmetic, and
+  sampled mode evaluates at rational points; single fixed-point
+  contributions are exact reduced rational functions (`ratfunc`), so the
+  two routes to them can be compared;
 
 * invariants of K3-fibered threefolds assembled from intersection-number
   tables, with generating series handled as exact truncated q-expansions
   on fractional grids (`qseries`, `nl_dt`).
 
-Everything is exact: fractions.Fraction throughout, no floating point.
+Everything is exact: integers and fractions.Fraction, no floating point.
 """
 
 from .errors import ConsistencyError, NLValidationError, PoleError

@@ -90,6 +90,10 @@ def _emit_components(comp: dict, fmt: str):
 P3_MAX_N = 16
 P3_MAX_SAMPLES = 50
 
+# z without --d computes one series per degree d in [0, ell), so a table's
+# ell alone can ask for unbounded work; larger tables need --d.
+Z_MAX_ELL = 1000
+
 
 def cmd_p3(args) -> int:
     if args.n is not None:
@@ -133,6 +137,9 @@ def cmd_phi(args) -> int:
 
 def cmd_z(args) -> int:
     spec = nl_load_path(args.nl)
+    if args.d is None and spec.ell > Z_MAX_ELL:
+        raise ValueError("ell = %d is above the cap of %d components; "
+                         "give --d for one component" % (spec.ell, Z_MAX_ELL))
     if args.check:
         if args.d is None:
             closed = z_series_closed(spec, args.terms)

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, NLValidationError
@@ -52,8 +51,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class _Record:
+    """Immutable value type: its fields are its __slots__, in order.
+
+    Equal by field values to instances of the same class only, hashed by
+    the tuple of field values, and refusing assignment and deletion after
+    the constructor sets the fields.  Stands in for a frozen dataclass
+    without importing dataclasses, which pulls inspect into every start-up.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class MukaiVector(_Record):
     """Rank, fiberwise curve self-intersection, and second Chern number.
 
     The derived entries: s = beta_sq/2 - tau + r is the last component of
@@ -61,19 +99,18 @@ class MukaiVector:
     the arithmetic genus attached to beta.
     """
 
-    r: int
-    beta_sq: int
-    tau: int
+    __slots__ = __match_args__ = ("r", "beta_sq", "tau")
 
-    def __post_init__(self):
-        if not isinstance(self.r, int) or self.r < 1:
+    def __init__(self, r: int, beta_sq: int, tau: int):
+        if not isinstance(r, int) or r < 1:
             raise ValueError("rank must be a positive integer")
-        if not isinstance(self.beta_sq, int) or self.beta_sq % 2:
+        if not isinstance(beta_sq, int) or beta_sq % 2:
             raise ValueError("beta_sq must be an even integer")
-        if self.beta_sq < -2:
+        if beta_sq < -2:
             raise ValueError("beta_sq must be >= -2")
-        if not isinstance(self.tau, int):
+        if not isinstance(tau, int):
             raise ValueError("tau must be an integer")
+        self._set(r, beta_sq, tau)
 
     @property
     def s(self) -> int:
@@ -109,20 +146,17 @@ def hilb_index(v: MukaiVector) -> int:
     return n1
 
 
-@dataclass(frozen=True)
-class HilbertPolyK3:
+class HilbertPolyK3(_Record):
     """Quadratic Hilbert polynomial P(m) = (r*ell/2) m^2 + d m + c."""
 
-    r: int
-    ell: int
-    d: int
-    c: int
+    __slots__ = __match_args__ = ("r", "ell", "d", "c")
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, r: int, ell: int, d: int, c: int):
+        if r < 1:
             raise ValueError("rank must be >= 1")
-        if self.ell < 1:
+        if ell < 1:
             raise ValueError("ell must be >= 1")
+        self._set(r, ell, d, c)
 
     def value(self, m: int) -> Fraction:
         return Fraction(self.r * self.ell, 2) * m * m + self.d * m + self.c
@@ -183,20 +217,20 @@ class NLTable:
         return "NLTable(ell=%d, %d entries)" % (self.ell, len(self.entries))
 
 
-@dataclass(frozen=True)
-class FibrationSpec:
-    """A fibration's constants plus its intersection-number table."""
+class FibrationSpec(_Record):
+    """A fibration's constants plus its intersection-number table.
 
-    ell: int
-    k: int
-    nl: NLTable
-    euler: int = 24
-    nodal: bool = False
+    Unhashable, because its table is.
+    """
 
-    def __post_init__(self):
-        if self.nl.ell != self.ell:
+    __slots__ = __match_args__ = ("ell", "k", "nl", "euler", "nodal")
+
+    def __init__(self, ell: int, k: int, nl: NLTable, euler: int = 24,
+                 nodal: bool = False):
+        if nl.ell != ell:
             raise NLValidationError("table ell %d does not match spec ell %d"
-                                    % (self.nl.ell, self.ell))
+                                    % (nl.ell, ell))
+        self._set(ell, k, nl, euler, nodal)
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -405,6 +439,12 @@ def phi_series(spec: FibrationSpec, d: int, terms: int) -> PuiseuxSeries:
     return PuiseuxSeries(grid, coeffs, trunc)
 
 
+def _require_terms(terms: int):
+    # z series are known to order q^terms, so terms = 0 still means q^-1, q^0
+    if terms < 0:
+        raise ValueError("terms must be >= 0, got %d" % terms)
+
+
 def _eta_inverse_half(terms: int, euler: int = 24) -> PuiseuxSeries:
     # 1 / (2 q prod (1-q^n)^e), known to order q^terms; e = 24 is 1/(2 eta^24)
     num = goettsche_series(-euler, terms + 1).shift(1)
@@ -420,6 +460,7 @@ def z_series_closed(spec: FibrationSpec, terms: int, d=None):
     components indexed by d in [0, ell).  The divisor is inverted once per
     call, whatever the number of components.
     """
+    _require_terms(terms)
     eta = _eta_inverse_half(terms, spec.euler)
     if d is None:
         return {dd: _z_component(spec, terms, dd, eta)
@@ -446,6 +487,7 @@ def z_series_direct(spec: FibrationSpec, terms: int, d=None, r: int = 1):
     """
     if r != 1:
         raise ValueError("only rank 1 is supported, got r=%d" % r)
+    _require_terms(terms)
     if d is None:
         return {dd: z_series_direct(spec, terms, dd) for dd in range(spec.ell)}
     if not 0 <= d < spec.ell:

@@ -199,6 +199,39 @@ def test_z_check_ok_on_all_fixtures(capsys):
         assert out.strip() == "closed = direct: OK"
 
 
+def test_z_negative_terms_names_the_bound(capsys):
+    for extra in ([], ["--check"], ["--d", "0"]):
+        code, out, err = run(capsys, ["z", "--nl", fixture("two_copies"),
+                                      "--terms", "-1"] + extra)
+        assert code == 1 and out == ""
+        assert err == "error: terms must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--check"]])
+def test_z_ell_cap_refuses_up_front(tmp_path, extra):
+    # in a fresh interpreter with a timeout, so a lost cap fails, not hangs
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"ell": 10 ** 30, "k": 2, "nl": []}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sheafcount.cli", "z", "--nl",
+                           str(huge), "--terms", "3"] + extra,
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert str(cli.Z_MAX_ELL) in proc.stderr
+
+
+def test_z_at_ell_cap_runs(capsys, tmp_path):
+    table = tmp_path / "wide.json"
+    table.write_text(json.dumps({"ell": cli.Z_MAX_ELL, "k": 1, "nl": []}))
+    code, out, _ = run(capsys, ["z", "--nl", str(table), "--terms", "0",
+                                "--format", "structured"])
+    assert code == 0
+    assert len(json.loads(out)["components"]) == cli.Z_MAX_ELL
+
+
 def test_dt_values(capsys):
     for argv, want in [
         (["dt", "--nl", fixture("two_copies"), "--d", "0", "--c", "2"], "1"),
@@ -271,6 +304,18 @@ def test_nl_validate_deep_nesting_is_one_line_error(tmp_path):
     assert proc.stderr.startswith("error: ") and "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # start-up cost: these two alone once took about half the import time;
+    # only modules the import adds count, not those the site hooks loaded
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    code = ("import sys; before = set(sys.modules); import sheafcount.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 _JSON_SCALARS = st.one_of(

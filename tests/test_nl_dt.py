@@ -6,7 +6,9 @@ the closed-form code path being tested.  The randomized closed-versus-
 direct comparisons are the structural check that the convolution identity
 holds in general, not just on the frozen examples."""
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -91,6 +93,109 @@ def test_hilbert_poly_from_mukai():
     P = HilbertPolyK3.from_mukai(v, 4, 1)
     assert (P.r, P.ell, P.d, P.c) == (2, 4, 1, 0)   # c = omega + 2r
     assert P.value(0) == v.omega + 2 * v.r
+
+
+# -- record contract -----------------------------------------------------
+# MukaiVector, HilbertPolyK3 and FibrationSpec are immutable value types.
+# What callers may rely on is pinned here, independently of how the
+# classes are written.
+
+def _records():
+    table = NLTable(4, {(1, 1): F(1, 2)})
+    return [
+        (MukaiVector, (2, -2, 3), {"r": 2, "beta_sq": -2, "tau": 3}),
+        (HilbertPolyK3, (1, 4, 1, 2), {"r": 1, "ell": 4, "d": 1, "c": 2}),
+        (FibrationSpec, (4, 3, table, 12, True),
+         {"ell": 4, "k": 3, "nl": table, "euler": 12, "nodal": True}),
+    ]
+
+
+def test_records_positional_equals_keyword():
+    for cls, args, kwargs in _records():
+        a, b = cls(*args), cls(**kwargs)
+        assert a == b and not a != b
+        assert tuple(getattr(a, name) for name in kwargs) == args
+    match MukaiVector(2, -2, 3):
+        case MukaiVector(r, beta_sq, tau=tau):
+            assert (r, beta_sq, tau) == (2, -2, 3)
+        case _:
+            pytest.fail("positional pattern did not match")
+
+
+def test_fibration_spec_defaults():
+    spec = FibrationSpec(ell=4, k=0, nl=NLTable(4, {}))
+    assert (spec.euler, spec.nodal) == (24, False)
+    assert FibrationSpec(4, 0, NLTable(4, {})) == spec
+
+
+def test_records_repr_bytes():
+    assert repr(MukaiVector(2, -2, 3)) == "MukaiVector(r=2, beta_sq=-2, tau=3)"
+    assert repr(HilbertPolyK3(1, 4, 1, -2)) == "HilbertPolyK3(r=1, ell=4, d=1, c=-2)"
+    assert repr(FibrationSpec(4, 0, NLTable(4, {}))) == (
+        "FibrationSpec(ell=4, k=0, nl=NLTable(ell=4, 0 entries), "
+        "euler=24, nodal=False)")
+
+
+def test_records_equal_by_values_within_one_class():
+    class Sub(MukaiVector):
+        pass
+
+    v = MukaiVector(1, 0, 1)
+    assert v == MukaiVector(1, 0, 1) and v != MukaiVector(1, 0, 2)
+    assert v != (1, 0, 1) and v != HilbertPolyK3(1, 1, 0, 1)
+    assert v != Sub(1, 0, 1) and Sub(1, 0, 1) != v
+    spec = FibrationSpec(4, 0, NLTable(4, {(1, 1): F(1)}))
+    assert spec == FibrationSpec(4, 0, NLTable(4, {(1, 1): F(1)}))
+    assert spec != FibrationSpec(4, 0, NLTable(4, {(1, 1): F(2)}))
+
+
+def test_records_hashability():
+    assert len({MukaiVector(2, -2, 3), MukaiVector(2, -2, 3)}) == 1
+    assert hash(HilbertPolyK3(1, 4, 1, 2)) == hash(HilbertPolyK3(1, 4, 1, 2))
+    with pytest.raises(TypeError):
+        hash(FibrationSpec(4, 0, NLTable(4, {})))     # NLTable is unhashable
+
+
+def test_records_refuse_assignment():
+    for cls, args, kwargs in _records():
+        rec = cls(*args)
+        for name in kwargs:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+        assert rec == cls(*args)
+
+
+def test_records_copy_and_pickle():
+    for cls, args, _ in _records():
+        rec = cls(*args)
+        assert copy.copy(rec) == rec and copy.deepcopy(rec) == rec
+        assert pickle.loads(pickle.dumps(rec)) == rec
+
+
+def test_records_validation_messages():
+    for args, message in [
+        ((0, 0, 1), "rank must be a positive integer"),
+        ((True, 0, 1), None),
+        ((1, 3, 1), "beta_sq must be an even integer"),
+        ((1, -4, 1), "beta_sq must be >= -2"),
+        ((1, 0, F(1, 2)), "tau must be an integer"),
+    ]:
+        if message is None:
+            MukaiVector(*args)                     # bool is an int here
+            continue
+        with pytest.raises(ValueError) as err:
+            MukaiVector(*args)
+        assert str(err.value) == message
+    for args, message in [((0, 4, 0, 0), "rank must be >= 1"),
+                          ((1, 0, 0, 0), "ell must be >= 1")]:
+        with pytest.raises(ValueError) as err:
+            HilbertPolyK3(*args)
+        assert str(err.value) == message
+    with pytest.raises(NLValidationError) as err:
+        FibrationSpec(ell=2, k=0, nl=NLTable(4, {}))
+    assert str(err.value) == "table ell 4 does not match spec ell 2"
 
 
 # -- table validation ----------------------------------------------------
@@ -415,6 +520,15 @@ def test_phi_rejects_unreduced_degree():
         phi_series(spec, 4, 5)
     with pytest.raises(ValueError):
         phi_series(spec, -1, 5)
+
+
+def test_z_series_refuse_negative_terms():
+    spec = FibrationSpec(ell=2, k=2, nl=NLTable(2, {}))
+    for route in (z_series_closed, z_series_direct):
+        for d in (None, 0):
+            with pytest.raises(ValueError, match=r"terms must be >= 0, got -1"):
+                route(spec, -1, d)
+        assert route(spec, 0, 0).terms() == [(F(-1), F(-1)), (F(0), F(-24))]
 
 
 def test_z_closed_zero_table():
