@@ -5,8 +5,8 @@ Two computational pillars, tied together by cross-checks:
 * torus fixed-point sums on Hilbert schemes of points of the plane, in
   one equivariant parameter t (`partitions`, `localization`): the
   symbolic sum adds fractions of products of integer linear forms
-  i t + j over one common denominator, in integer arithmetic, and
-  sampled mode evaluates at rational points; single fixed-point
+  i t + j over one common denominator, as big integers at one packed
+  point t = 2^B, and sampled mode evaluates at rational points; single fixed-point
   contributions are exact reduced rational functions (`ratfunc`), so the
   two routes to them can be compared;
 

@@ -85,7 +85,7 @@ def _emit_components(comp: dict, fmt: str):
 # -- subcommands ---------------------------------------------------------
 
 # p3 refuses larger requests up front (exit 1): the answer is one integer,
-# but the work grows about 1.7x per point, and by the number of samples.
+# but the work grows about 1.8x per point, and by the number of samples.
 # hilb_chern_integral itself takes any n.
 P3_MAX_N = 16
 P3_MAX_SAMPLES = 50

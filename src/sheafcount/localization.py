@@ -38,17 +38,28 @@ triple.  By theory the result is a constant (the equivariant parameters
 drop out), which the symbolic mode verifies literally and the sampled mode
 verifies at random rational points.
 
-The symbolic mode sums in integers, with no polynomial gcd and no Fraction.
-Each F(lam) is an integer times a product of numerator forms i*t + j over a
-product of denominator forms.  Made primitive, with a positive leading
-coefficient, equal forms compare equal, and the forms common to a
-numerator and its denominator cancel.  Then A_k = N_k / (c_k prod L_k):
-L_k is the multiset union of the denominator forms over the partitions of
-k, c_k the lcm of their integer contents, and N_k a plain integer
-coefficient list; B_k likewise.  The convolution is summed the same way,
-over the union of the L_b + L'_c, into one quotient N / D.  It is constant
-exactly when N = c * D coefficient by coefficient, which is checked
-literally before the constant c is returned.
+The symbolic mode sums in big integers, with no polynomial gcd, no
+Fraction and no polynomial expanded term by term.  Each F(lam) is an
+integer times a product of numerator forms i*t + j over a product of
+denominator forms.  Made primitive, with a positive leading coefficient,
+equal forms compare equal, and the forms common to a numerator and its
+denominator cancel.  Then A_k = N_k / (c_k prod L_k): L_k is the multiset
+union of the denominator forms over the partitions of k, c_k the lcm of
+their integer contents, and N_k an integer polynomial; B_k likewise.
+
+Polynomials are summed by Kronecker substitution: every form is evaluated
+at one integer T = 2^B, so each product and sum is one big-integer
+operation, and the integer N_k(T) is unpacked into its signed base-T
+digits.  B comes from a proven bound: the same code, run with each form
+replaced by |i| + |j|, bounds the l1 norm of N_k (||fg|| <= ||f|| ||g||),
+and a T whose half exceeds that bound makes the digits the coefficients.
+Each leg is packed at its own, narrower width, unpacked, and repacked at
+the width of the convolution.  The convolution is nested, C_m = sum_b p(m-b) A_b and
+then sum_c C_{n-c} B_c, over the common denominator D = c prod(L + L') of
+the unions L and L' of all L_k and L'_k, and unpacked into one numerator
+N.  The sum is constant exactly when N = c * D coefficient by coefficient,
+with D expanded form by form; this is checked literally before the
+constant c is returned.
 """
 
 from __future__ import annotations
@@ -56,7 +67,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm, prod
 
 from .errors import ConsistencyError
@@ -158,27 +168,6 @@ def _times_forms(coeffs, forms):
     return coeffs
 
 
-def _common_sum(terms):
-    """Sum of the fractions coeffs / (c * prod(den)) over (coeffs, c, den)
-    in terms, each c a positive integer and each den a Counter of forms,
-    over one common denominator.
-
-    Returns (N, c, L): c is the lcm of the c's, L the multiset union of the
-    dens, and the sum is N / (c * prod(L)), with N the integer list of
-    sum of coeffs * (c / c_term) * prod(L - den).
-    """
-    c = lcm(*(k for _, k, _ in terms))
-    L = Counter()
-    for _, _, den in terms:
-        L |= den
-    N = []
-    for coeffs, k, den in terms:
-        part = _times_forms([x * (c // k) for x in coeffs],
-                            (L - den).elements())
-        N = [x + y for x, y in zip_longest(N, part, fillvalue=0)]
-    return N, c, L
-
-
 def _split(forms):
     """(c, forms') with prod(forms) = c * prod(forms'): c an integer and
     forms' a Counter of primitive nonconstant forms whose leading
@@ -193,11 +182,87 @@ def _split(forms):
     return c, out
 
 
-def _leg_sum(legs):
-    """A_k (or B_k) as (N_k, c_k, L_k): the sum of F(lam) (or G) over the
-    form lists in legs, over the common denominator c_k * prod(L_k) of
-    _common_sum.  Forms common to a numerator and its denominator cancel
-    first."""
+def _norm(coeffs):
+    # l1 norm of an integer polynomial: the bound side of the evaluators
+    return sum(map(abs, coeffs))
+
+
+def _at(bits):
+    """Evaluator of integer coefficient lists at T = 2**bits."""
+    def value(coeffs):
+        x = 0
+        for c in reversed(coeffs):
+            x = (x << bits) + c
+        return x
+    return value
+
+
+def _width(bound, forms):
+    """Bits B of the packing point T = 2**B for a polynomial of l1 norm at
+    most bound whose common denominator is the product of forms: every
+    coefficient lies in [-T/2, T/2), so the signed base-T digits of its
+    value at T are its coefficients, and no form i*t + j (i > 0) vanishes
+    at T.  B >= 2, so the digit loop of _unpack always ends at 0."""
+    return max(bound, 1, *(abs(j) for j, _ in forms)).bit_length() + 1
+
+
+def _unpack(x, bits):
+    """Signed base-2**bits digits of the integer x, lowest first, trailing
+    zeros dropped: the coefficients of the integer polynomial P with
+    P(2**bits) = x and every coefficient in [-2**(bits-1), 2**(bits-1))."""
+    half = 1 << (bits - 1)
+    digits = []
+    # |x| < T**m leaves |x| <= 1 after m steps and 0 after one more
+    for _ in range(abs(x).bit_length() // bits + 2):
+        d = ((x + half) & ((1 << bits) - 1)) - half
+        digits.append(d)
+        x = (x - d) >> bits
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
+
+
+def _packed(numerator):
+    """(N, scale, L) for a sum N / (scale * prod(L)), with N an integer
+    polynomial and numerator(ev) returning (N under ev, scale, L).  N is
+    evaluated under _norm for an l1 bound, which gives the width, then at
+    T = 2**width, and returned as its unpacked coefficient list."""
+    bound, _, L = numerator(_norm)
+    bits = _width(bound, L)
+    packed, scale, L = numerator(_at(bits))
+    return _unpack(packed, bits), scale, L
+
+
+def _prod(forms, ev):
+    return prod(ev(f) ** m for f, m in forms.items())
+
+
+def _common(terms, ev):
+    """The terms prod(factors) / (c * prod(den)), (factors, c, den) with c a
+    positive integer and den a Counter of forms, over their common
+    denominator e * prod(M): M is the multiset union of the dens and e the
+    lcm of the c's.  Returns ([numerator of each term under ev], e, M).
+
+    Under _at(bits) a numerator is its value at T = 2**bits, prod(M - den)
+    computed as prod(M) // prod(den) exactly.  Under _norm the same code
+    bounds its l1 norm, by ||f g|| <= ||f|| ||g|| and ||i*t + j|| = |i|+|j|.
+    """
+    e = lcm(*(c for _, c, _ in terms))
+    M = Counter()
+    for _, _, den in terms:
+        M |= den
+    whole = _prod(M, ev)
+    return ([(e // c) * prod(map(ev, factors)) * (whole // _prod(den, ev))
+             for factors, c, den in terms], e, M)
+
+
+def _leg_poly(legs):
+    """A_k (or B_k) as (N_k, c_k, L_k) with A_k = N_k / (c_k prod(L_k)):
+    the sum of F(lam) (or G) over the form lists in legs, over the common
+    denominator of _common, with N_k an integer coefficient list.  Forms
+    common to a numerator and its denominator cancel first.  N_k is packed
+    at the narrowest width its own l1 bound allows, then unpacked; the
+    convolution repacks it at its own width."""
     terms = []
     for num, den in legs:
         cn, num = _split(num)
@@ -205,19 +270,23 @@ def _leg_sum(legs):
         common = num & den
         if cd < 0:
             cn, cd = -cn, -cd
-        terms.append((_times_forms([cn], (num - common).elements()), cd,
-                      den - common))
-    return _common_sum(terms)
+        terms.append(([(cn,), *(num - common).elements()], cd, den - common))
+
+    def numerator(ev):
+        parts, c, L = _common(terms, ev)
+        return sum(parts), c, L
+    return _packed(numerator)
 
 
-def _int_mul(a, b):
-    # product of two integer coefficient lists
-    out = [0] * (len(a) + len(b) - 1)
-    for x, ca in enumerate(a):
-        if ca:
-            for y, cb in enumerate(b):
-                out[x + y] += ca * cb
-    return out
+def _packed_convolution(counts, A, B, ev):
+    """The numerator of the sum of counts[a] * A[b] * B[c] over a+b+c = n,
+    under ev, with its denominator (scale, L): scale * prod(L).  Nested as
+    C_m = sum_b counts[m-b] * A_b, then sum_c C_{n-c} * B_c."""
+    n = len(counts) - 1
+    QA, ea, MA = _common([([N], c, L) for N, c, L in A], ev)
+    QB, eb, MB = _common([([N], c, L) for N, c, L in B], ev)
+    C = [sum(counts[m - b] * QA[b] for b in range(m + 1)) for m in range(n + 1)]
+    return sum(C[n - c] * QB[c] for c in range(n + 1)), ea * eb, MA + MB
 
 
 def _convolve(counts, A, B):
@@ -256,13 +325,15 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
 
     Both modes take the factored sum of the module docstring.  symbolic
     mode sums A_k, B_k and their convolution over common denominators of
-    linear forms, in integers, and checks literally that the numerator N
-    is a constant multiple c * D of the denominator; a non-constant sum
+    linear forms, as big integers packed at T = 2^B with B from a proven
+    l1 bound, unpacks the numerator N and checks literally that it is a
+    constant multiple c * D of the expanded denominator; a non-constant sum
     would mean a bug and raises ConsistencyError.  sampled mode evaluates
     the sum at `samples` distinct random rational points with numerators
     and denominators bounded by 10**6, resampling when a point is a pole of
-    some F or G, and requires exact agreement.  Every partition of size at most n is p2 or p3 of
-    some triple, so the poles are those of the per-triple sum.
+    some F or G, and requires exact agreement.  Every partition of size at
+    most n is p2 or p3 of some triple, so the poles are those of the
+    per-triple sum.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -271,14 +342,10 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     F = [[_p2_factors(lam) for lam in ps] for ps in sizes]
     G = [[_p3_factors(lam) for lam in ps] for ps in sizes]
     if mode == "symbolic":
-        A = [_leg_sum(fs) for fs in F]
-        B = [_leg_sum(gs) for gs in G]
-        N, scale, L = _common_sum(
-            [([counts[n - b - c] * x for x in _int_mul(A[b][0], B[c][0])],
-              A[b][1] * B[c][1], A[b][2] + B[c][2])
-             for b in range(n + 1) for c in range(n + 1 - b)])
-        while N and not N[-1]:
-            N.pop()
+        A = [_leg_poly(fs) for fs in F]
+        B = [_leg_poly(gs) for gs in G]
+        N, scale, L = _packed(
+            lambda ev: _packed_convolution(counts, A, B, ev))
         D = _times_forms([scale], L.elements())
         # constant c exactly when N = c * D coefficient by coefficient
         if N and (len(N) != len(D)

@@ -425,6 +425,7 @@ def phi_series(spec: FibrationSpec, d: int, terms: int) -> PuiseuxSeries:
     on the 1/(2*ell) grid; the vanishing bound makes every exponent
     nonnegative.  d must already be reduced to [0, ell).
     """
+    _require_terms(terms)
     if not 0 <= d < spec.ell:
         raise ValueError("d must lie in [0, ell), got %d" % d)
     grid = 2 * spec.ell
@@ -440,7 +441,8 @@ def phi_series(spec: FibrationSpec, d: int, terms: int) -> PuiseuxSeries:
 
 
 def _require_terms(terms: int):
-    # z series are known to order q^terms, so terms = 0 still means q^-1, q^0
+    # phi and z series are known to order q^terms, so terms = 0 is a valid
+    # request (for z it still means q^-1, q^0)
     if terms < 0:
         raise ValueError("terms must be >= 0, got %d" % terms)
 

@@ -170,6 +170,16 @@ def test_phi_series_output(capsys):
     assert out.splitlines() == ["q^(1/8): 3/2", "O(q^(25/8))"]
 
 
+def test_phi_negative_terms_names_the_bound(capsys):
+    code, out, err = run(capsys, ["phi", "--nl", fixture("two_copies"),
+                                  "--d", "0", "--terms", "-1"])
+    assert code == 1 and out == ""
+    assert err == "error: terms must be >= 0, got -1\n"
+    code, out, _ = run(capsys, ["phi", "--nl", fixture("two_copies"),
+                                "--d", "0", "--terms", "0"])
+    assert code == 0 and out.splitlines() == ["q^(0): 2", "O(q^(1/4))"]
+
+
 def test_z_single_component(capsys):
     code, out, _ = run(capsys, ["z", "--nl", fixture("two_copies"),
                                 "--terms", "2", "--d", "0"])

@@ -94,15 +94,60 @@ def test_factored_sum_equals_per_triple_sum():
 
 
 def test_leg_sum_equals_rational_sum():
-    # the integer common-denominator sum of each leg against the
+    # the packed common-denominator sum of each leg against the
     # RationalFunction sum of the same per-partition products
     for factors in (localization._p2_factors, localization._p3_factors):
         for k in range(6):
             legs = [factors(lam) for lam in enumerate_partitions(k)]
-            num, scale, den = localization._leg_sum(legs)
+            num, scale, den = localization._leg_poly(legs)
             got = RationalFunction(
                 Poly(num), Poly((scale,)) * prod(map(Poly, den.elements())))
             assert got == sum(map(localization._as_function, legs)), (factors, k)
+
+
+def test_leg_bound_holds(monkeypatch):
+    # the l1 norm of N_k, from Poly products of the RationalFunction sum
+    # times the leg's denominator, never exceeds the bound the packing width
+    # is taken from, so the signed digits are the coefficients
+    real = localization._width
+    bounds = []
+
+    def spy(bound, forms):
+        bounds.append(bound)
+        return real(bound, forms)
+
+    monkeypatch.setattr(localization, "_width", spy)
+    for factors in (localization._p2_factors, localization._p3_factors):
+        for k in range(7):
+            legs = [factors(lam) for lam in enumerate_partitions(k)]
+            bounds.clear()
+            _, scale, den = localization._leg_poly(legs)
+            total = sum(map(localization._as_function, legs)) * RationalFunction(
+                Poly((scale,)) * prod(map(Poly, den.elements())))
+            assert total.den == ONE
+            norm = sum(abs(c) for c in total.num.coeffs)
+            assert bounds and norm <= bounds[0], (factors, k, norm, bounds)
+
+
+def test_narrowed_width_never_gives_a_wrong_value(monkeypatch):
+    # With the bound forced down to 1 the digits of a packed value need not
+    # be its coefficients.  The final digits still evaluate to the packed
+    # value at T, and T is kept above every root of the denominator D, so
+    # D(T) != 0: digits that pass N = c * D give c = N(T) / D(T), the true
+    # constant, and a narrowed final width can only raise false alarms.
+    # Narrowed leg widths feed wrong legs into the sum; what is asserted here
+    # is that the check then fails too.  So each n gives ConsistencyError or
+    # the right value, never a wrong one, a hang or a bad shift count.
+    # The l1 bound is what makes a passing check a proof of constancy.
+    real = localization._width
+    monkeypatch.setattr(localization, "_width",
+                        lambda bound, forms: real(1, forms))
+    for n in range(1, 9):
+        try:
+            value = hilb_chern_integral(n)
+        except ConsistencyError:
+            continue
+        assert value == INTEGRALS[n], n
 
 
 def test_integrals_match_series():
