@@ -6,9 +6,11 @@ Two computational pillars, tied together by cross-checks:
   one equivariant parameter t (`partitions`, `localization`): the
   symbolic sum adds fractions of products of integer linear forms
   i t + j over one common denominator, as big integers at one packed
-  point t = 2^B, and sampled mode evaluates at rational points; single fixed-point
-  contributions are exact reduced rational functions (`ratfunc`), so the
-  two routes to them can be compared;
+  point t = 2^B, and sampled mode evaluates at rational points; single
+  fixed-point contributions are exact reduced rational functions whose
+  denominators split into linear factors (`ratfunc`), reduced by
+  cancelling linear forms rather than by a polynomial gcd, so the two
+  routes to them can be compared;
 
 * invariants of K3-fibered threefolds assembled from intersection-number
   tables, with generating series handled as exact truncated q-expansions

@@ -21,7 +21,12 @@ by t1^-1 and every p3 pair by t2^-1.  The p1 blocks of the two characters
 coincide, so their weight factors cancel in the fixed-point contribution;
 fixed_point_contribution never materializes them, while the slower
 character-quotient route in contribution_from_characters cancels them as
-multisets and serves as an independent check.
+multisets and serves as an independent check.  The two routes take their
+weights independently and share only the cancel-and-expand step
+_as_function: both lists of forms are split into an integer and primitive
+forms, the forms common to both cancel as multisets, the numerator is
+expanded in integers and the denominator is handed to RationalFunction as
+its poles -j/i, so no polynomial gcd is ever taken.
 
 The localization sum over all triples of total size n evaluates the
 integral of the top Chern class of the rank-2n obstruction bundle.  A
@@ -71,7 +76,7 @@ from math import gcd, lcm, prod
 
 from .errors import ConsistencyError
 from .partitions import arm, boxes, enumerate_partitions, leg
-from .ratfunc import ONE, Poly, RationalFunction
+from .ratfunc import Poly, RationalFunction
 
 # default seed for sampled mode; any fixed value works, reproducibility is
 # the only requirement
@@ -136,10 +141,35 @@ def _p3_factors(p):
     return [f[::-1] for f in num], [f[::-1] for f in den]
 
 
+def _cancelled(forms):
+    """(cn, num, cd, den) with prod(num forms) / prod(den forms) =
+    cn * prod(num) / (cd * prod(den)): cd > 0, num and den Counters of
+    primitive forms from _split, and the forms common to both cancelled
+    as multisets."""
+    cn, num = _split(forms[0])
+    cd, den = _split(forms[1])
+    common = num & den
+    if cd < 0:
+        cn, cd = -cn, -cd
+    return cn, num - common, cd, den - common
+
+
+def _over_forms(coeffs, scale, den) -> RationalFunction:
+    """The integer polynomial coeffs over scale * prod(den), den a Counter
+    of forms (j, i) with i > 0, as a RationalFunction: each form is
+    i * (t - r) with pole r = -j/i."""
+    lead = scale * prod(i ** m for (_, i), m in den.items())
+    return RationalFunction(Poly([Fraction(c, lead) for c in coeffs]),
+                            [Fraction(-j, i) for j, i in den.elements()])
+
+
 def _as_function(forms) -> RationalFunction:
-    num, den = forms
-    return RationalFunction(prod(map(Poly, num), start=ONE),
-                            prod(map(Poly, den), start=ONE))
+    """prod(num forms) / prod(den forms) as a RationalFunction, forms
+    = (num, den): the one cancel-and-expand step of both contribution
+    routes.  Common primitive forms cancel, the numerator is expanded with
+    _times_forms and the denominator is handed over as its poles."""
+    cn, num, cd, den = _cancelled(forms)
+    return _over_forms(_times_forms([cn], num.elements()), cd, den)
 
 
 def _value_at(forms, p, q) -> Fraction:
@@ -264,13 +294,9 @@ def _leg_poly(legs):
     at the narrowest width its own l1 bound allows, then unpacked; the
     convolution repacks it at its own width."""
     terms = []
-    for num, den in legs:
-        cn, num = _split(num)
-        cd, den = _split(den)
-        common = num & den
-        if cd < 0:
-            cn, cd = -cn, -cd
-        terms.append(([(cn,), *(num - common).elements()], cd, den - common))
+    for forms in legs:
+        cn, num, cd, den = _cancelled(forms)
+        terms.append(([(cn,), *num.elements()], cd, den))
 
     def numerator(ev):
         parts, c, L = _common(terms, ev)
@@ -301,22 +327,13 @@ def contribution_from_characters(triple) -> RationalFunction:
 
     A pair (i, j) becomes the linear form i*t + j; the contribution is the
     product of the obstruction forms divided by the product of the tangent
-    forms, after cancelling pairs common to both multisets (in particular
-    the whole p1 block).  Shares no algebra with fixed_point_contribution,
-    which is the point: the two routes check each other.
+    forms, after cancelling forms common to both multisets (in particular
+    the whole p1 block).  Its weights come from the characters, not from
+    the per-leg forms of fixed_point_contribution, which is the point: the
+    two routes check each other, and share only _as_function.
     """
-    obs = Counter(obstruction_character(triple))
-    tan = Counter(tangent_character(triple))
-    common = obs & tan
-    obs -= common
-    tan -= common
-    num = ONE
-    den = ONE
-    for (i, j), m in sorted(obs.items()):
-        num = num * Poly((j, i)) ** m
-    for (i, j), m in sorted(tan.items()):
-        den = den * Poly((j, i)) ** m
-    return RationalFunction(num, den)
+    return _as_function(([(j, i) for i, j in obstruction_character(triple)],
+                         [(j, i) for i, j in tangent_character(triple)]))
 
 
 def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
@@ -352,7 +369,7 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
                   or any(x * D[-1] != y * N[-1] for x, y in zip(N, D))):
             raise ConsistencyError(
                 "localization sum for n=%d is not constant: %s"
-                % (n, RationalFunction(Poly(N), Poly(D))))
+                % (n, _over_forms(N, scale, L)))
         return Fraction(N[-1], D[-1]) if N else Fraction(0)
     if mode == "sampled":
         if samples < 3:

@@ -1,9 +1,16 @@
-"""Exact univariate polynomial and rational-function arithmetic.
+"""Exact polynomials, and rational functions whose denominators split into
+linear factors, in one variable.
 
 Coefficients are fractions.Fraction throughout; nothing in this package
-touches floating point.  Rational functions are kept in a canonical form
-(numerator and denominator coprime, denominator monic, zero stored as 0/1)
-so that equality of values is equality of fields.
+touches floating point.  Every rational function the package builds is a
+product of linear forms i*t + j over another such product, so a
+RationalFunction is a numerator Poly over a multiset of rational poles r:
+the denominator prod(t - r) is monic by construction.  It is reduced by
+exact division of the numerator by t - r at each pole where the numerator
+vanishes.  Over Q linear factors are irreducible, so this is the usual
+canonical form (numerator and denominator coprime, denominator monic, zero
+stored as 0/1), and equality of values is equality of fields.  No general
+polynomial gcd is needed, and none is provided.
 
 The single variable is conventionally called t: it is the ratio s1/s2 of
 the two torus weights.  Every weight factor appearing downstream is
@@ -13,8 +20,9 @@ nothing.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import lcm
 
 from .errors import PoleError
 
@@ -42,15 +50,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -58,9 +57,6 @@ class Poly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -72,13 +68,6 @@ class Poly:
         for i, c in enumerate(b):
             out[i] += c
         return Poly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly((other,))
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -95,43 +84,6 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly((1,))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __divmod__(self, other):
-        """Exact polynomial division with remainder."""
-        if not isinstance(other, Poly):
-            raise TypeError("can only divide by a Poly")
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        inv = 1 / other.leading
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree] * inv
-            quo[i] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return Poly(quo), Poly(rem)
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        return self * (1 / self.leading)
 
     def __call__(self, x):
         """Horner evaluation at an exact rational point."""
@@ -169,155 +121,109 @@ class Poly:
 
 ZERO = Poly()
 ONE = Poly((1,))
-X = Poly((0, 1))
 
 
-def _int_primitive(p: Poly):
-    # clear denominators and divide out the integer content; sign of the
-    # leading coefficient is kept, which is all the gcd routine needs
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+def _over(poles):
+    """prod(t - r for r in poles) as a Poly: the integer product of the
+    forms q*t - p, r = p/q, divided by its leading coefficient."""
+    coeffs = [1]
+    for r in poles:
+        p, q = r.numerator, r.denominator
+        coeffs = [q * d - p * c for c, d in zip(coeffs + [0], [0] + coeffs)]
+    return Poly([Fraction(c, coeffs[-1]) for c in coeffs])
 
 
-def _pseudo_rem(a, b):
-    # pseudo-remainder of integer coefficient lists, low degree first
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lb for c in a]
-        for j in range(db + 1):
-            a[shift + j] -= la * b[j]
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+def _deflate(a, p, q):
+    """a / (q*t - p) for an integer coefficient list a (lowest first), or
+    None unless p/q is a root of a.  With gcd(p, q) = 1 the quotient has
+    integer coefficients (Gauss's lemma), so one inexact step shows that
+    p/q is not a root."""
+    out = []
+    carry = 0
+    for c in reversed(a[1:]):
+        carry, rem = divmod(c + p * carry, q)
+        if rem:
+            return None
+        out.append(carry)
+    if a[0] + p * carry:
+        return None
+    return out[::-1]
 
 
-def _primitive(a):
-    g = 0
-    for v in a:
-        g = _int_gcd(g, v)
-    return [v // g for v in a] if g > 1 else list(a)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via a primitive pseudo-remainder sequence over the integers.
-
-    Working with primitive integer polynomials sidesteps the coefficient
-    blowup of the naive Euclidean algorithm over the rationals.
-    """
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    A = _int_primitive(a)
-    B = _int_primitive(b)
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        A, B = B, _primitive(_pseudo_rem(A, B))
-    return Poly(A).monic()
+def _reduce(num: Poly, poles):
+    """(num', poles') with num' / prod(t - r for r in poles') equal to
+    num / prod(t - r for r in poles) and num' nonzero at every pole left:
+    num is divided exactly by t - r at each pole r where it vanishes, as
+    an integer list times a rational scale."""
+    if num.is_zero:
+        return ZERO, ()
+    den = lcm(*(c.denominator for c in num.coeffs))
+    a = [int(c * den) for c in num.coeffs]
+    scale = Fraction(1, den)
+    left = Counter(poles)
+    for r in list(left):
+        p, q = r.numerator, r.denominator
+        while left[r]:
+            b = _deflate(a, p, q)
+            if b is None:
+                break
+            # num / (t - r) = scale * q * a / (q*t - p)
+            a, scale = b, scale * q
+            left[r] -= 1
+    if len(a) < len(num.coeffs):
+        num = Poly([scale * c for c in a])
+    return num, tuple(sorted(left.elements()))
 
 
 class RationalFunction:
-    """Quotient num/den of two Polys in canonical reduced form."""
+    """num / prod(t - r for r in poles), reduced.
 
-    __slots__ = ("num", "den")
+    RationalFunction(num, poles) takes a Poly (or a scalar) and any
+    iterable of rational poles, repeated for multiplicity; den is the monic
+    denominator as a Poly.
+    """
 
-    def __init__(self, num, den=ONE):
+    __slots__ = ("num", "poles")
+
+    def __init__(self, num, poles=()):
         if not isinstance(num, Poly):
             num = Poly((num,))
-        if not isinstance(den, Poly):
-            den = Poly((den,))
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self.num, self.den = ZERO, ONE
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, rn = divmod(num, g)
-            den, rd = divmod(den, g)
-            if rn or rd:
-                raise AssertionError("gcd failed to divide its arguments")
-        scale = 1 / den.leading
-        self.num = num * scale
-        self.den = den * scale
+        poles = [r if isinstance(r, Fraction) else Fraction(r) for r in poles]
+        self.num, self.poles = _reduce(num, poles)
 
     @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __bool__(self):
-        return bool(self.num)
+    def den(self) -> Poly:
+        return _over(self.poles)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction(Poly((other,)))
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.poles == other.poles
 
     def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __neg__(self):
-        out = object.__new__(RationalFunction)
-        out.num, out.den = -self.num, self.den
-        return out
+        return hash((self.num, self.poles))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        mine, theirs = Counter(self.poles), Counter(other.poles)
+        both = mine | theirs
         return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+            self.num * _over((both - mine).elements())
+            + other.num * _over((both - theirs).elements()),
+            both.elements())
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction(self.num * other.num, self.poles + other.poles)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     @staticmethod
     def _coerce(other):
@@ -328,27 +234,28 @@ class RationalFunction:
         return NotImplemented
 
     def eval(self, t0) -> Fraction:
-        """Exact evaluation; raises PoleError at a zero of the denominator."""
+        """Exact evaluation; raises PoleError at a pole."""
         t0 = t0 if isinstance(t0, Fraction) else Fraction(t0)
-        d = self.den(t0)
-        if not d:
+        if t0 in self.poles:
             raise PoleError("pole at t = %s" % t0)
+        d = Fraction(1)
+        for r in self.poles:
+            d *= t0 - r
         return self.num(t0) / d
 
     def as_constant(self) -> Fraction:
         """The constant value of f, if f is constant; ValueError otherwise."""
-        if self.den == ONE and self.num.degree <= 0:
+        if not self.poles and self.num.degree <= 0:
             return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
         raise ValueError("not a constant: %s" % self)
 
     def format(self, var: str = "t") -> str:
-        if self.den == ONE:
+        if not self.poles:
             return self.num.format(var)
         return "(%s)/(%s)" % (self.num.format(var), self.den.format(var))
 
     def __repr__(self):
-        return "RationalFunction(%r, %r)" % (self.num, self.den)
+        return "RationalFunction(%r, %r)" % (self.num, self.poles)
 
     def __str__(self):
         return self.format()
-

@@ -74,15 +74,19 @@ def test_p3_verbose_lists_fixed_points(capsys):
     assert len([ln for ln in lines if ln.startswith("#")]) == 4
 
 
-@pytest.mark.parametrize("fmt", ["text", "structured"])
-@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
-def test_p3_verbose_golden(capsys, mode, fmt):
-    # captured from the per-triple summation; the listing still goes through
+@pytest.mark.parametrize("n, mode, fmt", [
+    *(pytest.param(3, mode, fmt, id="%s-%s" % (mode, fmt))
+      for mode in ("symbolic", "sampled") for fmt in ("text", "structured")),
+    pytest.param(6, "symbolic", "text", id="n6-symbolic-text"),
+])
+def test_p3_verbose_golden(capsys, n, mode, fmt):
+    # captured from the per-triple summation (n = 3) and from contributions
+    # reduced by a polynomial gcd (n = 6); the listing still goes through
     # fixed_point_contribution triple by triple
-    code, out, _ = run(capsys, ["p3", "--n", "3", "--verbose", "--mode", mode,
-                                "--format", fmt])
+    code, out, _ = run(capsys, ["p3", "--n", str(n), "--verbose", "--mode",
+                                mode, "--format", fmt])
     assert code == 0
-    golden = GOLDEN / ("p3_n3_verbose_%s_%s.out" % (mode, fmt))
+    golden = GOLDEN / ("p3_n%d_verbose_%s_%s.out" % (n, mode, fmt))
     assert out == golden.read_text(encoding="utf-8")
 
 

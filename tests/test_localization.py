@@ -43,11 +43,12 @@ def test_single_box_characters_frozen():
 
 def test_single_box_contributions_frozen():
     c2 = fixed_point_contribution(((), (1,), ()))
-    assert c2 == RationalFunction(Poly((-2, 4)), Poly((-1, 1)))
+    assert c2 == RationalFunction(Poly((-2, 4)), (1,))
+    assert str(c2) == "(4*t - 2)/(t - 1)"
     c3 = fixed_point_contribution(((), (), (1,)))
-    assert c3 == RationalFunction(Poly((-4, 2)), Poly((-1, 1)))
+    assert c3 == RationalFunction(Poly((-4, 2)), (1,))
     # no boxes on the two contributing legs: empty product
-    assert fixed_point_contribution(((3, 1), (), ())) == RationalFunction(ONE, ONE)
+    assert fixed_point_contribution(((3, 1), (), ())) == RationalFunction(ONE)
 
 
 def test_character_cardinalities():
@@ -76,7 +77,7 @@ def test_symbolic_integrals():
 
 def test_symbolic_sum_is_constant():
     for n in range(1, 6):
-        total = RationalFunction(Poly(()), ONE)
+        total = RationalFunction(0)
         for tr in enumerate_triples(n):
             total = total + fixed_point_contribution(tr)
         assert total.den == ONE
@@ -100,8 +101,7 @@ def test_leg_sum_equals_rational_sum():
         for k in range(6):
             legs = [factors(lam) for lam in enumerate_partitions(k)]
             num, scale, den = localization._leg_poly(legs)
-            got = RationalFunction(
-                Poly(num), Poly((scale,)) * prod(map(Poly, den.elements())))
+            got = localization._over_forms(num, scale, den)
             assert got == sum(map(localization._as_function, legs)), (factors, k)
 
 
@@ -142,12 +142,25 @@ def test_narrowed_width_never_gives_a_wrong_value(monkeypatch):
     real = localization._width
     monkeypatch.setattr(localization, "_width",
                         lambda bound, forms: real(1, forms))
-    for n in range(1, 9):
+    for n in range(1, 11):
         try:
             value = hilb_chern_integral(n)
         except ConsistencyError:
             continue
         assert value == INTEGRALS[n], n
+
+
+def test_narrowed_width_error_text(monkeypatch):
+    # at n = 2 the narrowed digits are not a multiple of D, and the message
+    # shows them reduced over the poles of D, as the polynomial gcd did
+    real = localization._width
+    monkeypatch.setattr(localization, "_width",
+                        lambda bound, forms: real(1, forms))
+    with pytest.raises(ConsistencyError) as err:
+        hilb_chern_integral(2)
+    assert str(err.value) == (
+        "localization sum for n=2 is not constant: "
+        "(1/4*t^4 + 1/2*t^3 + 1/2*t^2 + 1/4*t)/(t - 1)")
 
 
 def test_integrals_match_series():
@@ -160,12 +173,24 @@ def test_integrals_match_series():
             assert hilb_chern_integral(n, "sampled", seed=seed) == INTEGRALS[n]
 
 
+# the reduced non-constant sums with G replaced by F, as printed when the
+# reduction still went through a polynomial gcd
+NON_CONSTANT = {
+    1: "(9*t - 5)/(t - 1)",
+    2: "(54*t^2 - 66*t + 20)/(t^2 - 2*t + 1)",
+    3: "(255*t^3 - 1469/3*t^2 + 931/3*t - 65)/(t^3 - 3*t^2 + 3*t - 1)",
+}
+
+
 def test_non_constant_sum_raises(monkeypatch):
     # with G replaced by F the legs are no longer mirror images, and the
     # factored sum is not constant in t
     monkeypatch.setattr(localization, "_p3_factors", localization._p2_factors)
-    with pytest.raises(ConsistencyError):
-        hilb_chern_integral(2)
+    for n, text in NON_CONSTANT.items():
+        with pytest.raises(ConsistencyError) as err:
+            hilb_chern_integral(n)
+        assert str(err.value) == (
+            "localization sum for n=%d is not constant: %s" % (n, text))
     with pytest.raises(ConsistencyError):
         hilb_chern_integral(2, "sampled")
 
