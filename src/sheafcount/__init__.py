@@ -54,7 +54,6 @@ from .partitions import (
     enumerate_partitions,
     enumerate_triples,
     leg,
-    triple_size,
 )
 from .qseries import (
     PuiseuxSeries,
@@ -76,7 +75,6 @@ __all__ = [
     "nl_dump", "nl_load", "nl_load_path", "nl_loads",
     "nl_symmetry_extend", "phi_series", "z_series_closed", "z_series_direct",
     "arm", "boxes", "enumerate_partitions", "enumerate_triples", "leg",
-    "triple_size",
     "PuiseuxSeries", "eta24", "goettsche_series", "hilb_euler",
     "Poly", "RationalFunction",
     "__version__",

@@ -94,6 +94,17 @@ P3_MAX_SAMPLES = 50
 # ell alone can ask for unbounded work; larger tables need --d.
 Z_MAX_ELL = 1000
 
+# The Hilbert-scheme series of a surface with Euler number e is built from
+# |e| series products, so goettsche, dt and z refuse |e| above this bound up
+# front; the library itself takes any e.
+EULER_MAX = 1000
+
+
+def _require_euler(e: int):
+    if abs(e) > EULER_MAX:
+        raise ValueError("euler = %d lies outside the cap [-%d, %d]"
+                         % (e, EULER_MAX, EULER_MAX))
+
 
 def cmd_p3(args) -> int:
     if args.n is not None:
@@ -125,6 +136,7 @@ def cmd_p3(args) -> int:
 
 
 def cmd_goettsche(args) -> int:
+    _require_euler(args.euler)
     _emit_series(goettsche_series(args.euler, args.terms), args.format)
     return 0
 
@@ -140,6 +152,7 @@ def cmd_z(args) -> int:
     if args.d is None and spec.ell > Z_MAX_ELL:
         raise ValueError("ell = %d is above the cap of %d components; "
                          "give --d for one component" % (spec.ell, Z_MAX_ELL))
+    _require_euler(spec.euler)
     if args.check:
         if args.d is None:
             closed = z_series_closed(spec, args.terms)
@@ -152,7 +165,7 @@ def cmd_z(args) -> int:
         if bad:
             raise ConsistencyError(
                 "closed and direct series disagree for d in %s" % bad)
-        print("closed = direct: OK")
+        _emit_value("closed = direct: OK", args.format)
         return 0
     if args.d is None:
         _emit_components(z_series_closed(spec, args.terms), args.format)
@@ -163,6 +176,7 @@ def cmd_z(args) -> int:
 
 def cmd_dt(args) -> int:
     spec = nl_load_path(args.nl)
+    _require_euler(spec.euler)
     value = dt_from_nl(spec, HilbertPolyK3(args.r, spec.ell, args.d, args.c))
     _emit_value(value, args.format)
     return 0
@@ -296,7 +310,8 @@ def build_parser() -> CliParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_nl_validate)
 
-    p = sub.add_parser("nl-extend", parents=[common],
+    # nl-extend always prints a table document, so it takes no --format
+    p = sub.add_parser("nl-extend",
                        help="close a table under its translation symmetry")
     p.add_argument("file")
     p.add_argument("--h-lo", type=int, required=True, dest="h_lo",

@@ -59,12 +59,12 @@ digits.  B comes from a proven bound: the same code, run with each form
 replaced by |i| + |j|, bounds the l1 norm of N_k (||fg|| <= ||f|| ||g||),
 and a T whose half exceeds that bound makes the digits the coefficients.
 Each leg is packed at its own, narrower width, unpacked, and repacked at
-the width of the convolution.  The convolution is nested, C_m = sum_b p(m-b) A_b and
-then sum_c C_{n-c} B_c, over the common denominator D = c prod(L + L') of
-the unions L and L' of all L_k and L'_k, and unpacked into one numerator
-N.  The sum is constant exactly when N = c * D coefficient by coefficient,
-with D expanded form by form; this is checked literally before the
-constant c is returned.
+the width of the convolution.  The convolution is the one sampled mode
+takes, run on the packed integers over the common denominator
+D = c prod(L + L') of the unions L and L' of all L_k and L'_k, and
+unpacked into one numerator N.  The sum is constant exactly when N = c * D
+coefficient by coefficient, with D expanded form by form; this is checked
+literally before the constant c is returned.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import ConsistencyError
-from .partitions import arm, boxes, enumerate_partitions, leg
-from .ratfunc import Poly, RationalFunction
+from .partitions import arm, boxes, check_partition, enumerate_partitions, leg
+from .ratfunc import Poly, RationalFunction, _times_forms
 
 # default seed for sampled mode; any fixed value works, reproducibility is
 # the only requirement
@@ -103,14 +103,20 @@ def _weights(triple, shift):
     return tuple(sorted(out))
 
 
+def _checked(triple):
+    """triple with every part checked by check_partition (ValueError if one
+    is not a partition)."""
+    return tuple(map(check_partition, triple))
+
+
 def tangent_character(triple):
     """Tangent-space character at the fixed point, as sorted (i, j) pairs."""
-    return _weights(triple, 0)
+    return _weights(_checked(triple), 0)
 
 
 def obstruction_character(triple):
     """Obstruction-fiber character: p2 pairs shifted by t1^-1, p3 by t2^-1."""
-    return _weights(triple, 1)
+    return _weights(_checked(triple), 1)
 
 
 def _p2_factors(p):
@@ -184,18 +190,10 @@ def _value_at(forms, p, q) -> Fraction:
 def fixed_point_contribution(triple) -> RationalFunction:
     """Contribution of one fixed point to the localization sum: the product
     F(p2) * G(p3) of the per-leg forms; p1 drops out."""
-    _, p2, p3 = triple
+    _, p2, p3 = _checked(triple)
     num2, den2 = _p2_factors(p2)
     num3, den3 = _p3_factors(p3)
     return _as_function((num2 + num3, den2 + den3))
-
-
-def _times_forms(coeffs, forms):
-    """Integer coefficient list (coeffs[k] is the coefficient of t^k) of the
-    polynomial coeffs times the product of the forms (j, i), i*t + j."""
-    for j, i in forms:
-        coeffs = [j * c + i * d for c, d in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
 
 
 def _split(forms):
@@ -304,17 +302,6 @@ def _leg_poly(legs):
     return _packed(numerator)
 
 
-def _packed_convolution(counts, A, B, ev):
-    """The numerator of the sum of counts[a] * A[b] * B[c] over a+b+c = n,
-    under ev, with its denominator (scale, L): scale * prod(L).  Nested as
-    C_m = sum_b counts[m-b] * A_b, then sum_c C_{n-c} * B_c."""
-    n = len(counts) - 1
-    QA, ea, MA = _common([([N], c, L) for N, c, L in A], ev)
-    QB, eb, MB = _common([([N], c, L) for N, c, L in B], ev)
-    C = [sum(counts[m - b] * QA[b] for b in range(m + 1)) for m in range(n + 1)]
-    return sum(C[n - c] * QB[c] for c in range(n + 1)), ea * eb, MA + MB
-
-
 def _convolve(counts, A, B):
     """Sum of counts[a] * A[b] * B[c] over a + b + c = n = len(counts) - 1."""
     n = len(counts) - 1
@@ -359,10 +346,14 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     F = [[_p2_factors(lam) for lam in ps] for ps in sizes]
     G = [[_p3_factors(lam) for lam in ps] for ps in sizes]
     if mode == "symbolic":
-        A = [_leg_poly(fs) for fs in F]
-        B = [_leg_poly(gs) for gs in G]
-        N, scale, L = _packed(
-            lambda ev: _packed_convolution(counts, A, B, ev))
+        A = [([N], c, L) for N, c, L in map(_leg_poly, F)]
+        B = [([N], c, L) for N, c, L in map(_leg_poly, G)]
+
+        def numerator(ev):
+            QA, ea, MA = _common(A, ev)
+            QB, eb, MB = _common(B, ev)
+            return _convolve(counts, QA, QB), ea * eb, MA + MB
+        N, scale, L = _packed(numerator)
         D = _times_forms([scale], L.elements())
         # constant c exactly when N = c * D coefficient by coefficient
         if N and (len(N) != len(D)

@@ -202,9 +202,6 @@ class NLTable:
     def value(self, h: int, d: int) -> Fraction:
         return self.entries.get((h, d), Fraction(0))
 
-    def support(self):
-        return sorted(self.entries)
-
     def __len__(self):
         return len(self.entries)
 
@@ -479,16 +476,14 @@ def _z_component(spec: FibrationSpec, terms: int, d: int,
     return (phi * eta).truncate(terms)
 
 
-def z_series_direct(spec: FibrationSpec, terms: int, d=None, r: int = 1):
+def z_series_direct(spec: FibrationSpec, terms: int, d=None):
     """Generating series assembled cell by cell from dt_from_nl, rank 1.
 
     Component d is q^(1 + d^2/2ell) * sum over c of DT(d, c) * q^(-c),
-    with each DT value computed independently of the closed form.  Only
-    rank 1 is supported; agreement with z_series_closed is the module's
-    central consistency property.
+    with each DT value computed independently of the closed form;
+    agreement with z_series_closed is the module's central consistency
+    property.
     """
-    if r != 1:
-        raise ValueError("only rank 1 is supported, got r=%d" % r)
     _require_terms(terms)
     if d is None:
         return {dd: z_series_direct(spec, terms, dd) for dd in range(spec.ell)}

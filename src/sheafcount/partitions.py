@@ -93,8 +93,3 @@ def enumerate_triples(n: int) -> list:
                     for p3 in parts3:
                         out.append((p1, p2, p3))
     return out
-
-
-def triple_size(triple) -> int:
-    p1, p2, p3 = triple
-    return sum(p1) + sum(p2) + sum(p3)

@@ -15,15 +15,11 @@ twenty-fourth power of the Dedekind eta function.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd, lcm
 
 __all__ = [
     "PuiseuxSeries", "goettsche_series", "eta24", "hilb_euler",
 ]
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _int_gcd(a, b)
 
 
 class PuiseuxSeries:
@@ -57,30 +53,12 @@ class PuiseuxSeries:
         self.coeffs = clean
         self.trunc = trunc
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, trunc_exponent, grid: int = 1):
-        n = _on_grid(trunc_exponent, grid, "truncation")
-        return cls(grid, {}, n)
-
-    @classmethod
-    def monomial(cls, coeff, exponent, trunc_exponent, grid: int = 1):
-        e = _on_grid(exponent, grid, "exponent")
-        n = _on_grid(trunc_exponent, grid, "truncation")
-        return cls(grid, {e: Fraction(coeff)}, n)
-
     # -- bookkeeping ----------------------------------------------------
 
     @property
     def bound(self) -> Fraction:
         """Largest exponent whose coefficient is known."""
         return Fraction(self.trunc, self.grid)
-
-    def min_exponent(self):
-        if not self.coeffs:
-            return None
-        return Fraction(min(self.coeffs), self.grid)
 
     def with_grid(self, grid: int):
         """Refine to a finer grid; the new grid must be a multiple."""
@@ -114,7 +92,7 @@ class PuiseuxSeries:
     # -- ring operations ------------------------------------------------
 
     def _pair(self, other):
-        grid = _lcm(self.grid, other.grid)
+        grid = lcm(self.grid, other.grid)
         return self.with_grid(grid), other.with_grid(grid)
 
     def __eq__(self, other):
@@ -126,10 +104,10 @@ class PuiseuxSeries:
     def __hash__(self):
         g = 0
         for k in self.coeffs:
-            g = _int_gcd(g, k)
-        g = _int_gcd(g, self.trunc) or 1
+            g = gcd(g, k)
+        g = gcd(g, self.trunc) or 1
         # hash is grid-refinement invariant
-        return hash((self.grid // _int_gcd(self.grid, g),
+        return hash((self.grid // gcd(self.grid, g),
                      frozenset((Fraction(k, self.grid), v) for k, v in self.coeffs.items()),
                      Fraction(self.trunc, self.grid)))
 
@@ -200,7 +178,7 @@ class PuiseuxSeries:
     def shift(self, exponent):
         """Multiply by q^exponent, refining the grid as needed."""
         e = Fraction(exponent)
-        grid = _lcm(self.grid, e.denominator)
+        grid = lcm(self.grid, e.denominator)
         s = self.with_grid(grid)
         step = int(e * grid)
         return PuiseuxSeries(
@@ -260,14 +238,6 @@ class PuiseuxSeries:
     def __repr__(self):
         return "PuiseuxSeries(grid=%d, %r, trunc=%d)" % (
             self.grid, self.coeffs, self.trunc)
-
-
-def _on_grid(exponent, grid: int, what: str) -> int:
-    e = Fraction(exponent)
-    n = e * grid
-    if n.denominator != 1:
-        raise ValueError("%s %s does not lie on the 1/%d grid" % (what, e, grid))
-    return int(n)
 
 
 # -- Euler products -----------------------------------------------------

@@ -93,7 +93,10 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def format(self, var: str = "t") -> str:
+    def __repr__(self):
+        return "Poly(%r)" % (self.coeffs,)
+
+    def __str__(self):
         if self.is_zero:
             return "0"
         parts = []
@@ -105,31 +108,30 @@ class Poly:
                 mon = str(abs(c))
             else:
                 head = "" if abs(c) == 1 else str(abs(c)) + "*"
-                mon = head + (var if i == 1 else "%s^%d" % (var, i))
+                mon = head + ("t" if i == 1 else "t^%d" % i)
             if not parts:
                 parts.append(("-" if c < 0 else "") + mon)
             else:
                 parts.append(("- " if c < 0 else "+ ") + mon)
         return " ".join(parts)
 
-    def __repr__(self):
-        return "Poly(%r)" % (self.coeffs,)
-
-    def __str__(self):
-        return self.format()
-
 
 ZERO = Poly()
 ONE = Poly((1,))
 
 
+def _times_forms(coeffs, forms):
+    """Integer coefficient list (coeffs[k] is the coefficient of t^k) of the
+    polynomial coeffs times the product of the forms (j, i), i*t + j."""
+    for j, i in forms:
+        coeffs = [j * c + i * d for c, d in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
 def _over(poles):
     """prod(t - r for r in poles) as a Poly: the integer product of the
     forms q*t - p, r = p/q, divided by its leading coefficient."""
-    coeffs = [1]
-    for r in poles:
-        p, q = r.numerator, r.denominator
-        coeffs = [q * d - p * c for c, d in zip(coeffs + [0], [0] + coeffs)]
+    coeffs = _times_forms([1], [(-r.numerator, r.denominator) for r in poles])
     return Poly([Fraction(c, coeffs[-1]) for c in coeffs])
 
 
@@ -249,13 +251,10 @@ class RationalFunction:
             return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
         raise ValueError("not a constant: %s" % self)
 
-    def format(self, var: str = "t") -> str:
-        if not self.poles:
-            return self.num.format(var)
-        return "(%s)/(%s)" % (self.num.format(var), self.den.format(var))
-
     def __repr__(self):
         return "RationalFunction(%r, %r)" % (self.num, self.poles)
 
     def __str__(self):
-        return self.format()
+        if not self.poles:
+            return str(self.num)
+        return "(%s)/(%s)" % (self.num, self.den)

@@ -246,6 +246,55 @@ def test_z_at_ell_cap_runs(capsys, tmp_path):
     assert len(json.loads(out)["components"]) == cli.Z_MAX_ELL
 
 
+def _euler_table(path, euler):
+    path.write_text(json.dumps({"ell": 2, "k": 1, "euler": euler,
+                                "nl": [{"h": 1, "d": 0, "value": "2"}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd", ["goettsche", "dt", "z", "z-check"])
+def test_euler_cap_refuses_up_front(tmp_path, cmd):
+    # in a fresh interpreter with a timeout, so a lost cap fails, not hangs
+    huge = _euler_table(tmp_path / "huge.json", 10 ** 30)
+    argv = {"goettsche": ["goettsche", "--euler", str(-10 ** 8), "--terms", "3"],
+            "dt": ["dt", "--nl", huge, "--d", "0", "--c", "0"],
+            "z": ["z", "--nl", huge, "--terms", "3"],
+            "z-check": ["z", "--nl", huge, "--terms", "3", "--check"]}[cmd]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sheafcount.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert str(cli.EULER_MAX) in proc.stderr
+
+
+def test_euler_at_cap_runs(capsys, tmp_path):
+    for e in (cli.EULER_MAX, -cli.EULER_MAX):
+        code, out, _ = run(capsys, ["goettsche", "--euler", str(e),
+                                    "--terms", "1"])
+        assert code == 0 and out.splitlines()[1] == "q^(1): %d" % e
+        table = _euler_table(tmp_path / "cap.json", e)
+        code, out, _ = run(capsys, ["dt", "--nl", table, "--d", "0",
+                                    "--c", "1"])
+        # half of (2 - k) * chi(Hilb^1), and chi(Hilb^1) = e
+        assert code == 0 and out.strip() == str(e // 2)
+        code, out, _ = run(capsys, ["z", "--nl", table, "--terms", "0",
+                                    "--check"])
+        assert code == 0
+
+
+def test_euler_cap_leaves_table_commands_alone(capsys, tmp_path):
+    huge = _euler_table(tmp_path / "huge.json", 10 ** 30)
+    for argv in (["nl-validate", huge],
+                 ["phi", "--nl", huge, "--d", "0", "--terms", "1"],
+                 ["nl-extend", huge, "--h-lo", "0", "--d-min", "0",
+                  "--d-max", "2"]):
+        code, _, _ = run(capsys, argv)
+        assert code == 0, argv
+
+
 def test_dt_values(capsys):
     for argv, want in [
         (["dt", "--nl", fixture("two_copies"), "--d", "0", "--c", "2"], "1"),
@@ -421,12 +470,49 @@ def test_nl_extend_conflict_exits_two(capsys, tmp_path):
     assert code == 2 and "consistency" in err
 
 
+def test_nl_extend_takes_no_format(capsys):
+    # it always prints a table document, so --format would change nothing
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nl-extend", fixture("two_copies"), "--h-lo", "0",
+                  "--d-min", "0", "--d-max", "2", "--format", "text"])
+    assert exc.value.code == 1
+
+
 def test_nl_extend_odd_ell_exits_one(capsys, tmp_path):
     p = tmp_path / "odd.json"
     p.write_text(json.dumps({"ell": 3, "k": 0, "nl": []}))
     code, _, err = run(capsys, ["nl-extend", str(p), "--h-lo", "0",
                                 "--d-min", "0", "--d-max", "3"])
     assert code == 1 and "even" in err
+
+
+# -- structured output ---------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["p3", "--n", "3"], id="p3"),
+    pytest.param(["p3", "--n", "3", "--mode", "sampled"], id="p3-sampled"),
+    pytest.param(["p3", "--n", "3", "--verbose"], id="p3-verbose"),
+    pytest.param(["goettsche", "--terms", "3"], id="goettsche"),
+    pytest.param(["phi", "--nl", fixture("mixed_shift"), "--d", "1",
+                  "--terms", "3"], id="phi"),
+    pytest.param(["z", "--nl", fixture("mixed_shift"), "--terms", "2"],
+                 id="z"),
+    pytest.param(["z", "--nl", fixture("mixed_shift"), "--terms", "2",
+                  "--d", "0"], id="z-d"),
+    pytest.param(["z", "--nl", fixture("mixed_shift"), "--terms", "2",
+                  "--check"], id="z-check"),
+    pytest.param(["dt", "--nl", fixture("two_copies"), "--d", "0",
+                  "--c", "2"], id="dt"),
+    pytest.param(["nl-validate", fixture("two_copies")], id="nl-validate"),
+    pytest.param(["check"], id="check"),
+])
+def test_structured_prints_one_json_object_per_result(capsys, argv):
+    # --verbose comment lines start with "#" and stay text
+    code, out, _ = run(capsys, argv + ["--format", "structured"])
+    assert code == 0
+    results = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert results
+    assert all(isinstance(json.loads(ln), dict) for ln in results)
 
 
 # -- self-test battery ---------------------------------------------------

@@ -51,6 +51,19 @@ def test_single_box_contributions_frozen():
     assert fixed_point_contribution(((3, 1), (), ())) == RationalFunction(ONE)
 
 
+@pytest.mark.parametrize("fn", [tangent_character, obstruction_character,
+                                fixed_point_contribution,
+                                contribution_from_characters])
+def test_non_partitions_are_refused(fn):
+    # increasing parts and a zero part, at each position of the triple
+    for bad in ((1, 2), (0,)):
+        for k in range(3):
+            triple = [(), (), ()]
+            triple[k] = bad
+            with pytest.raises(ValueError):
+                fn(tuple(triple))
+
+
 def test_character_cardinalities():
     for n in range(7):
         for tr in enumerate_triples(n):

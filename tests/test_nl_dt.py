@@ -591,12 +591,6 @@ def test_z_series_shapes():
         assert c.bound == 6 and s.bound == 6
 
 
-def test_z_direct_rank_restriction():
-    spec = load_fixture("two_copies")
-    with pytest.raises(ValueError):
-        z_series_direct(spec, 4, 0, r=2)
-
-
 def test_z_closed_equals_direct_on_fixtures():
     for name in ("two_copies", "mixed_shift", "symmetry_window", "quartic_pencil"):
         spec = load_fixture(name)

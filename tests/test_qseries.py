@@ -245,18 +245,7 @@ def test_truncate_floor_behavior():
 
 def test_shift_helper_and_min_exponent():
     s = PuiseuxSeries(2, {-1: 7}, 4)
-    assert s.min_exponent() == Fraction(-1, 2)
-    assert PuiseuxSeries(2, {}, 4).min_exponent() is None
     assert s.shift(Fraction(1, 2)) == PuiseuxSeries(2, {0: 7}, 5)
-
-
-def test_monomial_and_zero_constructors():
-    m = PuiseuxSeries.monomial(Fraction(3, 2), Fraction(1, 4), 2, grid=4)
-    assert m.coefficient(Fraction(1, 4)) == Fraction(3, 2)
-    z = PuiseuxSeries.zero(5, grid=2)
-    assert not z and z.bound == 5
-    with pytest.raises(ValueError):
-        PuiseuxSeries.monomial(1, Fraction(1, 3), 2, grid=4)
 
 
 def test_string_form():
