@@ -129,7 +129,16 @@ def eta_identity(seed) -> str:
             "eta product does not invert the Euler-number series")
     _expect(goettsche_series(24, 1).coefficient(1) == 24,
             "chi(Hilb^1) of a K3 surface is not 24")
-    return "eta24 * sum chi q^(m-1) = 1 through q^30, q^1 coefficient 24"
+    # PuiseuxSeries.__mul__ on Fractions shares no code with the integer
+    # lists behind goettsche_series, so this checks their inversion
+    for e in (-7, 0, 1, 7, 12, 24):
+        _expect(goettsche_series(e, 30) * goettsche_series(-e, 30)
+                == PuiseuxSeries(1, {0: 1}, 30),
+                "G_%d * G_%d != 1 through q^30, G_e = prod (1-q^n)^-e"
+                % (e, -e))
+    return ("eta24 * sum chi q^(m-1) = 1 and G_e * G_-e = 1, "
+            "G_e = prod (1-q^n)^-e, for e in -7, 0, 1, 7, 12, 24 "
+            "through q^30, q^1 coefficient 24")
 
 
 def closed_equals_direct(seed) -> str:

@@ -24,6 +24,7 @@ from .localization import fixed_point_contribution, hilb_chern_integral, p3_poin
 from .nl_dt import (
     FibrationSpec,
     HilbertPolyK3,
+    _dt_terms,
     dt_from_nl,
     nl_dump,
     nl_load_path,
@@ -99,11 +100,22 @@ Z_MAX_ELL = 1000
 # front; the library itself takes any e.
 EULER_MAX = 1000
 
+# Each of those products costs work quadratic in the series order, so
+# goettsche and z refuse --terms above this bound, and dt an invariant that
+# needs chi(Hilb^m) for m above it, up front; the library takes any order.
+SERIES_MAX_ORDER = 1000
+
 
 def _require_euler(e: int):
     if abs(e) > EULER_MAX:
         raise ValueError("euler = %d lies outside the cap [-%d, %d]"
                          % (e, EULER_MAX, EULER_MAX))
+
+
+def _require_order(m: int, what: str):
+    if m > SERIES_MAX_ORDER:
+        raise ValueError("%s is %d, above the series-order cap of %d"
+                         % (what, m, SERIES_MAX_ORDER))
 
 
 def cmd_p3(args) -> int:
@@ -137,6 +149,7 @@ def cmd_p3(args) -> int:
 
 def cmd_goettsche(args) -> int:
     _require_euler(args.euler)
+    _require_order(args.terms, "--terms")
     _emit_series(goettsche_series(args.euler, args.terms), args.format)
     return 0
 
@@ -153,6 +166,7 @@ def cmd_z(args) -> int:
         raise ValueError("ell = %d is above the cap of %d components; "
                          "give --d for one component" % (spec.ell, Z_MAX_ELL))
     _require_euler(spec.euler)
+    _require_order(args.terms, "--terms")
     if args.check:
         if args.d is None:
             closed = z_series_closed(spec, args.terms)
@@ -177,8 +191,10 @@ def cmd_z(args) -> int:
 def cmd_dt(args) -> int:
     spec = nl_load_path(args.nl)
     _require_euler(spec.euler)
-    value = dt_from_nl(spec, HilbertPolyK3(args.r, spec.ell, args.d, args.c))
-    _emit_value(value, args.format)
+    P = HilbertPolyK3(args.r, spec.ell, args.d, args.c)
+    _require_order(max((m for m, _ in _dt_terms(spec, P)), default=0),
+                   "the Hilbert-scheme order r^2 + h - r*c")
+    _emit_value(dt_from_nl(spec, P), args.format)
     return 0
 
 

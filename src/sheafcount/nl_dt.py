@@ -392,14 +392,20 @@ def dt_from_nl(spec: FibrationSpec, P: HilbertPolyK3) -> Fraction:
     if P.ell != spec.ell:
         raise ValueError("polynomial ell %d does not match spec ell %d"
                          % (P.ell, spec.ell))
+    # highest order first, so the first lookup fills the Euler-number cache
+    # to the top order at once instead of once per doubling
+    terms = sorted(_dt_terms(spec, P), reverse=True)
+    return sum((v * hilb_euler(m, spec.euler) for m, v in terms), Fraction(0)) / 2
+
+
+def _dt_terms(spec: FibrationSpec, P: HilbertPolyK3):
+    # (m, weight) for each chi(Hilb^m) term of dt_from_nl's halved sum
     r, c, d = P.r, P.c, P.d
-    total = Fraction(0)
-    for (h, dd), v in spec.nl.entries.items():
-        if dd == d:
-            total += v * hilb_euler(r * r + h - r * c, spec.euler)
+    terms = [(r * r + h - r * c, v)
+             for (h, dd), v in spec.nl.entries.items() if dd == d]
     if d == 0 and spec.k:
-        total -= spec.k * hilb_euler(r * r + 1 - r * c, spec.euler)
-    return total / 2
+        terms.append((r * r + 1 - r * c, -spec.k))
+    return terms
 
 
 def dt_symmetry_pair(r: int, ell: int, d: int, c: int):
@@ -444,36 +450,31 @@ def _require_terms(terms: int):
         raise ValueError("terms must be >= 0, got %d" % terms)
 
 
-def _eta_inverse_half(terms: int, euler: int = 24) -> PuiseuxSeries:
-    # 1 / (2 q prod (1-q^n)^e), known to order q^terms; e = 24 is 1/(2 eta^24)
-    num = goettsche_series(-euler, terms + 1).shift(1)
-    return num.scale(2).invert()
-
-
 def z_series_closed(spec: FibrationSpec, terms: int, d=None):
     """Generating series of invariants, closed form.
 
-    Component d is (phi_series(d) - k*[d=0]) / (2 q prod (1-q^n)^e) with e
-    the spec's fiber Euler number (for e = 24 the divisor is 2*eta^24),
+    Component d is (phi_series(d) - k*[d=0]) * G_e / (2q), where G_e =
+    prod (1-q^n)^(-e) = sum chi(Hilb^m) q^m is goettsche_series for the
+    spec's fiber Euler number e (for e = 24, G_e / (2q) is 1 / (2*eta^24)),
     truncated at q^terms.  With d omitted, returns the dict of all
-    components indexed by d in [0, ell).  The divisor is inverted once per
-    call, whatever the number of components.
+    components indexed by d in [0, ell).  The factor G_e / (2q) is built
+    once per call, whatever the number of components.
     """
     _require_terms(terms)
-    eta = _eta_inverse_half(terms, spec.euler)
+    hilb = goettsche_series(spec.euler, terms + 1).shift(-1) * Fraction(1, 2)
     if d is None:
-        return {dd: _z_component(spec, terms, dd, eta)
+        return {dd: _z_component(spec, terms, dd, hilb)
                 for dd in range(spec.ell)}
-    return _z_component(spec, terms, d, eta)
+    return _z_component(spec, terms, d, hilb)
 
 
 def _z_component(spec: FibrationSpec, terms: int, d: int,
-                 eta: PuiseuxSeries) -> PuiseuxSeries:
-    # component d of z_series_closed, eta = _eta_inverse_half(terms, euler)
+                 hilb: PuiseuxSeries) -> PuiseuxSeries:
+    # component d of z_series_closed, hilb = G_e / (2q) through q^terms
     phi = phi_series(spec, d, terms + 1)
     if d == 0 and spec.k:
         phi = phi - Fraction(spec.k)
-    return (phi * eta).truncate(terms)
+    return (phi * hilb).truncate(terms)
 
 
 def z_series_direct(spec: FibrationSpec, terms: int, d=None):

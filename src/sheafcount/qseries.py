@@ -143,16 +143,10 @@ class PuiseuxSeries:
     def __rsub__(self, other):
         return (-self) + other
 
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return PuiseuxSeries(self.grid, {}, self.trunc)
-        return PuiseuxSeries(
-            self.grid, {k: v * c for k, v in self.coeffs.items()}, self.trunc)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+            return PuiseuxSeries(
+                self.grid, {k: v * other for k, v in self.coeffs.items()}, self.trunc)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         a, b = self._pair(other)
@@ -183,32 +177,6 @@ class PuiseuxSeries:
         step = int(e * grid)
         return PuiseuxSeries(
             grid, {k + step: v for k, v in s.coeffs.items()}, s.trunc + step)
-
-    def invert(self):
-        """Multiplicative inverse, handling a leading monomial by shifting.
-
-        With leading term c*q^(m/grid) and knowledge up to trunc, the
-        inverse is known up to trunc - 2m: the unit part is invertible to
-        the same relative order, and the shift moves the window by -m.
-        """
-        if not self.coeffs:
-            raise ZeroDivisionError("cannot invert a series with no nonzero term")
-        m = min(self.coeffs)
-        c0 = self.coeffs[m]
-        horizon = self.trunc - m
-        u = {k - m: v for k, v in self.coeffs.items()}
-        inv = {0: 1 / c0}
-        for k in range(1, horizon + 1):
-            acc = Fraction(0)
-            for j, uj in u.items():
-                if 0 < j <= k:
-                    w = inv.get(k - j)
-                    if w:
-                        acc += uj * w
-            if acc:
-                inv[k] = -acc / c0
-        out = {k - m: v for k, v in inv.items() if v}
-        return PuiseuxSeries(self.grid, out, horizon - m)
 
     # -- presentation ---------------------------------------------------
 

@@ -295,6 +295,53 @@ def test_euler_cap_leaves_table_commands_alone(capsys, tmp_path):
         assert code == 0, argv
 
 
+@pytest.mark.parametrize("cmd", ["goettsche", "z", "z-check", "dt", "dt-k", "dt-r2"])
+def test_series_order_cap_refuses_up_front(tmp_path, cmd):
+    # each request needs order 20000, which takes far longer than the
+    # timeout; in a fresh interpreter, so a lost cap fails, not hangs
+    table = _euler_table(tmp_path / "t.json", 24)
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"ell": 2, "k": 1, "nl": []}))
+    argv = {"goettsche": ["goettsche", "--terms", "20000"],
+            "z": ["z", "--nl", table, "--terms", "20000"],
+            "z-check": ["z", "--nl", table, "--terms", "20000", "--check",
+                        "--d", "0"],
+            "dt": ["dt", "--nl", table, "--d", "0", "--c", "-19998"],
+            "dt-k": ["dt", "--nl", str(bare), "--d", "0", "--c", "-19999"],
+            "dt-r2": ["dt", "--nl", table, "--d", "0", "--c", "-9998",
+                      "--r", "2"]}[cmd]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sheafcount.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert str(cli.SERIES_MAX_ORDER) in proc.stderr
+
+
+def test_series_order_at_cap_runs(capsys, tmp_path):
+    top = cli.SERIES_MAX_ORDER
+    want = goettsche_series(1, top).coefficient(top)
+    code, out, _ = run(capsys, ["goettsche", "--euler", "1", "--terms", str(top)])
+    assert code == 0 and out.splitlines()[-2] == "q^(%d): %s" % (top, want)
+    # one row at (h, d) = (1, 0) and k = 1: half of (2 - 1) * chi(Hilb^(2 - c))
+    table = _euler_table(tmp_path / "cap.json", 1)
+    code, out, _ = run(capsys, ["dt", "--nl", table, "--d", "0",
+                                "--c", str(2 - top)])
+    assert code == 0 and out.strip() == str(want / 2)
+    code, _, _ = run(capsys, ["dt", "--nl", table, "--d", "0",
+                              "--c", str(1 - top)])
+    assert code == 1
+    # no term at d = 1, so any c is accepted there
+    code, out, _ = run(capsys, ["dt", "--nl", table, "--d", "1",
+                                "--c", str(-10 * top)])
+    assert code == 0 and out.strip() == "0"
+    code, out, _ = run(capsys, ["z", "--nl", table, "--terms", str(top),
+                                "--d", "0", "--check"])
+    assert code == 0 and out == "closed = direct: OK\n"
+
+
 def test_dt_values(capsys):
     for argv, want in [
         (["dt", "--nl", fixture("two_copies"), "--d", "0", "--c", "2"], "1"),

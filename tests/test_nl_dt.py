@@ -34,6 +34,7 @@ from sheafcount.nl_dt import (
     z_series_closed,
     z_series_direct,
 )
+from sheafcount import qseries
 from sheafcount.qseries import PuiseuxSeries
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "sheafcount" / "fixtures"
@@ -344,6 +345,22 @@ def test_dt_ell_mismatch():
         dt_from_nl(spec, HilbertPolyK3(1, 2, 0, 0))
 
 
+def test_dt_cold_call_fills_euler_cache_once(monkeypatch):
+    # d = 0 rows in ascending h need chi(Hilb^31), (^41) and (^42), and the
+    # k term (^42): read in table order, the first lookup fills the cache to
+    # order 32 and the next refills it at 66; read from the top, one fill
+    calls = []
+    fill = qseries._euler_coeffs
+    monkeypatch.setattr(qseries, "_euler_pow_cache", {})
+    monkeypatch.setattr(qseries, "_euler_coeffs",
+                        lambda terms: calls.append(terms) or fill(terms))
+    spec = FibrationSpec(ell=2, k=3, nl=NLTable(
+        2, {(-10, 0): F(1), (0, 0): F(2), (1, 0): F(5)}))
+    value = dt_from_nl(spec, HilbertPolyK3(1, 2, 0, -40))
+    assert value == 405240815018402675369320
+    assert calls == [42]
+
+
 def test_symmetry_pair_values():
     assert dt_symmetry_pair(1, 4, 0, 0) == (4, 2, True)
     assert dt_symmetry_pair(2, 4, 1, 0) == (5, F(3, 2), False)
@@ -624,11 +641,12 @@ def test_z_closed_equals_direct_randomized():
 
 
 def test_z_closed_equals_direct_other_euler_number():
-    rng = random.Random(3)
-    for _ in range(5):
-        base = _random_spec(rng)
-        spec = FibrationSpec(ell=base.ell, k=base.k, euler=12, nl=base.nl)
-        assert z_series_closed(spec, 8) == z_series_direct(spec, 8)
+    for euler in (-7, 0, 1, 12):
+        rng = random.Random(3)
+        for _ in range(5):
+            base = _random_spec(rng)
+            spec = FibrationSpec(ell=base.ell, k=base.k, euler=euler, nl=base.nl)
+            assert z_series_closed(spec, 8) == z_series_direct(spec, 8), euler
 
 
 def test_z_coefficients_match_dt_values():

@@ -186,33 +186,6 @@ def test_shift_refines_grid():
     assert t.shift(Fraction(-9, 8)) == s
 
 
-def test_invert_truncation_rule():
-    # leading monomial at exponent m costs 2m of the known window
-    s = PuiseuxSeries(1, {1: 1, 2: -24}, 10)
-    inv = s.invert()
-    assert inv.trunc == 8
-    assert inv.coefficient(-1) == 1
-    assert inv.coefficient(0) == 24
-    with pytest.raises(ZeroDivisionError):
-        PuiseuxSeries(1, {}, 5).invert()
-
-
-def test_invert_roundtrip_random():
-    rng = random.Random(1729)
-    for _ in range(200):
-        grid = rng.choice([1, 2, 4, 8])
-        lo = rng.randint(-4, 3)
-        support = sorted(rng.sample(range(lo, lo + 9), rng.randint(1, 5)))
-        coeffs = {k: Fraction(rng.randint(1, 40), rng.randint(1, 9))
-                  for k in support}
-        trunc = support[-1] + rng.randint(1, 6)
-        s = PuiseuxSeries(grid, coeffs, trunc)
-        prod = s * s.invert()
-        one = PuiseuxSeries(prod.grid, {0: 1} if prod.trunc >= 0 else {},
-                            prod.trunc)
-        assert prod == one
-
-
 def test_ring_identities_random():
     rng = random.Random(85)
     def rand_series():
@@ -259,7 +232,3 @@ def test_to_pairs_exact_strings():
     s = PuiseuxSeries(8, {-7: Fraction(3, 4)}, 17)
     assert s.to_pairs() == [("-7/8", "3/4")]
 
-
-def test_invert_geometric_series():
-    s = PuiseuxSeries(1, {0: 1, 1: -1}, 6)
-    assert s.invert().coeffs == {m: Fraction(1) for m in range(7)}
