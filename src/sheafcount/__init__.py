@@ -10,7 +10,8 @@ Two computational pillars, tied together by cross-checks:
   fixed-point contributions are exact reduced rational functions whose
   denominators split into linear factors (`ratfunc`), reduced by
   cancelling linear forms rather than by a polynomial gcd, so the two
-  routes to them can be compared;
+  routes to them can be compared; they are compared and printed, never
+  added: every sum of them goes through the packed sum;
 
 * invariants of K3-fibered threefolds assembled from intersection-number
   tables, with generating series handled as exact truncated q-expansions
@@ -19,7 +20,7 @@ Two computational pillars, tied together by cross-checks:
 Everything is exact: integers and fractions.Fraction, no floating point.
 """
 
-from .errors import ConsistencyError, NLValidationError, PoleError
+from .errors import ConsistencyError, NLValidationError
 from .localization import (
     DEFAULT_SEED,
     dt_p3,
@@ -57,7 +58,6 @@ from .partitions import (
 )
 from .qseries import (
     PuiseuxSeries,
-    eta24,
     goettsche_series,
     hilb_euler,
 )
@@ -66,7 +66,7 @@ from .ratfunc import Poly, RationalFunction
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConsistencyError", "NLValidationError", "PoleError",
+    "ConsistencyError", "NLValidationError",
     "DEFAULT_SEED", "dt_p3", "fixed_point_contribution",
     "contribution_from_characters", "hilb_chern_integral",
     "obstruction_character", "p3_point_count", "tangent_character",
@@ -75,7 +75,7 @@ __all__ = [
     "nl_dump", "nl_load", "nl_load_path", "nl_loads",
     "nl_symmetry_extend", "phi_series", "z_series_closed", "z_series_direct",
     "arm", "boxes", "enumerate_partitions", "enumerate_triples", "leg",
-    "PuiseuxSeries", "eta24", "goettsche_series", "hilb_euler",
+    "PuiseuxSeries", "goettsche_series", "hilb_euler",
     "Poly", "RationalFunction",
     "__version__",
 ]

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class PoleError(ArithmeticError):
-    """Evaluation of a rational function at a zero of its denominator."""
-
-
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed.
 

@@ -65,6 +65,9 @@ D = c prod(L + L') of the unions L and L' of all L_k and L'_k, and
 unpacked into one numerator N.  The sum is constant exactly when N = c * D
 coefficient by coefficient, with D expanded form by form; this is checked
 literally before the constant c is returned.
+
+_per_triple_sum packs the unfactored sum of the weight quotients like one
+leg and checks it by the same literal test: no rational function is added.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import ConsistencyError
-from .partitions import arm, boxes, check_partition, enumerate_partitions, leg
+from .partitions import (arm, boxes, check_partition, enumerate_partitions,
+                         enumerate_triples, leg)
 from .ratfunc import Poly, RationalFunction, _times_forms
 
 # default seed for sampled mode; any fixed value works, reproducibility is
@@ -309,18 +313,39 @@ def _convolve(counts, A, B):
                for b in range(n + 1))
 
 
-def contribution_from_characters(triple) -> RationalFunction:
-    """The same contribution computed the slow way, as a weight quotient.
+def _character_forms(triple):
+    """(num, den): the obstruction and the tangent character of triple as
+    linear forms (j, i), meaning i*t + j, one per pair (i, j)."""
+    return ([(j, i) for i, j in obstruction_character(triple)],
+            [(j, i) for i, j in tangent_character(triple)])
 
-    A pair (i, j) becomes the linear form i*t + j; the contribution is the
-    product of the obstruction forms divided by the product of the tangent
-    forms, after cancelling forms common to both multisets (in particular
-    the whole p1 block).  Its weights come from the characters, not from
-    the per-leg forms of fixed_point_contribution, which is the point: the
-    two routes check each other, and share only _as_function.
-    """
-    return _as_function(([(j, i) for i, j in obstruction_character(triple)],
-                         [(j, i) for i, j in tangent_character(triple)]))
+
+def contribution_from_characters(triple) -> RationalFunction:
+    """The same contribution computed the slow way, as a weight quotient:
+    the obstruction forms of _character_forms over the tangent forms, with
+    the forms common to both (the whole p1 block among them) cancelled.
+    Its weights come from the characters, not from the per-leg forms of
+    fixed_point_contribution, so the two routes check each other and share
+    only _as_function."""
+    return _as_function(_character_forms(triple))
+
+
+def _constant(n, N, scale, L) -> Fraction:
+    """c with N = c * D coefficient by coefficient, D = scale * prod(L)
+    expanded, for the sum over Hilb^n; ConsistencyError if there is none."""
+    D = _times_forms([scale], L.elements())
+    if N and (len(N) != len(D)
+              or any(x * D[-1] != y * N[-1] for x, y in zip(N, D))):
+        raise ConsistencyError(
+            "localization sum for n=%d is not constant: %s"
+            % (n, _over_forms(N, scale, L)))
+    return Fraction(N[-1], D[-1]) if N else Fraction(0)
+
+
+def _per_triple_sum(n) -> Fraction:
+    """The sum of the weight quotients over all triples of size n: the
+    reference for hilb_chern_integral, sharing none of its weight algebra."""
+    return _constant(n, *_leg_poly(map(_character_forms, enumerate_triples(n))))
 
 
 def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
@@ -353,15 +378,7 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
             QA, ea, MA = _common(A, ev)
             QB, eb, MB = _common(B, ev)
             return _convolve(counts, QA, QB), ea * eb, MA + MB
-        N, scale, L = _packed(numerator)
-        D = _times_forms([scale], L.elements())
-        # constant c exactly when N = c * D coefficient by coefficient
-        if N and (len(N) != len(D)
-                  or any(x * D[-1] != y * N[-1] for x, y in zip(N, D))):
-            raise ConsistencyError(
-                "localization sum for n=%d is not constant: %s"
-                % (n, _over_forms(N, scale, L)))
-        return Fraction(N[-1], D[-1]) if N else Fraction(0)
+        return _constant(n, *_packed(numerator))
     if mode == "sampled":
         if samples < 3:
             raise ValueError("sampled mode needs at least 3 points")

@@ -1,4 +1,4 @@
-"""Truncated q-expansions on a fractional exponent grid, and eta products.
+"""Truncated q-expansions on a fractional exponent grid, and Euler products.
 
 A PuiseuxSeries stores finitely many exact rational coefficients at
 exponents in (1/grid) * Z together with a truncation bound: coefficients at
@@ -6,10 +6,10 @@ exponents strictly above the bound are unknown, not zero.  All arithmetic
 propagates the tightest truncation the inputs justify, so a wrong tail can
 never appear silently.  Mixed grids refine automatically to the lcm.
 
-The module also provides the two standard products consumed downstream:
-the generating function of Hilbert-scheme Euler numbers for a surface with
-Euler number e (the e-th power of the inverse Euler product) and the
-twenty-fourth power of the Dedekind eta function.
+The module also provides the standard product consumed downstream: the
+generating function of Hilbert-scheme Euler numbers for a surface with
+Euler number e, the e-th power of the inverse Euler product.  For e = -24
+it is the twenty-fourth power of the Dedekind eta function divided by q.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
-    "PuiseuxSeries", "goettsche_series", "eta24", "hilb_euler",
+    "PuiseuxSeries", "goettsche_series", "hilb_euler",
 ]
 
 
@@ -279,16 +279,6 @@ def goettsche_series(e: int, terms: int) -> PuiseuxSeries:
         raise ValueError("terms must be >= 1")
     co = _euler_pow(-e, terms)
     return PuiseuxSeries(1, {m: Fraction(c) for m, c in enumerate(co) if c}, terms)
-
-
-def eta24(terms: int) -> PuiseuxSeries:
-    """q * prod_{n>=1} (1-q^n)^24, the 24th power of the Dedekind eta
-    function, to order q^terms."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    co = _euler_pow(24, terms - 1)
-    return PuiseuxSeries(
-        1, {m + 1: Fraction(c) for m, c in enumerate(co) if c}, terms)
 
 
 def hilb_euler(m: int, e: int = 24) -> Fraction:

@@ -12,6 +12,9 @@ canonical form (numerator and denominator coprime, denominator monic, zero
 stored as 0/1), and equality of values is equality of fields.  No general
 polynomial gcd is needed, and none is provided.
 
+Both types are values to build, compare and print, not a ring: there is no
++, * or evaluation, because localization sums in packed big integers.
+
 The single variable is conventionally called t: it is the ratio s1/s2 of
 the two torus weights.  Every weight factor appearing downstream is
 homogeneous of degree 0 in (s1, s2), so specializing s1 = t, s2 = 1 loses
@@ -23,8 +26,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-
-from .errors import PoleError
 
 
 class Poly:
@@ -57,41 +58,6 @@ class Poly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly((other,))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        """Horner evaluation at an exact rational point."""
-        x = x if isinstance(x, Fraction) else Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self):
         return "Poly(%r)" % (self.coeffs,)
@@ -182,7 +148,7 @@ class RationalFunction:
 
     RationalFunction(num, poles) takes a Poly (or a scalar) and any
     iterable of rational poles, repeated for multiplicity; den is the monic
-    denominator as a Poly.
+    denominator as a Poly.  == compares with RationalFunctions only.
     """
 
     __slots__ = ("num", "poles")
@@ -198,58 +164,12 @@ class RationalFunction:
         return _over(self.poles)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.poles == other.poles
 
     def __hash__(self):
         return hash((self.num, self.poles))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        mine, theirs = Counter(self.poles), Counter(other.poles)
-        both = mine | theirs
-        return RationalFunction(
-            self.num * _over((both - mine).elements())
-            + other.num * _over((both - theirs).elements()),
-            both.elements())
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.poles + other.poles)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, (int, Fraction, Poly)):
-            return RationalFunction(other)
-        return NotImplemented
-
-    def eval(self, t0) -> Fraction:
-        """Exact evaluation; raises PoleError at a pole."""
-        t0 = t0 if isinstance(t0, Fraction) else Fraction(t0)
-        if t0 in self.poles:
-            raise PoleError("pole at t = %s" % t0)
-        d = Fraction(1)
-        for r in self.poles:
-            d *= t0 - r
-        return self.num(t0) / d
-
-    def as_constant(self) -> Fraction:
-        """The constant value of f, if f is constant; ValueError otherwise."""
-        if not self.poles and self.num.degree <= 0:
-            return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
-        raise ValueError("not a constant: %s" % self)
 
     def __repr__(self):
         return "RationalFunction(%r, %r)" % (self.num, self.poles)

@@ -451,20 +451,26 @@ _TABLES = st.fixed_dictionaries(
 _TABLE_DOCS = _field(_TABLES)
 
 
-def _nl_validate_bytes(data: bytes):
-    """Exit code and stderr of nl-validate on a file holding data."""
+def _main_on_doc(data: bytes, argv):
+    """Exit code and stderr of cli.main(argv), with "DOC" in argv standing
+    for a file holding data."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "wb") as f:
             f.write(data)
+        argv = [path if a == "DOC" else a for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["nl-validate", path])
+            code = cli.main(argv)
     return code, err.getvalue()
 
 
-def _assert_clean_exit(code, err):
-    assert code in (0, 1), err
+def _nl_validate_bytes(data: bytes):
+    return _main_on_doc(data, ["nl-validate", "DOC"])
+
+
+def _assert_clean_exit(code, err, codes=(0, 1)):
+    assert code in codes, err
     assert len(err.splitlines()) <= 1 and "Traceback" not in err
 
 
@@ -478,6 +484,37 @@ def test_nl_validate_fuzz_bytes(data):
 @given(_TABLE_DOCS)
 def test_nl_validate_fuzz_table_documents(doc):
     _assert_clean_exit(*_nl_validate_bytes(json.dumps(doc).encode()))
+
+
+@st.composite
+def _series_argv(draw):
+    # goettsche, phi, dt and z with small random --d, --c and --terms; DOC
+    # is the table.  nl-extend is left out: its work has no bound yet.
+    def small():
+        return str(draw(st.integers(-2, 6)))
+    cmd = draw(st.sampled_from(["goettsche", "phi", "dt", "z"]))
+    if cmd == "goettsche":
+        argv = [cmd, "--euler", str(draw(st.integers(-30, 30))),
+                "--terms", small()]
+    elif cmd == "phi":
+        argv = [cmd, "--nl", "DOC", "--d", small(), "--terms", small()]
+    elif cmd == "dt":
+        argv = [cmd, "--nl", "DOC", "--r", str(draw(st.integers(-1, 3))),
+                "--d", small(), "--c", str(draw(st.integers(-6, 6)))]
+    else:
+        argv = [cmd, "--nl", "DOC", "--terms", small()]
+        if draw(st.booleans()):
+            argv += ["--d", small()]
+        if draw(st.booleans()):
+            argv.append("--check")
+    return argv + draw(st.sampled_from([[], ["--format", "structured"]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TABLE_DOCS, _series_argv())
+def test_series_commands_fuzz_table_documents(doc, argv):
+    _assert_clean_exit(*_main_on_doc(json.dumps(doc).encode(), argv),
+                       codes=(0, 1, 2))
 
 
 def test_nl_extend_stdout(capsys):

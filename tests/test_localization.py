@@ -12,7 +12,7 @@ from math import prod
 
 import pytest
 
-from sheafcount import localization
+from sheafcount import checks, localization
 from sheafcount.errors import ConsistencyError
 from sheafcount.localization import (
     DEFAULT_SEED,
@@ -26,7 +26,7 @@ from sheafcount.localization import (
 )
 from sheafcount.partitions import enumerate_partitions, enumerate_triples
 from sheafcount.qseries import goettsche_series
-from sheafcount.ratfunc import ONE, Poly, RationalFunction
+from sheafcount.ratfunc import ONE, Poly, RationalFunction, _times_forms
 
 # n = 8..10 are the coefficients of prod (1-q^m)^-7 (test_integrals_match_series)
 INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
@@ -89,39 +89,67 @@ def test_symbolic_integrals():
 
 
 def test_symbolic_sum_is_constant():
+    # the unfactored sum over triples raises ConsistencyError unless its
+    # packed numerator is literally a constant times its denominator
     for n in range(1, 6):
-        total = RationalFunction(0)
-        for tr in enumerate_triples(n):
-            total = total + fixed_point_contribution(tr)
-        assert total.den == ONE
-        assert total.num.degree <= 0
+        assert localization._per_triple_sum(n) == INTEGRALS[n]
 
 
 def test_factored_sum_equals_per_triple_sum():
     # reference: the per-triple sum over the weight-quotient route, which
     # shares no weight algebra with the factored sum
-    for n in range(5):
-        total = RationalFunction(0)
-        for tr in enumerate_triples(n):
-            total = total + contribution_from_characters(tr)
-        assert hilb_chern_integral(n) == total.as_constant()
+    for n in range(9):
+        assert hilb_chern_integral(n) == localization._per_triple_sum(n)
+
+
+def test_per_triple_sum_catches_a_wrong_obstruction(monkeypatch):
+    # with the obstruction equal to the tangent character every weight
+    # quotient is 1, so the sum at n = 1 counts the 3 fixed points, not 7
+    monkeypatch.setattr(localization, "obstruction_character",
+                        tangent_character)
+    assert localization._per_triple_sum(1) == 3
+    with pytest.raises(ConsistencyError) as err:
+        checks.sum_constancy(None)
+    assert str(err.value) == "n=1: per-triple sum 3 != 7"
+
+
+def _sum_points(legs, need):
+    """need rational points t0 = p/q, none a zero of any form in legs."""
+    forms = [f for num, den in legs for f in num + den]
+    points = []
+    p = 0
+    while len(points) < need:
+        p += 1
+        for t0 in (Fraction(p, 3), Fraction(-p, 5)):
+            if all(i * t0 + j for j, i in forms):
+                points.append(t0)
+    return points
 
 
 def test_leg_sum_equals_rational_sum():
-    # the packed common-denominator sum of each leg against the
-    # RationalFunction sum of the same per-partition products
+    # N / (c prod(L)) and the sum of F(lam) over the partitions of k are
+    # both P / (c prod(L)), with deg P < len(N) for the first and at most
+    # |L| + 2k for the second (2k numerator forms, |L| - |den| more from the
+    # common denominator).  Agreeing at len(N) + |L| + 2k + 1 points where
+    # no form vanishes, the two are one rational function.
     for factors in (localization._p2_factors, localization._p3_factors):
         for k in range(6):
             legs = [factors(lam) for lam in enumerate_partitions(k)]
             num, scale, den = localization._leg_poly(legs)
-            got = localization._over_forms(num, scale, den)
-            assert got == sum(map(localization._as_function, legs)), (factors, k)
+            need = len(num) + sum(den.values()) + 2 * k + 1
+            for t0 in _sum_points(legs, need):
+                p, q = t0.numerator, t0.denominator
+                packed = (sum(c * t0 ** e for e, c in enumerate(num))
+                          / (scale * prod(i * t0 + j for j, i in den.elements())))
+                want = sum(localization._value_at(f, p, q) for f in legs)
+                assert packed == want, (factors, k, t0)
 
 
 def test_leg_bound_holds(monkeypatch):
-    # the l1 norm of N_k, from Poly products of the RationalFunction sum
-    # times the leg's denominator, never exceeds the bound the packing width
-    # is taken from, so the signed digits are the coefficients
+    # N_k expanded term by term, each term's forms multiplied out with
+    # _times_forms over the leg's denominator, is the unpacked N_k, and its
+    # l1 norm never exceeds the bound the packing width is taken from, so
+    # the signed digits are the coefficients
     real = localization._width
     bounds = []
 
@@ -134,11 +162,18 @@ def test_leg_bound_holds(monkeypatch):
         for k in range(7):
             legs = [factors(lam) for lam in enumerate_partitions(k)]
             bounds.clear()
-            _, scale, den = localization._leg_poly(legs)
-            total = sum(map(localization._as_function, legs)) * RationalFunction(
-                Poly((scale,)) * prod(map(Poly, den.elements())))
-            assert total.den == ONE
-            norm = sum(abs(c) for c in total.num.coeffs)
+            N, scale, den = localization._leg_poly(legs)
+            total = [0] * (sum(den.values()) + 2 * k + 1)
+            for forms in legs:
+                cn, num, cd, own = localization._cancelled(forms)
+                term = _times_forms([scale // cd * cn],
+                                    [*num.elements(), *(den - own).elements()])
+                for e, c in enumerate(term):
+                    total[e] += c
+            while total and not total[-1]:
+                total.pop()
+            assert total == N, (factors, k)
+            norm = sum(map(abs, total))
             assert bounds and norm <= bounds[0], (factors, k, norm, bounds)
 
 

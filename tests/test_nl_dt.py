@@ -34,7 +34,7 @@ from sheafcount.nl_dt import (
     z_series_closed,
     z_series_direct,
 )
-from sheafcount import qseries
+from sheafcount import checks, qseries
 from sheafcount.qseries import PuiseuxSeries
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "sheafcount" / "fixtures"
@@ -647,6 +647,24 @@ def test_z_closed_equals_direct_other_euler_number():
             base = _random_spec(rng)
             spec = FibrationSpec(ell=base.ell, k=base.k, euler=euler, nl=base.nl)
             assert z_series_closed(spec, 8) == z_series_direct(spec, 8), euler
+
+
+def test_z_exponents_in_their_class(monkeypatch):
+    # both routes shifted by q^(1/2ell) still agree, on grid 1/2ell, but no
+    # exponent of Z_d lies in d^2/2ell + Z any more: only the T half of
+    # modularity in check 6 can tell
+    def shifted(route):
+        def fn(spec, terms):
+            step = F(1, 2 * spec.ell)
+            return {d: s.shift(step) for d, s in route(spec, terms).items()}
+        return fn
+
+    assert "exponents of Z_d in d^2/2ell + Z" in checks.closed_equals_direct(None)
+    monkeypatch.setattr(checks, "z_series_closed", shifted(z_series_closed))
+    monkeypatch.setattr(checks, "z_series_direct", shifted(z_series_direct))
+    with pytest.raises(ConsistencyError) as err:
+        checks.closed_equals_direct(None)
+    assert "is not d^2/2ell mod 1" in str(err.value)
 
 
 def test_z_coefficients_match_dt_values():

@@ -1,0 +1,23 @@
+"""The package namespace: every exported name resolves, and removed names
+stay removed."""
+
+import sheafcount
+from sheafcount import errors, qseries
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from sheafcount import *", namespace)
+    assert len(set(sheafcount.__all__)) == len(sheafcount.__all__)
+    for name in sheafcount.__all__:
+        assert namespace[name] is getattr(sheafcount, name), name
+
+
+def test_removed_names_are_gone():
+    # eta24(terms) is goettsche_series(-24, terms - 1).shift(1); nothing
+    # evaluates a rational function, so nothing raises PoleError
+    for name in ("eta24", "PoleError"):
+        assert name not in sheafcount.__all__
+        assert not hasattr(sheafcount, name)
+    assert not hasattr(qseries, "eta24") and "eta24" not in qseries.__all__
+    assert not hasattr(errors, "PoleError")

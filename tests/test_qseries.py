@@ -13,7 +13,6 @@ import pytest
 
 from sheafcount.qseries import (
     PuiseuxSeries,
-    eta24,
     goettsche_series,
     hilb_euler,
 )
@@ -57,27 +56,23 @@ def test_goettsche_enriques_prefix():
 
 
 def test_goettsche_against_binomial_expansion():
-    for e in (1, 2, 12, 24):
+    for e in (1, 2, 12, 24, -24):
         want = binomial_euler_pow(-e, 12)
         g = goettsche_series(e, 12)
         assert [g.coefficient(m) for m in range(13)] == want
 
 
 def test_eta24_frozen_prefix():
-    e = eta24(9)
-    assert e.coefficient(0) == 0
-    for m, c in enumerate(ETA24):
-        assert e.coefficient(m + 1) == c
-
-
-def test_eta24_against_binomial_expansion():
-    want = binomial_euler_pow(24, 10)
-    e = eta24(11)
-    assert [e.coefficient(m + 1) for m in range(11)] == want
+    # prod (1-q^n)^24, the 24th power of eta divided by q
+    e = goettsche_series(-24, 8)
+    assert [e.coefficient(m) for m in range(9)] == ETA24
 
 
 def test_eta_goettsche_inverse_to_30():
-    prod = eta24(31) * goettsche_series(24, 30).shift(-1)
+    # eta^24 to order q^31 is spelled goettsche_series(-24, 30).shift(1)
+    eta = goettsche_series(-24, 30).shift(1)
+    assert eta.trunc == 31 and eta.coefficient(0) == 0
+    prod = eta * goettsche_series(24, 30).shift(-1)
     assert prod.trunc == 30 and prod.grid == 1
     assert prod == PuiseuxSeries(1, {0: 1}, 30)
 
@@ -111,8 +106,6 @@ def test_hilb_euler_values():
 def test_terms_validation():
     with pytest.raises(ValueError):
         goettsche_series(24, 0)
-    with pytest.raises(ValueError):
-        eta24(0)
 
 
 # -- series mechanics ---------------------------------------------------
