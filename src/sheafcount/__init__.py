@@ -6,12 +6,11 @@ Two computational pillars, tied together by cross-checks:
   one equivariant parameter t (`partitions`, `localization`): the
   symbolic sum adds fractions of products of integer linear forms
   i t + j over one common denominator, as big integers at one packed
-  point t = 2^B, and sampled mode evaluates at rational points; single
-  fixed-point contributions are exact reduced rational functions whose
-  denominators split into linear factors (`ratfunc`), reduced by
-  cancelling linear forms rather than by a polynomial gcd, so the two
-  routes to them can be compared; they are compared and printed, never
-  added: every sum of them goes through the packed sum;
+  point t = 2^B, and sampled mode evaluates at rational points; a single
+  fixed-point contribution is a scale times primitive linear forms over
+  such forms, with the common forms cancelled, which is canonical, so the
+  two routes to it can be compared; contributions are compared and
+  printed, never added: every sum of them goes through the packed sum;
 
 * invariants of K3-fibered threefolds assembled from intersection-number
   tables, with generating series handled as exact truncated q-expansions
@@ -61,7 +60,6 @@ from .qseries import (
     goettsche_series,
     hilb_euler,
 )
-from .ratfunc import Poly, RationalFunction
 
 __version__ = "0.1.0"
 
@@ -76,6 +74,5 @@ __all__ = [
     "nl_symmetry_extend", "phi_series", "z_series_closed", "z_series_direct",
     "arm", "boxes", "enumerate_partitions", "enumerate_triples", "leg",
     "PuiseuxSeries", "goettsche_series", "hilb_euler",
-    "Poly", "RationalFunction",
     "__version__",
 ]

@@ -95,6 +95,11 @@ P3_MAX_SAMPLES = 50
 # ell alone can ask for unbounded work; larger tables need --d.
 Z_MAX_ELL = 1000
 
+# nl-extend outputs at most len(nl) * (max(0, (d_max - d_min) // ell + 1) + 1)
+# cells: each entry, and one cell of its orbit per step of ell in the window.
+# It refuses a larger bound up front; nl_symmetry_extend takes any window.
+NL_EXTEND_MAX_CELLS = 10**5
+
 # The Hilbert-scheme series of a surface with Euler number e is built from
 # |e| series products, so goettsche, dt and z refuse |e| above this bound up
 # front; the library itself takes any e.
@@ -211,6 +216,10 @@ def cmd_nl_validate(args) -> int:
 
 def cmd_nl_extend(args) -> int:
     spec = nl_load_path(args.file)
+    cells = len(spec.nl) * (max(0, (args.d_max - args.d_min) // spec.ell + 1) + 1)
+    if cells > NL_EXTEND_MAX_CELLS:
+        raise ValueError("the window may hold %d cells, above the cap of %d"
+                         % (cells, NL_EXTEND_MAX_CELLS))
     bigger = nl_symmetry_extend(spec.nl, args.h_lo, args.d_min, args.d_max)
     doc = nl_dump(FibrationSpec(ell=spec.ell, k=spec.k, euler=spec.euler,
                                 nodal=spec.nodal, nl=bigger))

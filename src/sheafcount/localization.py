@@ -22,11 +22,13 @@ coincide, so their weight factors cancel in the fixed-point contribution;
 fixed_point_contribution never materializes them, while the slower
 character-quotient route in contribution_from_characters cancels them as
 multisets and serves as an independent check.  The two routes take their
-weights independently and share only the cancel-and-expand step
-_as_function: both lists of forms are split into an integer and primitive
-forms, the forms common to both cancel as multisets, the numerator is
-expanded in integers and the denominator is handed to RationalFunction as
-its poles -j/i, so no polynomial gcd is ever taken.
+weights independently and share only the cancel step _contribution: both
+lists of forms are split into an integer and primitive forms i*t + j with
+i > 0, and the forms common to both cancel as multisets.  What is left is
+a Contribution, scale * prod(num) / prod(den) with no form shared.  Over Q
+linear forms are irreducible, so by Gauss's lemma that is the coprime,
+canonical form: equal Contributions are equal functions, and no polynomial
+gcd is ever taken.
 
 The localization sum over all triples of total size n evaluates the
 integral of the top Chern class of the rank-2n obstruction bundle.  A
@@ -73,14 +75,13 @@ leg and checks it by the same literal test: no rational function is added.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import ConsistencyError
 from .partitions import (arm, boxes, check_partition, enumerate_partitions,
                          enumerate_triples, leg)
-from .ratfunc import Poly, RationalFunction, _times_forms
 
 # default seed for sampled mode; any fixed value works, reproducibility is
 # the only requirement
@@ -164,22 +165,84 @@ def _cancelled(forms):
     return cn, num - common, cd, den - common
 
 
-def _over_forms(coeffs, scale, den) -> RationalFunction:
-    """The integer polynomial coeffs over scale * prod(den), den a Counter
-    of forms (j, i) with i > 0, as a RationalFunction: each form is
-    i * (t - r) with pole r = -j/i."""
-    lead = scale * prod(i ** m for (_, i), m in den.items())
-    return RationalFunction(Poly([Fraction(c, lead) for c in coeffs]),
-                            [Fraction(-j, i) for j, i in den.elements()])
+def _times_forms(coeffs, forms):
+    """Integer coefficient list (coeffs[k] is the coefficient of t^k) of the
+    polynomial coeffs times the product of the forms (j, i), i*t + j."""
+    for j, i in forms:
+        coeffs = [j * c + i * d for c, d in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
 
-def _as_function(forms) -> RationalFunction:
-    """prod(num forms) / prod(den forms) as a RationalFunction, forms
-    = (num, den): the one cancel-and-expand step of both contribution
-    routes.  Common primitive forms cancel, the numerator is expanded with
-    _times_forms and the denominator is handed over as its poles."""
+def _deflate(a, p, q):
+    """a / (q*t - p) for an integer coefficient list a (lowest first), or
+    None unless p/q is a root of a.  With gcd(p, q) = 1 the quotient has
+    integer coefficients (Gauss's lemma), so one inexact step shows that
+    p/q is not a root."""
+    out = []
+    carry = 0
+    for c in reversed(a[1:]):
+        carry, rem = divmod(c + p * carry, q)
+        if rem:
+            return None
+        out.append(carry)
+    if a[0] + p * carry:
+        return None
+    return out[::-1]
+
+
+def _poly_str(coeffs):
+    """The nonzero polynomial coeffs (lowest first) in t, highest power
+    first: 4*t - 2, 1/4*t^4 + 1/2*t^3."""
+    parts = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if not c:
+            continue
+        if e == 0:
+            mon = str(abs(c))
+        else:
+            head = "" if abs(c) == 1 else str(abs(c)) + "*"
+            mon = head + ("t" if e == 1 else "t^%d" % e)
+        if not parts:
+            parts.append(("-" if c < 0 else "") + mon)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + mon)
+    return " ".join(parts)
+
+
+def _quotient_str(coeffs, scale, den):
+    """The integer polynomial coeffs over scale * prod(den), den a sequence
+    of forms (j, i) with i > 0 and no root shared with coeffs, as its
+    numerator over its monic denominator, or its numerator alone when den
+    is empty."""
+    lead = prod(i for _, i in den)
+    top = _poly_str([Fraction(c, scale * lead) for c in coeffs])
+    if not den:
+        return top
+    return "(%s)/(%s)" % (top, _poly_str([Fraction(c, lead)
+                                          for c in _times_forms([1], den)]))
+
+
+class Contribution(namedtuple("Contribution", "scale num den")):
+    """A fixed point's contribution scale * prod(num) / prod(den): scale a
+    Fraction, num and den sorted tuples of primitive forms (j, i), meaning
+    i*t + j with i > 0, and no form in both.  This form is canonical, so
+    == and hash, the tuple's, are equality of functions; str prints the
+    expanded numerator over the monic denominator."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        cn, cd = self.scale.as_integer_ratio()
+        return _quotient_str(_times_forms([cn], self.num), cd, self.den)
+
+
+def _contribution(forms) -> Contribution:
+    """prod(num forms) / prod(den forms) as a Contribution, forms
+    = (num, den): the one cancel step of both contribution routes."""
     cn, num, cd, den = _cancelled(forms)
-    return _over_forms(_times_forms([cn], num.elements()), cd, den)
+    return Contribution(Fraction(cn, cd), tuple(sorted(num.elements())),
+                        tuple(sorted(den.elements())))
 
 
 def _value_at(forms, p, q) -> Fraction:
@@ -191,13 +254,13 @@ def _value_at(forms, p, q) -> Fraction:
                     prod(i * p + j * q for j, i in den))
 
 
-def fixed_point_contribution(triple) -> RationalFunction:
+def fixed_point_contribution(triple) -> Contribution:
     """Contribution of one fixed point to the localization sum: the product
     F(p2) * G(p3) of the per-leg forms; p1 drops out."""
     _, p2, p3 = _checked(triple)
     num2, den2 = _p2_factors(p2)
     num3, den3 = _p3_factors(p3)
-    return _as_function((num2 + num3, den2 + den3))
+    return _contribution((num2 + num3, den2 + den3))
 
 
 def _split(forms):
@@ -320,14 +383,28 @@ def _character_forms(triple):
             [(j, i) for i, j in tangent_character(triple)])
 
 
-def contribution_from_characters(triple) -> RationalFunction:
+def contribution_from_characters(triple) -> Contribution:
     """The same contribution computed the slow way, as a weight quotient:
     the obstruction forms of _character_forms over the tangent forms, with
     the forms common to both (the whole p1 block among them) cancelled.
     Its weights come from the characters, not from the per-leg forms of
     fixed_point_contribution, so the two routes check each other and share
-    only _as_function."""
-    return _as_function(_character_forms(triple))
+    only _contribution."""
+    return _contribution(_character_forms(triple))
+
+
+def _reduced(N, L):
+    """(N', L') with N / prod(L) = N' / prod(L'): the integer coefficient
+    list N divided exactly by each form of the Counter L that divides it,
+    counted with multiplicity, and L' the list of the forms left."""
+    left = []
+    for j, i in L.elements():
+        q = _deflate(N, -j, i)
+        if q is None:
+            left.append((j, i))
+        else:
+            N = q
+    return N, left
 
 
 def _constant(n, N, scale, L) -> Fraction:
@@ -336,9 +413,10 @@ def _constant(n, N, scale, L) -> Fraction:
     D = _times_forms([scale], L.elements())
     if N and (len(N) != len(D)
               or any(x * D[-1] != y * N[-1] for x, y in zip(N, D))):
+        N, left = _reduced(N, L)
         raise ConsistencyError(
             "localization sum for n=%d is not constant: %s"
-            % (n, _over_forms(N, scale, L)))
+            % (n, _quotient_str(N, scale, left)))
     return Fraction(N[-1], D[-1]) if N else Fraction(0)
 
 

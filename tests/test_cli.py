@@ -488,11 +488,17 @@ def test_nl_validate_fuzz_table_documents(doc):
 
 @st.composite
 def _series_argv(draw):
-    # goettsche, phi, dt and z with small random --d, --c and --terms; DOC
-    # is the table.  nl-extend is left out: its work has no bound yet.
+    # goettsche, phi, dt and z with small random --d, --c and --terms, and
+    # nl-extend with windows up to +-10^12; DOC is the table
     def small():
         return str(draw(st.integers(-2, 6)))
-    cmd = draw(st.sampled_from(["goettsche", "phi", "dt", "z"]))
+    cmd = draw(st.sampled_from(["goettsche", "phi", "dt", "z", "nl-extend"]))
+    if cmd == "nl-extend":
+        # it takes no --format
+        argv = [cmd, "DOC"]
+        for flag in ("--h-lo", "--d-min", "--d-max"):
+            argv += [flag, str(draw(st.integers(-10**12, 10**12)))]
+        return argv
     if cmd == "goettsche":
         argv = [cmd, "--euler", str(draw(st.integers(-30, 30))),
                 "--terms", small()]
@@ -560,6 +566,22 @@ def test_nl_extend_takes_no_format(capsys):
         cli.main(["nl-extend", fixture("two_copies"), "--h-lo", "0",
                   "--d-min", "0", "--d-max", "2", "--format", "text"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("window", [
+    ["--h-lo", "-10", "--d-min", "0", "--d-max", str(10**12)],
+    ["--h-lo", str(-10**12), "--d-min", str(-10**12), "--d-max", "10"],
+])
+def test_nl_extend_cap_refuses_up_front(window):
+    # each window would generate about 5 * 10^11 cells; in a subprocess,
+    # so that a run that does not refuse times out instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "sheafcount.cli", "nl-extend",
+                           fixture("symmetry_window")] + window,
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert str(cli.NL_EXTEND_MAX_CELLS) in proc.stderr
 
 
 def test_nl_extend_odd_ell_exits_one(capsys, tmp_path):

@@ -7,6 +7,8 @@ the equivariant parameter; and the constants must reproduce the known
 integer values.  Integer values up to n = 7 were cross-checked against a
 from-scratch reimplementation before being frozen here."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -16,6 +18,7 @@ from sheafcount import checks, localization
 from sheafcount.errors import ConsistencyError
 from sheafcount.localization import (
     DEFAULT_SEED,
+    _times_forms,
     contribution_from_characters,
     dt_p3,
     fixed_point_contribution,
@@ -26,7 +29,6 @@ from sheafcount.localization import (
 )
 from sheafcount.partitions import enumerate_partitions, enumerate_triples
 from sheafcount.qseries import goettsche_series
-from sheafcount.ratfunc import ONE, Poly, RationalFunction, _times_forms
 
 # n = 8..10 are the coefficients of prod (1-q^m)^-7 (test_integrals_match_series)
 INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
@@ -42,13 +44,26 @@ def test_single_box_characters_frozen():
 
 
 def test_single_box_contributions_frozen():
+    # scale, numerator forms, denominator forms; (j, i) means i*t + j
     c2 = fixed_point_contribution(((), (1,), ()))
-    assert c2 == RationalFunction(Poly((-2, 4)), (1,))
+    assert c2 == (2, ((-1, 2),), ((-1, 1),))
     assert str(c2) == "(4*t - 2)/(t - 1)"
     c3 = fixed_point_contribution(((), (), (1,)))
-    assert c3 == RationalFunction(Poly((-4, 2)), (1,))
+    assert c3 == (2, ((-2, 1),), ((-1, 1),))
+    assert str(c3) == "(2*t - 4)/(t - 1)"
     # no boxes on the two contributing legs: empty product
-    assert fixed_point_contribution(((3, 1), (), ())) == RationalFunction(ONE)
+    one = fixed_point_contribution(((3, 1), (), ()))
+    assert one == (1, (), ()) and str(one) == "1"
+
+
+def test_contribution_frozen_example():
+    # (4t - 2)/(t - 1) from its unreduced forms: the scale comes out of the
+    # numerator form, and the expanded numerator and denominator are as printed
+    c = localization._contribution(([(-2, 4)], [(-1, 1)]))
+    assert c == (2, ((-1, 2),), ((-1, 1),))
+    assert str(c) == "(4*t - 2)/(t - 1)"
+    assert _times_forms([2], c.num) == [-2, 4]
+    assert _times_forms([1], c.den) == [-1, 1]
 
 
 @pytest.mark.parametrize("fn", [tangent_character, obstruction_character,
@@ -75,6 +90,74 @@ def test_contribution_routes_agree():
     for n in range(5):
         for tr in enumerate_triples(n):
             assert fixed_point_contribution(tr) == contribution_from_characters(tr)
+
+
+def test_contribution_routes_catch_swapped_legs(monkeypatch):
+    # with G replaced by F the direct product of ((), (), (1,)) is the p2
+    # box's, and check 3 names the first configuration where they differ
+    monkeypatch.setattr(localization, "_p3_factors", localization._p2_factors)
+    with pytest.raises(ConsistencyError) as err:
+        checks.contribution_routes(None)
+    assert str(err.value) == "contribution routes disagree at ((), (), (1,))"
+
+
+def _random_form(rng):
+    # the primitive form q*t - p of a root p/q; few roots, so that forms
+    # coincide and cancel often
+    r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return -r.numerator, r.denominator
+
+
+def _presentation(rng, num, den):
+    """Forms of the function prod(num) / prod(den), num and den lists of
+    forms (j, i), presented another way: each form scaled by +-k, with the
+    constant form (k, 0) on the other side, and one form put on both
+    sides."""
+    out = ([], [])
+    for side, forms in enumerate((num, den)):
+        for j, i in forms:
+            k = rng.choice([-3, -2, -1, 1, 2, 5])
+            out[side].append((k * j, k * i))
+            out[1 - side].append((k, 0))
+    shared = _random_form(rng)
+    for forms in out:
+        forms.insert(rng.randint(0, len(forms)), shared)
+    return out
+
+
+def test_contribution_is_canonical():
+    # every presentation of one function gives one Contribution, and its
+    # value is the function's wherever no form vanishes
+    rng = random.Random(7)
+    for _ in range(300):
+        num = [_random_form(rng) for _ in range(rng.randint(0, 4))]
+        den = [_random_form(rng) for _ in range(rng.randint(0, 4))]
+        c = localization._contribution((num, den))
+        for _ in range(3):
+            forms = _presentation(rng, num, den)
+            assert localization._contribution(forms) == c
+            assert hash(localization._contribution(forms)) == hash(c)
+        for t0 in (Fraction(7, 11), Fraction(-13, 17), Fraction(19, 2)):
+            p, q = t0.numerator, t0.denominator
+            value = c.scale * prod(i * t0 + j for j, i in c.num) \
+                / prod(i * t0 + j for j, i in c.den)
+            assert value == localization._value_at(forms, p, q)
+        assert not Counter(c.num) & Counter(c.den)
+        assert all(i > 0 for j, i in c.num + c.den)
+
+
+def test_reduction_cancels_exactly_the_shared_forms():
+    # c * prod(roots) over prod(poles): the error-path reduction keeps the
+    # forms left after cancelling the common ones as multisets
+    rng = random.Random(11)
+    for _ in range(300):
+        roots = [_random_form(rng) for _ in range(rng.randint(0, 4))]
+        poles = Counter(_random_form(rng) for _ in range(rng.randint(0, 4)))
+        c = rng.choice([-3, -1, 2, 5])
+        N, left = localization._reduced(_times_forms([c], roots), poles)
+        kept = Counter(roots) - poles
+        assert N == _times_forms([c], kept.elements())
+        assert Counter(left) == poles - Counter(roots)
 
 
 def test_characters_are_sorted_tuples():
@@ -267,7 +350,7 @@ def test_sampled_resamples_on_pole(monkeypatch):
             return 1 if len(draws) <= 2 else self.rng.randint(lo, hi)
 
     monkeypatch.setattr(localization.random, "Random", FirstDrawIsOne)
-    assert fixed_point_contribution(((), (1,), ())).den == Poly((-1, 1))
+    assert fixed_point_contribution(((), (1,), ())).den == ((-1, 1),)
     assert hilb_chern_integral(2, "sampled") == 35
     assert len(draws) == 8   # the pole, then three good points
 

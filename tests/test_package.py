@@ -1,6 +1,10 @@
 """The package namespace: every exported name resolves, and removed names
 stay removed."""
 
+import importlib
+
+import pytest
+
 import sheafcount
 from sheafcount import errors, qseries
 
@@ -15,9 +19,13 @@ def test_star_import_binds_every_public_name():
 
 def test_removed_names_are_gone():
     # eta24(terms) is goettsche_series(-24, terms - 1).shift(1); nothing
-    # evaluates a rational function, so nothing raises PoleError
-    for name in ("eta24", "PoleError"):
+    # evaluates a rational function, so nothing raises PoleError; a
+    # contribution is a Contribution of cancelled linear forms, so the
+    # Poly and RationalFunction types and their module are gone
+    for name in ("eta24", "PoleError", "Poly", "RationalFunction"):
         assert name not in sheafcount.__all__
         assert not hasattr(sheafcount, name)
     assert not hasattr(qseries, "eta24") and "eta24" not in qseries.__all__
     assert not hasattr(errors, "PoleError")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("sheafcount.ratfunc")
