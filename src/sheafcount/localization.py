@@ -41,9 +41,12 @@ and p1 drops out, so the sum factors by partition size:
 with p(a) the number of partitions of a, A_k the sum of F over the
 partitions of k and B_k the sum of G over them.  The cost is one product
 per partition of size at most n plus O(n^2) combinations, not one per
-triple.  By theory the result is a constant (the equivariant parameters
-drop out), which the symbolic mode verifies literally and the sampled mode
-verifies at random rational points.
+triple.  The third fixed point is the second with the torus weights
+swapped, and scaling both weights leaves a contribution alone (it has as
+many numerator as denominator forms), so at s2 = 1 the swap is t -> 1/t:
+G(lam)(t) = F(lam)(1/t) and B_k(t) = A_k(1/t).  By theory the result is a
+constant (the equivariant parameters drop out), which the symbolic mode
+verifies literally and the sampled mode verifies at random rational points.
 
 The symbolic mode sums in big integers, with no polynomial gcd, no
 Fraction and no polynomial expanded term by term.  Each F(lam) is an
@@ -52,7 +55,9 @@ denominator forms.  Made primitive, with a positive leading coefficient,
 equal forms compare equal, and the forms common to a numerator and its
 denominator cancel.  Then A_k = N_k / (c_k prod L_k): L_k is the multiset
 union of the denominator forms over the partitions of k, c_k the lcm of
-their integer contents, and N_k an integer polynomial; B_k likewise.
+their integer contents, and N_k an integer polynomial.  B_k is A_k
+mirrored by _mirror; sampled mode, both contribution routes and
+_per_triple_sum evaluate G themselves.
 
 Polynomials are summed by Kronecker substitution: every form is evaluated
 at one integer T = 2^B, so each product and sum is one big-integer
@@ -369,6 +374,20 @@ def _leg_poly(legs):
     return _packed(numerator)
 
 
+def _mirror(leg, k):
+    """B_k(t) = A_k(1/t) = rev(N) / (c prod(j*t + i)) from A_k = (N, c, L),
+    over the forms (j, i) of L swapped, those with j < 0 negated and N's
+    sign flipped once per negation.  ConsistencyError naming k unless
+    len(N) = |L| + 1, N(0) != 0 and t is not in L: the shape of every leg."""
+    N, c, L = leg
+    if len(N) != sum(L.values()) + 1 or not N[0] or L[0, 1]:
+        raise ConsistencyError("leg A_%d has no mirror image: N = %s, L = %s"
+                               % (k, N, sorted(L.elements())))
+    flips = sum(m for (j, _), m in L.items() if j < 0)
+    M = Counter({(i, j) if j > 0 else (-i, -j): m for (j, i), m in L.items()})
+    return [(-1) ** flips * x for x in reversed(N)], c, M
+
+
 def _convolve(counts, A, B):
     """Sum of counts[a] * A[b] * B[c] over a + b + c = n = len(counts) - 1."""
     n = len(counts) - 1
@@ -431,7 +450,8 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     """Integral of the top Chern class over Hilb^n of the plane.
 
     Both modes take the factored sum of the module docstring.  symbolic
-    mode sums A_k, B_k and their convolution over common denominators of
+    mode sums A_k and their convolution with B_k(t) = A_k(1/t) (at s2 = 1
+    swapping the torus weights is t -> 1/t) over common denominators of
     linear forms, as big integers packed at T = 2^B with B from a proven
     l1 bound, unpacks the numerator N and checks literally that it is a
     constant multiple c * D of the expanded denominator; a non-constant sum
@@ -447,10 +467,10 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     sizes = [enumerate_partitions(k) for k in range(n + 1)]
     counts = [len(ps) for ps in sizes]
     F = [[_p2_factors(lam) for lam in ps] for ps in sizes]
-    G = [[_p3_factors(lam) for lam in ps] for ps in sizes]
     if mode == "symbolic":
-        A = [([N], c, L) for N, c, L in map(_leg_poly, F)]
-        B = [([N], c, L) for N, c, L in map(_leg_poly, G)]
+        legs = list(map(_leg_poly, F))
+        A = [([N], c, L) for N, c, L in legs]
+        B = [([N], c, L) for N, c, L in map(_mirror, legs, range(n + 1))]
 
         def numerator(ev):
             QA, ea, MA = _common(A, ev)
@@ -460,6 +480,7 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     if mode == "sampled":
         if samples < 3:
             raise ValueError("sampled mode needs at least 3 points")
+        G = [[_p3_factors(lam) for lam in ps] for ps in sizes]
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
         seen = set()
         values = []

@@ -246,13 +246,15 @@ def _list_inv(a, terms: int):
     return out
 
 
-_euler_pow_cache: dict = {}
+_EULER_POW_KEYS = 64   # exponents kept, the least recently used dropped
+_euler_pow_cache: dict = {}   # k -> coefficients, least recently used first
 
 
 def _euler_pow(k: int, terms: int):
     """Coefficient list of prod_{n>=1} (1-q^n)^k to order q^terms."""
-    cached = _euler_pow_cache.get(k)
+    cached = _euler_pow_cache.pop(k, None)
     if cached is not None and len(cached) > terms:
+        _euler_pow_cache[k] = cached
         return cached[: terms + 1]
     want = max(terms, 2 * len(cached) if cached else 32)
     out = [0] * (want + 1)
@@ -264,6 +266,8 @@ def _euler_pow(k: int, terms: int):
             acc = _list_mul(acc, base, want)
         out = _list_inv(acc, want) if k < 0 else acc
     _euler_pow_cache[k] = out
+    if len(_euler_pow_cache) > _EULER_POW_KEYS:
+        del _euler_pow_cache[next(iter(_euler_pow_cache))]
     return out[: terms + 1]
 
 

@@ -282,16 +282,86 @@ def test_narrowed_width_never_gives_a_wrong_value(monkeypatch):
 
 
 def test_narrowed_width_error_text(monkeypatch):
-    # at n = 2 the narrowed digits are not a multiple of D, and the message
-    # shows them reduced over the poles of D, as the polynomial gcd did
+    # at n = 2 the narrowed digits of A_1 have one coefficient too many for
+    # its one form, so the leg has no mirror image and the sum is not taken
     real = localization._width
     monkeypatch.setattr(localization, "_width",
                         lambda bound, forms: real(1, forms))
     with pytest.raises(ConsistencyError) as err:
         hilb_chern_integral(2)
     assert str(err.value) == (
-        "localization sum for n=2 is not constant: "
-        "(1/4*t^4 + 1/2*t^3 + 1/2*t^2 + 1/4*t)/(t - 1)")
+        "leg A_1 has no mirror image: N = [-2, 0, 1], L = [(-1, 1)]")
+
+
+def test_third_point_is_second_at_inverse():
+    # G(lam)(t) = F(lam)(1/t): swapping the torus weights swaps the second
+    # and third fixed points, and with s2 = 1 that is t -> 1/t.  A pole of
+    # one side is a pole of the other.
+    points = [Fraction(p, q) for p in (-7, -3, 2, 5, 11) for q in (1, 3, 4)]
+    for k in range(9):
+        for lam in enumerate_partitions(k):
+            F = localization._p2_factors(lam)
+            G = localization._p3_factors(lam)
+            good = 0
+            for t0 in points:
+                p, q = t0.numerator, t0.denominator
+                try:
+                    at_inverse = localization._value_at(F, q, p)
+                except ZeroDivisionError:
+                    at_inverse = None
+                try:
+                    value = localization._value_at(G, p, q)
+                except ZeroDivisionError:
+                    value = None
+                assert value == at_inverse, (lam, t0)
+                good += value is not None
+            assert good >= 10, lam
+
+
+def test_mirror_of_a_leg_is_b_leg():
+    # N / (c prod(L)) = N' / (c' prod(L')) as rational functions exactly
+    # when N c' prod(L') = N' c prod(L), both sides expanded
+    for k in range(13):
+        ps = enumerate_partitions(k)
+        A = [localization._p2_factors(lam) for lam in ps]
+        N, c, L = localization._mirror(localization._leg_poly(A), k)
+        M, e, K = localization._leg_poly(
+            [localization._p3_factors(lam) for lam in ps])
+        assert (_times_forms([e * x for x in N], K.elements())
+                == _times_forms([c * x for x in M], L.elements())), k
+
+
+def _unreversed(real, leg, k):
+    # the forms swapped and the sign flipped, but N not reversed
+    N, c, L = real(leg, k)
+    return N[::-1], c, L
+
+
+def _unsigned(real, leg, k):
+    # N reversed and the forms swapped, but N's sign not flipped
+    N, c, L = real(leg, k)
+    flips = sum(m for (j, _), m in leg[2].items() if j < 0)
+    return [(-1) ** flips * x for x in N], c, L
+
+
+@pytest.mark.parametrize("mutant", [_unreversed, _unsigned])
+def test_broken_mirror_raises(monkeypatch, mutant):
+    real = localization._mirror
+    monkeypatch.setattr(localization, "_mirror",
+                        lambda leg, k: mutant(real, leg, k))
+    with pytest.raises(ConsistencyError):
+        hilb_chern_integral(2)
+
+
+@pytest.mark.parametrize("N, L", [
+    ([1, 2, 3], {(-1, 1): 1}),    # degree 2 over one form
+    ([0, 2], {(-1, 1): 1}),       # N(0) = 0
+    ([1, 2], {(0, 1): 1}),        # the form t
+])
+def test_mirror_refuses_other_shapes(N, L):
+    with pytest.raises(ConsistencyError) as err:
+        localization._mirror((N, 1, Counter(L)), 5)
+    assert str(err.value).startswith("leg A_5 has no mirror image: ")
 
 
 def test_integrals_match_series():
@@ -314,14 +384,16 @@ NON_CONSTANT = {
 
 
 def test_non_constant_sum_raises(monkeypatch):
-    # with G replaced by F the legs are no longer mirror images, and the
-    # factored sum is not constant in t
-    monkeypatch.setattr(localization, "_p3_factors", localization._p2_factors)
+    # with B_k = A_k (G replaced by F) the legs are no longer mirror images,
+    # and the factored sum is not constant in t; the symbolic B legs are
+    # mirrored A legs, the sampled ones evaluate G
+    monkeypatch.setattr(localization, "_mirror", lambda leg, k: leg)
     for n, text in NON_CONSTANT.items():
         with pytest.raises(ConsistencyError) as err:
             hilb_chern_integral(n)
         assert str(err.value) == (
             "localization sum for n=%d is not constant: %s" % (n, text))
+    monkeypatch.setattr(localization, "_p3_factors", localization._p2_factors)
     with pytest.raises(ConsistencyError):
         hilb_chern_integral(2, "sampled")
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from sheafcount import qseries
 from sheafcount.qseries import (
     PuiseuxSeries,
     goettsche_series,
@@ -101,6 +102,21 @@ def test_hilb_euler_values():
     assert hilb_euler(2, 12) == 90
     assert hilb_euler(3, 0) == 0
     assert hilb_euler(0, 0) == 1
+
+
+def test_euler_pow_cache_drops_least_recently_used(monkeypatch):
+    # 65 distinct exponents leave 64 keys; -32 was read again after the
+    # first 64 were filled, so -31 is the least recently used and goes
+    monkeypatch.setattr(qseries, "_euler_pow_cache", {})
+    assert qseries._EULER_POW_KEYS == 64
+    for k in range(-32, 32):
+        qseries._euler_pow(k, 1)
+    assert qseries._euler_pow(-32, 3) == binomial_euler_pow(-32, 3)
+    qseries._euler_pow(32, 1)
+    cache = qseries._euler_pow_cache
+    assert len(cache) == 64
+    assert -31 not in cache and -32 in cache
+    assert list(cache)[-2:] == [-32, 32]
 
 
 def test_terms_validation():
