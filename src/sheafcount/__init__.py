@@ -22,7 +22,6 @@ Everything is exact: integers and fractions.Fraction, no floating point.
 from .errors import ConsistencyError, NLValidationError
 from .localization import (
     DEFAULT_SEED,
-    dt_p3,
     fixed_point_contribution,
     contribution_from_characters,
     hilb_chern_integral,
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConsistencyError", "NLValidationError",
-    "DEFAULT_SEED", "dt_p3", "fixed_point_contribution",
+    "DEFAULT_SEED", "fixed_point_contribution",
     "contribution_from_characters", "hilb_chern_integral",
     "obstruction_character", "p3_point_count", "tangent_character",
     "FibrationSpec", "HilbertPolyK3", "MukaiVector", "NLTable",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from importlib import resources
 
@@ -33,23 +33,21 @@ from .nl_dt import (
     dt_from_nl,
     dt_symmetry_pair,
     hilb_index,
+    moduli_dim,
     nl_loads,
     nl_symmetry_extend,
     z_series_closed,
     z_series_direct,
 )
 from .partitions import enumerate_triples
-from .qseries import PuiseuxSeries, goettsche_series
+from .qseries import PuiseuxSeries, goettsche_series, hilb_euler
 
 _FIXTURE_NAMES = ("two_copies", "mixed_shift", "symmetry_window", "quartic_pencil")
 
 
-@dataclass(frozen=True)
-class Check:
-    number: int
-    name: str
-    budget: float | None   # wall-clock seconds the acceptance test allows
-    fn: object             # fn(seed) -> detail; raises on disagreement
+# budget: the wall-clock seconds the acceptance test allows, or None;
+# fn(seed) -> detail, raising on disagreement
+Check = namedtuple("Check", "number name budget fn")
 
 
 def _expect(cond, msg: str):
@@ -87,7 +85,7 @@ def point_values(seed) -> str:
 
 
 def sum_constancy(seed) -> str:
-    for n in range(1, 9):
+    for n in range(9):
         total = _per_triple_sum(n)    # raises unless constant in t
         want = hilb_chern_integral(n)
         _expect(total == want, "n=%d: per-triple sum %s != %s" % (n, total, want))
@@ -97,7 +95,7 @@ def sum_constancy(seed) -> str:
         # raises unless three random rational points give the same value
         hilb_chern_integral(n, "sampled", seed=seed, samples=3)
     return ("per-triple sums of weight quotients constant and equal to the "
-            "integral for n = 1..8, "
+            "integral for n = 0..8, "
             "sampled n = 4 is 490, sampled agreement at 3 points for n = 5..7")
 
 
@@ -201,14 +199,27 @@ def invariant_symmetry(seed) -> str:
 
 
 def index_consistency(seed) -> str:
+    # against half the moduli dimension, and against the order dt_from_nl
+    # sums at: with the one entry NL[h, h] = 2 at ell 1 and k 0 (inside the
+    # bound, 2(h-1) <= h^2) the invariant is chi(Hilb^n)
     checked = 0
     for r in range(1, 5):
         for b2 in range(-2, 21, 2):      # even, and -2 is the floor
             for tau in range(-20, 21):
-                hilb_index(MukaiVector(r, b2, tau))   # raises on disagreement
+                v = MukaiVector(r, b2, tau)
+                n = hilb_index(v)
+                P = HilbertPolyK3.from_mukai(v, 1, v.h)
+                dim = moduli_dim(v, P.c)
+                _expect(2 * n == dim, "%r: index %d is not half the moduli "
+                        "dimension %d" % (v, n, dim))
+                spec = FibrationSpec(ell=1, k=0, nl=NLTable(1, {(v.h, v.h): 2}))
+                dt, want = dt_from_nl(spec, P), hilb_euler(n)
+                _expect(dt == want, "%r: dt_from_nl gives %s, not "
+                        "chi(Hilb^%d) = %s" % (v, dt, n, want))
                 checked += 1
     _expect(hilb_index(MukaiVector(2, -2, 3)) == 4, "frozen index value off")
-    return "two index formulas agree on %d Mukai vectors" % checked
+    return ("index = half the moduli dimension = the order dt_from_nl sums "
+            "at, on %d Mukai vectors" % checked)
 
 
 def triple_counts(seed) -> str:

@@ -15,6 +15,7 @@ evaluation uses a fixed default seed unless --seed is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -172,24 +173,23 @@ def cmd_z(args) -> int:
                          "give --d for one component" % (spec.ell, Z_MAX_ELL))
     _require_euler(spec.euler)
     _require_order(args.terms, "--terms")
+
+    def components(route):
+        series = route(spec, args.terms, args.d)
+        return series if args.d is None else {args.d: series}
+
+    closed = components(z_series_closed)
     if args.check:
-        if args.d is None:
-            closed = z_series_closed(spec, args.terms)
-            direct = z_series_direct(spec, args.terms)
-            bad = sorted(d for d in closed if closed[d] != direct[d])
-        else:
-            bad = [] if (z_series_closed(spec, args.terms, args.d)
-                         == z_series_direct(spec, args.terms, args.d)) \
-                else [args.d]
+        direct = components(z_series_direct)
+        bad = sorted(d for d in closed if closed[d] != direct[d])
         if bad:
             raise ConsistencyError(
                 "closed and direct series disagree for d in %s" % bad)
         _emit_value("closed = direct: OK", args.format)
-        return 0
-    if args.d is None:
-        _emit_components(z_series_closed(spec, args.terms), args.format)
+    elif args.d is None:
+        _emit_components(closed, args.format)
     else:
-        _emit_series(z_series_closed(spec, args.terms, args.d), args.format)
+        _emit_series(closed[args.d], args.format)
     return 0
 
 
@@ -265,6 +265,7 @@ def cmd_check(args) -> int:
 
 # -- wiring --------------------------------------------------------------
 
+@functools.cache   # built on the first call, not at import
 def build_parser() -> CliParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "structured"),
@@ -293,7 +294,6 @@ def build_parser() -> CliParser:
                    help="seed for sampled mode (fixed default)")
     p.add_argument("--verbose", action="store_true",
                    help="list fixed points and their contributions")
-    p.set_defaults(func=cmd_p3)
 
     p = sub.add_parser("goettsche", parents=[common],
                        help="Hilbert-scheme Euler-number series")
@@ -301,14 +301,12 @@ def build_parser() -> CliParser:
                    help="surface Euler number (default 24)")
     p.add_argument("--terms", type=int, required=True,
                    help="truncation order")
-    p.set_defaults(func=cmd_goettsche)
 
     p = sub.add_parser("phi", parents=[common],
                        help="table generating series, one degree component")
     p.add_argument("--nl", required=True, help="table document (JSON)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--terms", type=int, required=True)
-    p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("z", parents=[common],
                        help="invariant generating series from a table")
@@ -318,7 +316,6 @@ def build_parser() -> CliParser:
                    help="single degree component (default: all)")
     p.add_argument("--check", action="store_true",
                    help="verify the closed form against the direct sum")
-    p.set_defaults(func=cmd_z)
 
     p = sub.add_parser("dt", parents=[common],
                        help="single invariant from a table")
@@ -328,12 +325,10 @@ def build_parser() -> CliParser:
                    help="linear coefficient of the Hilbert polynomial")
     p.add_argument("--c", type=int, required=True,
                    help="constant coefficient of the Hilbert polynomial")
-    p.set_defaults(func=cmd_dt)
 
     p = sub.add_parser("nl-validate", parents=[common],
                        help="validate a table document")
     p.add_argument("file")
-    p.set_defaults(func=cmd_nl_validate)
 
     # nl-extend always prints a table document, so it takes no --format
     p = sub.add_parser("nl-extend",
@@ -345,22 +340,20 @@ def build_parser() -> CliParser:
     p.add_argument("--d-max", type=int, required=True, dest="d_max")
     p.add_argument("-o", "--out", default=None,
                    help="write the extended document here instead of stdout")
-    p.set_defaults(func=cmd_nl_extend)
 
     p = sub.add_parser("check", parents=[common],
                        help="run the deterministic self-test battery")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the sampled-evaluation check")
-    p.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so that a replaced cmd_<command> is called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConsistencyError as exc:
         print("consistency failure: %s" % exc, file=sys.stderr)
         return 2

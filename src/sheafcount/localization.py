@@ -518,8 +518,3 @@ def p3_point_count(s: int, d: int) -> int:
     if n < 0:
         raise ValueError("no configuration: s=%d, d=%d give n=%d < 0" % (s, d, n))
     return n
-
-
-def dt_p3(s: int, d: int, mode: str = "symbolic", **kwargs) -> Fraction:
-    """Sheaf count for projective 3-space with one point insertion."""
-    return hilb_chern_integral(p3_point_count(s, d), mode, **kwargs)

@@ -132,18 +132,12 @@ def moduli_dim(v: MukaiVector, p0: int) -> int:
 
 def hilb_index(v: MukaiVector) -> int:
     """Number of points n with the fiberwise moduli deformation equivalent
-    to Hilb^n.
+    to Hilb^n: n = h - r*omega - r^2.
 
-    Two closed forms exist: n = r*tau - (r-1)*beta_sq/2 - r^2 + 1 and
-    n = h - r*omega - r^2.  They agree identically; both are computed and
-    compared as a typo guard.
+    Check 8 compares it with half of moduli_dim and with the order at
+    which dt_from_nl sums.
     """
-    n1 = v.r * v.tau - (v.r - 1) * (v.beta_sq // 2) - v.r * v.r + 1
-    n2 = v.h - v.r * v.omega - v.r * v.r
-    if n1 != n2:
-        raise ConsistencyError(
-            "index formulas disagree on %r: %d vs %d" % (v, n1, n2))
-    return n1
+    return v.h - v.r * v.omega - v.r * v.r
 
 
 class HilbertPolyK3(_Record):

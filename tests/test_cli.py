@@ -6,7 +6,6 @@ consistency failure, 3 any other exception (a bug), reported in one line.
 Byte-identical output on identical invocations is part of the contract."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -113,7 +112,7 @@ def test_p3_caps_refuse_up_front(capsys, argv):
 
 
 def test_p3_at_cap_runs(capsys):
-    # the largest n is accepted; sampled, because symbolic takes seconds
+    # the largest n is accepted; sampled, because symbolic takes about 0.7 s
     n = cli.P3_MAX_N
     code, out, _ = run(capsys, ["p3", "--n", str(n), "--mode", "sampled"])
     assert code == 0 and out == "%s\n" % goettsche_series(7, n).coefficient(n)
@@ -420,12 +419,13 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     # start-up cost: these two alone once took about half the import time;
     # only modules the import adds count, not those the site hooks loaded
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
-    code = ("import sys; before = set(sys.modules); import sheafcount.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    for module in ("sheafcount.cli", "sheafcount.checks"):
+        code = ("import sys; before = set(sys.modules); import %s; print(sorted("
+                "{'dataclasses', 'inspect'} & (set(sys.modules) - before)))" % module)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", module
 
 
 _JSON_SCALARS = st.one_of(
@@ -651,7 +651,7 @@ def test_check_failure_runs_the_rest(capsys, monkeypatch):
     def broken(seed):
         raise ConsistencyError("planted disagreement")
     patched = list(checks.CHECKS)
-    patched[7] = dataclasses.replace(patched[7], fn=broken)
+    patched[7] = patched[7]._replace(fn=broken)
     monkeypatch.setattr(checks, "CHECKS", tuple(patched))
     code, out, _ = run(capsys, ["check"])
     lines = out.splitlines()

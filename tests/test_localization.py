@@ -17,10 +17,8 @@ import pytest
 from sheafcount import checks, localization
 from sheafcount.errors import ConsistencyError
 from sheafcount.localization import (
-    DEFAULT_SEED,
     _times_forms,
     contribution_from_characters,
-    dt_p3,
     fixed_point_contribution,
     hilb_chern_integral,
     obstruction_character,
@@ -77,19 +75,6 @@ def test_non_partitions_are_refused(fn):
             triple[k] = bad
             with pytest.raises(ValueError):
                 fn(tuple(triple))
-
-
-def test_character_cardinalities():
-    for n in range(7):
-        for tr in enumerate_triples(n):
-            assert len(tangent_character(tr)) == 2 * n
-            assert len(obstruction_character(tr)) == 2 * n
-
-
-def test_contribution_routes_agree():
-    for n in range(5):
-        for tr in enumerate_triples(n):
-            assert fixed_point_contribution(tr) == contribution_from_characters(tr)
 
 
 def test_contribution_routes_catch_swapped_legs(monkeypatch):
@@ -169,20 +154,6 @@ def test_characters_are_sorted_tuples():
 def test_symbolic_integrals():
     for n in range(6):
         assert hilb_chern_integral(n) == INTEGRALS[n]
-
-
-def test_symbolic_sum_is_constant():
-    # the unfactored sum over triples raises ConsistencyError unless its
-    # packed numerator is literally a constant times its denominator
-    for n in range(1, 6):
-        assert localization._per_triple_sum(n) == INTEGRALS[n]
-
-
-def test_factored_sum_equals_per_triple_sum():
-    # reference: the per-triple sum over the weight-quotient route, which
-    # shares no weight algebra with the factored sum
-    for n in range(9):
-        assert hilb_chern_integral(n) == localization._per_triple_sum(n)
 
 
 def test_per_triple_sum_catches_a_wrong_obstruction(monkeypatch):
@@ -455,13 +426,6 @@ def test_point_count_table():
     assert p3_point_count(1, 2) == 1
     with pytest.raises(ValueError):
         p3_point_count(0, 2)
-
-
-def test_dt_p3_values():
-    assert dt_p3(0, 1) == 1
-    assert dt_p3(1, 1) == 35
-    assert dt_p3(1, 2) == 7
-    assert dt_p3(1, 1, "sampled", seed=DEFAULT_SEED) == 35
 
 
 def test_negative_n_rejected():

@@ -67,11 +67,22 @@ def test_hilb_index_frozen():
     assert hilb_index(MukaiVector(2, -2, 3)) == 4
 
 
-def test_hilb_index_two_forms_agree():
-    for r in range(1, 5):
-        for b2 in range(-2, 21, 2):
-            for tau in range(-20, 21):
-                hilb_index(MukaiVector(r, b2, tau))   # guard raises on mismatch
+def test_index_check_catches_a_dropped_term(monkeypatch):
+    # without -r^2 the index is off everywhere: half the moduli dimension
+    # catches it at the first vector, and with moduli_dim made to agree,
+    # the order dt_from_nl sums at catches it at the first n >= 0
+    def dropped(v):
+        return v.h - v.r * v.omega
+    monkeypatch.setattr(checks, "hilb_index", dropped)
+    with pytest.raises(ConsistencyError) as err:
+        checks.index_consistency(None)
+    assert str(err.value) == ("MukaiVector(r=1, beta_sq=-2, tau=-20): index -19 "
+                              "is not half the moduli dimension -40")
+    monkeypatch.setattr(checks, "moduli_dim", lambda v, p0: 2 * dropped(v))
+    with pytest.raises(ConsistencyError) as err:
+        checks.index_consistency(None)
+    assert str(err.value) == ("MukaiVector(r=1, beta_sq=-2, tau=-1): dt_from_nl "
+                              "gives 0, not chi(Hilb^0) = 1")
 
 
 def test_moduli_dim():
