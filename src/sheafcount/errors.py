@@ -6,8 +6,8 @@ class ConsistencyError(RuntimeError):
 
     Raised when two computations that must agree by theory disagree in
     practice: a localization sum that fails to be constant, sampled values
-    that differ between sample points, the two closed forms of a moduli
-    index coming apart, or a symmetry extension that assigns two values to
+    that differ between sample points, a moduli index that is not half the
+    moduli dimension, or a symmetry extension that assigns two values to
     one cell.  Any instance of this means a bug, not bad user input.
     """
 

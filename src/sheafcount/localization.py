@@ -512,8 +512,11 @@ def p3_point_count(s: int, d: int) -> int:
 
     A degree-s surface and a degree-d curve in projective 3-space meet the
     counting problem through n = s(s+3)/2 - d + 1 free points; a negative
-    value has no moduli interpretation and is rejected.
+    value has no moduli interpretation and is rejected, as are negative
+    degrees.
     """
+    if s < 0 or d < 0:
+        raise ValueError("degrees must be nonnegative: s=%d, d=%d" % (s, d))
     n = s * (s + 3) // 2 - d + 1
     if n < 0:
         raise ValueError("no configuration: s=%d, d=%d give n=%d < 0" % (s, d, n))

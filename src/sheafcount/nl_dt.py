@@ -175,9 +175,15 @@ class NLTable:
             raise NLValidationError("ell must be a positive integer")
         table = {}
         for (h, d), v in dict(entries).items():
-            if not isinstance(h, int) or not isinstance(d, int):
+            if not isinstance(h, int) or isinstance(h, bool) \
+                    or not isinstance(d, int) or isinstance(d, bool):
                 raise NLValidationError("indices must be integers: (%r, %r)" % (h, d))
-            v = v if isinstance(v, Fraction) else Fraction(v)
+            if not isinstance(v, Fraction):
+                if isinstance(v, float):
+                    raise NLValidationError(
+                        "entry at (h=%d, d=%d): %r is floating point, not an "
+                        "exact rational" % (h, d, v))
+                v = Fraction(v)
             if not v:
                 continue
             if not self.bound_ok(h, d, ell):

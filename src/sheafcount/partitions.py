@@ -24,24 +24,23 @@ def check_partition(p) -> tuple:
     return p
 
 
-def enumerate_partitions(n: int, max_part=None) -> list:
+def enumerate_partitions(n: int) -> list:
     """All partitions of n, in lexicographically decreasing order.
 
     The order is part of the contract: downstream enumeration of fixed
-    points relies on it being deterministic.  max_part caps the largest
-    part (used by the recursion).
+    points relies on it being deterministic.
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    if max_part is None or max_part > n:
-        max_part = n
+    return _partitions(n, n)
+
+
+def _partitions(n: int, max_part: int) -> list:
+    # the partitions of n with no part above max_part
     if n == 0:
         return [()]
-    out = []
-    for first in range(max_part, 0, -1):
-        for rest in enumerate_partitions(n - first, first):
-            out.append((first,) + rest)
-    return out
+    return [(first,) + rest for first in range(min(max_part, n), 0, -1)
+            for rest in _partitions(n - first, first)]
 
 
 def boxes(p):

@@ -15,7 +15,7 @@ it is the twenty-fourth power of the Dedekind eta function divided by q.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 __all__ = [
     "PuiseuxSeries", "goettsche_series", "hilb_euler",
@@ -42,7 +42,11 @@ class PuiseuxSeries:
         for k, v in dict(coeffs).items():
             if not isinstance(k, int):
                 raise ValueError("exponent numerators must be integers")
-            v = v if isinstance(v, Fraction) else Fraction(v)
+            if not isinstance(v, Fraction):
+                if isinstance(v, float):
+                    raise ValueError("coefficient %r at %s/%s is floating point, "
+                                     "not an exact rational" % (v, k, grid))
+                v = Fraction(v)
             if v:
                 if k > trunc:
                     raise ValueError(
@@ -98,18 +102,11 @@ class PuiseuxSeries:
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.trunc == b.trunc and a.coeffs == b.coeffs
+        # bound and terms do not change when the grid is refined
+        return self.bound == other.bound and self.terms() == other.terms()
 
     def __hash__(self):
-        g = 0
-        for k in self.coeffs:
-            g = gcd(g, k)
-        g = gcd(g, self.trunc) or 1
-        # hash is grid-refinement invariant
-        return hash((self.grid // gcd(self.grid, g),
-                     frozenset((Fraction(k, self.grid), v) for k, v in self.coeffs.items()),
-                     Fraction(self.trunc, self.grid)))
+        return hash((self.bound, tuple(self.terms())))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -183,10 +180,6 @@ class PuiseuxSeries:
     def terms(self):
         """Sorted list of (exponent, coefficient) Fraction pairs."""
         return [(Fraction(k, self.grid), v) for k, v in sorted(self.coeffs.items())]
-
-    def to_pairs(self):
-        """Serialization: (exponent, coefficient) as exact fraction strings."""
-        return [(str(e), str(c)) for e, c in self.terms()]
 
     def __str__(self):
         bits = []

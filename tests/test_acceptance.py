@@ -11,17 +11,17 @@ import time
 from sheafcount.checks import CHECKS
 
 
-def _gate(check):
+def _gate(number, check):
     def test():
         t0 = time.monotonic()
-        detail = check.fn(None)
+        detail = check.fn()
         elapsed = time.monotonic() - t0
         if check.budget is not None:
             assert elapsed < check.budget
-        print("criterion %d: PASS (%s, %.2fs)" % (check.number, detail, elapsed))
-    test.__name__ = "test_criterion_%02d_%s" % (check.number, check.fn.__name__)
+        print("criterion %d: PASS (%s, %.2fs)" % (number, detail, elapsed))
+    test.__name__ = "test_criterion_%02d_%s" % (number, check.fn.__name__)
     return test
 
 
-for _test in map(_gate, CHECKS):
+for _test in (_gate(number, check) for number, check in enumerate(CHECKS, 1)):
     globals()[_test.__name__] = _test

@@ -123,6 +123,13 @@ def test_p3_domain_error(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("s, d", [("-5", "0"), ("1", "-5")])
+def test_p3_negative_degrees_refused(capsys, s, d):
+    code, out, err = run(capsys, ["p3", "--s", s, "--d", d])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "s=%s, d=%s" % (s, d) in err
+
+
 # -- argparse-level failures --------------------------------------------
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -141,6 +148,14 @@ def test_no_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 1
+
+
+def test_check_takes_no_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--seed", "17"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert len(err.splitlines()) == 1 and "--seed" in err
 
 
 # -- series commands -----------------------------------------------------
@@ -610,7 +625,6 @@ def test_nl_extend_odd_ell_exits_one(capsys, tmp_path):
     pytest.param(["dt", "--nl", fixture("two_copies"), "--d", "0",
                   "--c", "2"], id="dt"),
     pytest.param(["nl-validate", fixture("two_copies")], id="nl-validate"),
-    pytest.param(["check"], id="check"),
 ])
 def test_structured_prints_one_json_object_per_result(capsys, argv):
     # --verbose comment lines start with "#" and stay text
@@ -639,16 +653,8 @@ def test_check_structured(capsys):
     assert all(doc["ok"] is True and doc["detail"] for doc in docs)
 
 
-def test_check_seed_reproducible(capsys):
-    for fmt in ("text", "structured"):
-        argv = ["check", "--seed", "17", "--format", fmt]
-        _, out1, _ = run(capsys, argv)
-        _, out2, _ = run(capsys, argv)
-        assert out1 == out2
-
-
 def test_check_failure_runs_the_rest(capsys, monkeypatch):
-    def broken(seed):
+    def broken():
         raise ConsistencyError("planted disagreement")
     patched = list(checks.CHECKS)
     patched[7] = patched[7]._replace(fn=broken)
@@ -675,6 +681,7 @@ def test_byte_identical_reruns(capsys):
         ["z", "--nl", fixture("mixed_shift"), "--terms", "4"],
         ["nl-extend", fixture("symmetry_window"), "--h-lo", "0",
          "--d-min", "0", "--d-max", "9"],
+        ["check", "--format", "structured"],
     ]
     for argv in invocations:
         _, first, _ = run(capsys, argv)

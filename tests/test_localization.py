@@ -82,7 +82,7 @@ def test_contribution_routes_catch_swapped_legs(monkeypatch):
     # box's, and check 3 names the first configuration where they differ
     monkeypatch.setattr(localization, "_p3_factors", localization._p2_factors)
     with pytest.raises(ConsistencyError) as err:
-        checks.contribution_routes(None)
+        checks.contribution_routes()
     assert str(err.value) == "contribution routes disagree at ((), (), (1,))"
 
 
@@ -163,7 +163,7 @@ def test_per_triple_sum_catches_a_wrong_obstruction(monkeypatch):
                         tangent_character)
     assert localization._per_triple_sum(1) == 3
     with pytest.raises(ConsistencyError) as err:
-        checks.sum_constancy(None)
+        checks.sum_constancy()
     assert str(err.value) == "n=1: per-triple sum 3 != 7"
 
 
@@ -426,6 +426,9 @@ def test_point_count_table():
     assert p3_point_count(1, 2) == 1
     with pytest.raises(ValueError):
         p3_point_count(0, 2)
+    for s, d in ((-5, 0), (1, -5)):
+        with pytest.raises(ValueError, match="s=%d, d=%d" % (s, d)):
+            p3_point_count(s, d)
 
 
 def test_negative_n_rejected():

@@ -75,12 +75,12 @@ def test_index_check_catches_a_dropped_term(monkeypatch):
         return v.h - v.r * v.omega
     monkeypatch.setattr(checks, "hilb_index", dropped)
     with pytest.raises(ConsistencyError) as err:
-        checks.index_consistency(None)
+        checks.index_consistency()
     assert str(err.value) == ("MukaiVector(r=1, beta_sq=-2, tau=-20): index -19 "
                               "is not half the moduli dimension -40")
     monkeypatch.setattr(checks, "moduli_dim", lambda v, p0: 2 * dropped(v))
     with pytest.raises(ConsistencyError) as err:
-        checks.index_consistency(None)
+        checks.index_consistency()
     assert str(err.value) == ("MukaiVector(r=1, beta_sq=-2, tau=-1): dt_from_nl "
                               "gives 0, not chi(Hilb^0) = 1")
 
@@ -224,6 +224,11 @@ def test_zero_entries_dropped():
     assert len(t) == 1
     assert t.value(1, 1) == 0
     assert t.value(0, 0) == 3
+    with pytest.raises(NLValidationError, match="floating point"):
+        NLTable(4, {(0, 1): 0.1})
+    for key in ((True, 1), (0, False)):
+        with pytest.raises(NLValidationError, match="integers"):
+            NLTable(4, {key: 1})
 
 
 def test_bound_edge_cases():
@@ -670,11 +675,11 @@ def test_z_exponents_in_their_class(monkeypatch):
             return {d: s.shift(step) for d, s in route(spec, terms).items()}
         return fn
 
-    assert "exponents of Z_d in d^2/2ell + Z" in checks.closed_equals_direct(None)
+    assert "exponents of Z_d in d^2/2ell + Z" in checks.closed_equals_direct()
     monkeypatch.setattr(checks, "z_series_closed", shifted(z_series_closed))
     monkeypatch.setattr(checks, "z_series_direct", shifted(z_series_direct))
     with pytest.raises(ConsistencyError) as err:
-        checks.closed_equals_direct(None)
+        checks.closed_equals_direct()
     assert "is not d^2/2ell mod 1" in str(err.value)
 
 

@@ -22,12 +22,14 @@ def test_removed_names_are_gone():
     # evaluates a rational function, so nothing raises PoleError; a
     # contribution is a Contribution of cancelled linear forms, so the
     # Poly and RationalFunction types and their module are gone; dt_p3(s, d)
-    # is hilb_chern_integral(p3_point_count(s, d))
+    # is hilb_chern_integral(p3_point_count(s, d)); s.to_pairs() is the
+    # exponent and coefficient strings of s.terms()
     for name in ("eta24", "PoleError", "Poly", "RationalFunction", "dt_p3"):
         assert name not in sheafcount.__all__
         assert not hasattr(sheafcount, name)
     assert not hasattr(qseries, "eta24") and "eta24" not in qseries.__all__
     assert not hasattr(errors, "PoleError")
     assert not hasattr(localization, "dt_p3")
+    assert not hasattr(qseries.PuiseuxSeries, "to_pairs")
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("sheafcount.ratfunc")

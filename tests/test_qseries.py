@@ -133,6 +133,8 @@ def test_constructor_normalizes():
         PuiseuxSeries(2, {7: 1}, 6)      # above truncation
     with pytest.raises(ValueError):
         PuiseuxSeries(0, {}, 1)
+    with pytest.raises(ValueError, match="floating point"):
+        PuiseuxSeries(1, {0: 0.1}, 3)
 
 
 def test_equality_is_grid_invariant():
@@ -235,9 +237,3 @@ def test_string_form():
     text = str(s)
     assert "q^(-7/8)" in text and "O(q^(9/4))" in text
     assert str(PuiseuxSeries(1, {}, 3)) == "0 + O(q^(4))"
-
-
-def test_to_pairs_exact_strings():
-    s = PuiseuxSeries(8, {-7: Fraction(3, 4)}, 17)
-    assert s.to_pairs() == [("-7/8", "3/4")]
-
