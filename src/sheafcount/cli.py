@@ -138,6 +138,9 @@ def cmd_p3(args) -> int:
     if n > P3_MAX_N:
         raise ValueError("n = %d is above the cap of %d points"
                          % (n, P3_MAX_N))
+    if args.samples < 3:
+        raise ValueError("--samples %d is below the minimum of 3 points"
+                         % args.samples)
     if args.samples > P3_MAX_SAMPLES:
         raise ValueError("--samples %d is above the cap of %d"
                          % (args.samples, P3_MAX_SAMPLES))

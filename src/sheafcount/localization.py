@@ -59,6 +59,12 @@ their integer contents, and N_k an integer polynomial.  B_k is A_k
 mirrored by _mirror; sampled mode, both contribution routes and
 _per_triple_sum evaluate G themselves.
 
+A leg A_k depends on k alone, so _a_leg packs it once per process and keeps
+it in an lru_cache of at most _LEG_KEYS = 64 values of k, the least recently
+used dropped.  Several n in one process (library use, check) sum each leg
+once; a single call sums every leg it needs, as before.  _mirror with its
+shape guard, the convolution and the N = c * D check run on every call.
+
 Polynomials are summed by Kronecker substitution: every form is evaluated
 at one integer T = 2^B, so each product and sum is one big-integer
 operation, and the integer N_k(T) is unpacked into its signed base-T
@@ -79,6 +85,7 @@ leg and checks it by the same literal test: no rational function is added.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -93,6 +100,8 @@ from .partitions import (arm, boxes, check_partition, enumerate_partitions,
 DEFAULT_SEED = 1729
 
 _BOUND = 10**6
+
+_LEG_KEYS = 64   # legs A_k kept by _a_leg, the least recently used dropped
 
 
 def _weights(triple, shift):
@@ -374,6 +383,13 @@ def _leg_poly(legs):
     return _packed(numerator)
 
 
+@functools.lru_cache(maxsize=_LEG_KEYS)
+def _a_leg(k):
+    """A_k = (N_k, c_k, L_k), _leg_poly over the F forms of every partition
+    of k: summed once per process and k, and shared, so never mutated."""
+    return _leg_poly(map(_p2_factors, enumerate_partitions(k)))
+
+
 def _mirror(leg, k):
     """B_k(t) = A_k(1/t) = rev(N) / (c prod(j*t + i)) from A_k = (N, c, L),
     over the forms (j, i) of L swapped, those with j < 0 negated and N's
@@ -455,20 +471,22 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     linear forms, as big integers packed at T = 2^B with B from a proven
     l1 bound, unpacks the numerator N and checks literally that it is a
     constant multiple c * D of the expanded denominator; a non-constant sum
-    would mean a bug and raises ConsistencyError.  sampled mode evaluates
-    the sum at `samples` distinct random rational points with numerators
-    and denominators bounded by 10**6, resampling when a point is a pole of
-    some F or G, and requires exact agreement.  Every partition of size at
-    most n is p2 or p3 of some triple, so the poles are those of the
-    per-triple sum.
+    would mean a bug and raises ConsistencyError.  Each A_k is read from
+    _a_leg's lru_cache of at most _LEG_KEYS = 64 legs, so a call after one
+    at n' sums only the legs with k > n' (none if n <= n'); a first call
+    sums them all.  The mirror, its shape guard, the convolution and the
+    check run on every call.  sampled mode evaluates the sum at `samples`
+    distinct random rational points with numerators and denominators
+    bounded by 10**6, resampling when a point is a pole of some F or G, and
+    requires exact agreement.  Every partition of size at most n is p2 or
+    p3 of some triple, so the poles are those of the per-triple sum.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     sizes = [enumerate_partitions(k) for k in range(n + 1)]
     counts = [len(ps) for ps in sizes]
-    F = [[_p2_factors(lam) for lam in ps] for ps in sizes]
     if mode == "symbolic":
-        legs = list(map(_leg_poly, F))
+        legs = list(map(_a_leg, range(n + 1)))
         A = [([N], c, L) for N, c, L in legs]
         B = [([N], c, L) for N, c, L in map(_mirror, legs, range(n + 1))]
 
@@ -480,6 +498,7 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     if mode == "sampled":
         if samples < 3:
             raise ValueError("sampled mode needs at least 3 points")
+        F = [[_p2_factors(lam) for lam in ps] for ps in sizes]
         G = [[_p3_factors(lam) for lam in ps] for ps in sizes]
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
         seen = set()

@@ -34,13 +34,14 @@ class PuiseuxSeries:
     __slots__ = ("grid", "coeffs", "trunc")
 
     def __init__(self, grid: int, coeffs, trunc: int):
-        if not isinstance(grid, int) or grid < 1:
+        # bool is an int subclass, but True is no exponent or grid
+        if not isinstance(grid, int) or isinstance(grid, bool) or grid < 1:
             raise ValueError("grid must be a positive integer")
-        if not isinstance(trunc, int):
+        if not isinstance(trunc, int) or isinstance(trunc, bool):
             raise ValueError("truncation must be an integer numerator")
         clean = {}
         for k, v in dict(coeffs).items():
-            if not isinstance(k, int):
+            if not isinstance(k, int) or isinstance(k, bool):
                 raise ValueError("exponent numerators must be integers")
             if not isinstance(v, Fraction):
                 if isinstance(v, float):

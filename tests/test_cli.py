@@ -111,6 +111,21 @@ def test_p3_caps_refuse_up_front(capsys, argv):
     assert len(err.splitlines()) == 1 and "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "--samples", "0"],
+    ["--n", "3", "--samples", "2", "--verbose"],
+    ["--n", "3", "--mode", "sampled", "--samples", "2", "--verbose"],
+    ["--s", "1", "--d", "1", "--mode", "sampled", "--samples", "-1"],
+])
+def test_p3_refuses_too_few_samples(capsys, argv):
+    # in either mode, before anything is printed
+    code, out, err = run(capsys, ["p3"] + argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: --samples %s is below the minimum of 3 points"
+        % argv[argv.index("--samples") + 1]]
+
+
 def test_p3_at_cap_runs(capsys):
     # the largest n is accepted; sampled, because symbolic takes about 0.7 s
     n = cli.P3_MAX_N

@@ -32,6 +32,16 @@ from sheafcount.qseries import goettsche_series
 INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 
+@pytest.fixture(autouse=True)
+def cold_legs():
+    # the legs A_k are cached per process: a leg packed under one test's
+    # replaced _width or factors must not reach another test, and a test
+    # that expects a leg to be summed must find the cache empty
+    localization._a_leg.cache_clear()
+    yield
+    localization._a_leg.cache_clear()
+
+
 def test_single_box_characters_frozen():
     assert tangent_character(((), (1,), ())) == ((-1, 0), (-1, 1))
     assert obstruction_character(((), (1,), ())) == ((-2, 0), (-2, 1))
@@ -345,6 +355,48 @@ def test_integrals_match_series():
             assert hilb_chern_integral(n, "sampled", seed=seed) == INTEGRALS[n]
 
 
+def test_integrals_in_any_order():
+    # one process, the cache cold at the start of each order: ascending adds
+    # one leg a call, descending sums every leg in its first call, and the
+    # shuffled order mixes the two; every value is [q^n] prod (1-q^m)^-7
+    series = goettsche_series(7, 12)
+    shuffled = list(range(13))
+    random.Random(16).shuffle(shuffled)
+    for order in (range(13), range(12, -1, -1), shuffled):
+        localization._a_leg.cache_clear()
+        for n in order:
+            assert hilb_chern_integral(n) == series.coefficient(n), n
+    assert localization._a_leg.cache_info().currsize == 13
+
+
+def test_leg_cache_is_bounded(monkeypatch):
+    # with no partitions every leg is empty and cheap, so more values of k
+    # than the bound pass through: the least recently used are dropped
+    assert localization._LEG_KEYS == 64
+    assert localization._a_leg.cache_parameters()["maxsize"] == 64
+    monkeypatch.setattr(localization, "enumerate_partitions", lambda k: [])
+    for k in range(100):
+        assert localization._a_leg(k) == ([], 1, Counter())
+        assert localization._a_leg.cache_info().currsize == min(k + 1, 64)
+    misses = localization._a_leg.cache_info().misses
+    localization._a_leg(99)
+    localization._a_leg(0)
+    assert localization._a_leg.cache_info().misses == misses + 1
+
+
+def test_warm_leg_is_cold_leg():
+    # a leg read from the cache is the leg summed afresh, and a value read
+    # through warm legs is the value read through cold ones
+    warm = [hilb_chern_integral(n) for n in range(10, -1, -1)][::-1]
+    for k in range(11):
+        fresh = localization._leg_poly(
+            [localization._p2_factors(lam) for lam in enumerate_partitions(k)])
+        assert localization._a_leg(k) == fresh, k
+    for n in range(11):
+        localization._a_leg.cache_clear()
+        assert hilb_chern_integral(n) == warm[n] == INTEGRALS[n], n
+
+
 # the reduced non-constant sums with G replaced by F, as printed when the
 # reduction still went through a polynomial gcd
 NON_CONSTANT = {
@@ -367,6 +419,24 @@ def test_non_constant_sum_raises(monkeypatch):
     monkeypatch.setattr(localization, "_p3_factors", localization._p2_factors)
     with pytest.raises(ConsistencyError):
         hilb_chern_integral(2, "sampled")
+
+
+def test_warm_call_still_checks(monkeypatch):
+    # the mirror, its shape guard, the convolution and N = c * D run on every
+    # call: with every leg cached, a broken mirror still raises
+    hilb_chern_integral(3)
+    real = localization._mirror
+    monkeypatch.setattr(localization, "_mirror",
+                        lambda leg, k: _unreversed(real, leg, k))
+    with pytest.raises(ConsistencyError):
+        hilb_chern_integral(2)
+    monkeypatch.setattr(localization, "_mirror", lambda leg, k: leg)
+    for n, text in NON_CONSTANT.items():
+        with pytest.raises(ConsistencyError) as err:
+            hilb_chern_integral(n)
+        assert str(err.value) == (
+            "localization sum for n=%d is not constant: %s" % (n, text))
+    assert localization._a_leg.cache_info().misses == 4
 
 
 def test_sampled_integrals():

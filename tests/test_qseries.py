@@ -137,6 +137,14 @@ def test_constructor_normalizes():
         PuiseuxSeries(1, {0: 0.1}, 3)
 
 
+def test_constructor_refuses_bool():
+    # bool is an int subclass: True would be stored as an exponent or grid
+    for grid, coeffs, trunc in ((1, {True: 1}, 3), (1, {False: 1}, 3),
+                                (True, {}, 3), (1, {}, True)):
+        with pytest.raises(ValueError, match="integer"):
+            PuiseuxSeries(grid, coeffs, trunc)
+
+
 def test_equality_is_grid_invariant():
     a = PuiseuxSeries(1, {1: 5}, 5)
     b = PuiseuxSeries(2, {2: 5}, 10)
