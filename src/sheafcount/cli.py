@@ -21,7 +21,12 @@ import sys
 from fractions import Fraction
 
 from .errors import ConsistencyError, NLValidationError
-from .localization import fixed_point_contribution, hilb_chern_integral, p3_point_count
+from .localization import (
+    MIN_SAMPLES,
+    fixed_point_contribution,
+    hilb_chern_integral,
+    p3_point_count,
+)
 from .nl_dt import (
     FibrationSpec,
     HilbertPolyK3,
@@ -138,9 +143,9 @@ def cmd_p3(args) -> int:
     if n > P3_MAX_N:
         raise ValueError("n = %d is above the cap of %d points"
                          % (n, P3_MAX_N))
-    if args.samples < 3:
-        raise ValueError("--samples %d is below the minimum of 3 points"
-                         % args.samples)
+    if args.samples < MIN_SAMPLES:
+        raise ValueError("--samples %d is below the minimum of %d points"
+                         % (args.samples, MIN_SAMPLES))
     if args.samples > P3_MAX_SAMPLES:
         raise ValueError("--samples %d is above the cap of %d"
                          % (args.samples, P3_MAX_SAMPLES))
@@ -291,8 +296,9 @@ def build_parser() -> CliParser:
     p.add_argument("--d", type=int, default=None, help="curve degree")
     p.add_argument("--mode", choices=("symbolic", "sampled"),
                    default="symbolic")
-    p.add_argument("--samples", type=int, default=3,
-                   help="evaluation points in sampled mode (>= 3)")
+    p.add_argument("--samples", type=int, default=MIN_SAMPLES,
+                   help="evaluation points in sampled mode (>= %d)"
+                   % MIN_SAMPLES)
     p.add_argument("--seed", type=int, default=None,
                    help="seed for sampled mode (fixed default)")
     p.add_argument("--verbose", action="store_true",

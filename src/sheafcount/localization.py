@@ -60,10 +60,11 @@ mirrored by _mirror; sampled mode, both contribution routes and
 _per_triple_sum evaluate G themselves.
 
 A leg A_k depends on k alone, so _a_leg packs it once per process and keeps
-it in an lru_cache of at most _LEG_KEYS = 64 values of k, the least recently
-used dropped.  Several n in one process (library use, check) sum each leg
-once; a single call sums every leg it needs, as before.  _mirror with its
-shape guard, the convolution and the N = c * D check run on every call.
+it in a functools.cache: one entry per k asked for, and the work grows about
+1.8x per point, so no run holds more than a few dozen.  Several n in one
+process (check, a library loop over n) sum each leg once; a single call
+sums every leg it needs, as before.  _mirror with its shape guard, the
+convolution and the N = c * D check run on every call.
 
 Polynomials are summed by Kronecker substitution: every form is evaluated
 at one integer T = 2^B, so each product and sum is one big-integer
@@ -101,7 +102,7 @@ DEFAULT_SEED = 1729
 
 _BOUND = 10**6
 
-_LEG_KEYS = 64   # legs A_k kept by _a_leg, the least recently used dropped
+MIN_SAMPLES = 3   # sampled mode's fewest points, and the default
 
 
 def _weights(triple, shift):
@@ -383,7 +384,7 @@ def _leg_poly(legs):
     return _packed(numerator)
 
 
-@functools.lru_cache(maxsize=_LEG_KEYS)
+@functools.cache
 def _a_leg(k):
     """A_k = (N_k, c_k, L_k), _leg_poly over the F forms of every partition
     of k: summed once per process and k, and shared, so never mutated."""
@@ -462,7 +463,7 @@ def _per_triple_sum(n) -> Fraction:
 
 
 def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
-                        samples: int = 3) -> Fraction:
+                        samples: int = MIN_SAMPLES) -> Fraction:
     """Integral of the top Chern class over Hilb^n of the plane.
 
     Both modes take the factored sum of the module docstring.  symbolic
@@ -472,13 +473,12 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     l1 bound, unpacks the numerator N and checks literally that it is a
     constant multiple c * D of the expanded denominator; a non-constant sum
     would mean a bug and raises ConsistencyError.  Each A_k is read from
-    _a_leg's lru_cache of at most _LEG_KEYS = 64 legs, so a call after one
-    at n' sums only the legs with k > n' (none if n <= n'); a first call
-    sums them all.  The mirror, its shape guard, the convolution and the
-    check run on every call.  sampled mode evaluates the sum at `samples`
-    distinct random rational points with numerators and denominators
-    bounded by 10**6, resampling when a point is a pole of some F or G, and
-    requires exact agreement.  Every partition of size at most n is p2 or
+    _a_leg's cache, so a call after one at n' sums only the legs with
+    k > n' (none if n <= n'); a first call sums them all.  The mirror, its
+    shape guard, the convolution and the check run on every call.  sampled
+    mode evaluates the sum at `samples` distinct random rational points
+    with numerators and denominators bounded by 10**6, resampling when a
+    point is a pole of some F or G, and requires exact agreement.  Every partition of size at most n is p2 or
     p3 of some triple, so the poles are those of the per-triple sum.
     """
     if n < 0:
@@ -496,8 +496,9 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
             return _convolve(counts, QA, QB), ea * eb, MA + MB
         return _constant(n, *_packed(numerator))
     if mode == "sampled":
-        if samples < 3:
-            raise ValueError("sampled mode needs at least 3 points")
+        if samples < MIN_SAMPLES:
+            raise ValueError("sampled mode needs at least %d points"
+                             % MIN_SAMPLES)
         F = [[_p2_factors(lam) for lam in ps] for ps in sizes]
         G = [[_p3_factors(lam) for lam in ps] for ps in sizes]
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
