@@ -9,13 +9,16 @@ is a bug; it is reported as one stderr line, "internal error: <Type>:
 arguments is overridden to keep code 2 unambiguous.
 
 All output is deterministic: same invocation, same bytes.  Sampled
-evaluation uses a fixed default seed unless --seed is given.
+evaluation uses a fixed default seed unless --seed is given.  stdout is
+written once a subcommand returns, and empty if it fails; results print whole.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -51,11 +54,23 @@ class CliParser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+@contextlib.contextmanager
+def _any_length():
+    # Python caps the digits of str(int) (3.11, and 3.10.7 on) to guard
+    # parsing, which keeps the cap; a result is printed whole, however long
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
+@_any_length()
 def _emit_value(v, fmt: str):
-    if fmt == "structured":
-        print(json.dumps({"value": str(v)}))
-    else:
-        print(v)
+    print(json.dumps({"value": str(v)}) if fmt == "structured" else v)
 
 
 def _series_doc(s: PuiseuxSeries) -> dict:
@@ -72,6 +87,7 @@ def _print_series_text(s: PuiseuxSeries):
     print("O(q^(%s))" % Fraction(s.trunc + 1, s.grid))
 
 
+@_any_length()
 def _emit_series(s: PuiseuxSeries, fmt: str):
     if fmt == "structured":
         print(json.dumps(_series_doc(s)))
@@ -79,6 +95,7 @@ def _emit_series(s: PuiseuxSeries, fmt: str):
         _print_series_text(s)
 
 
+@_any_length()
 def _emit_components(comp: dict, fmt: str):
     if fmt == "structured":
         print(json.dumps(
@@ -130,6 +147,9 @@ def _require_order(m: int, what: str):
 
 
 def cmd_p3(args) -> int:
+    if args.mode == "symbolic" and (args.samples is not None
+                                    or args.seed is not None):
+        raise ValueError("--samples and --seed apply to --mode sampled only")
     if args.n is not None:
         if args.s is not None or args.d is not None:
             raise ValueError("give either --n or the pair --s/--d, not both")
@@ -143,20 +163,20 @@ def cmd_p3(args) -> int:
     if n > P3_MAX_N:
         raise ValueError("n = %d is above the cap of %d points"
                          % (n, P3_MAX_N))
-    if args.samples < MIN_SAMPLES:
+    samples = MIN_SAMPLES if args.samples is None else args.samples
+    if samples < MIN_SAMPLES:
         raise ValueError("--samples %d is below the minimum of %d points"
-                         % (args.samples, MIN_SAMPLES))
-    if args.samples > P3_MAX_SAMPLES:
+                         % (samples, MIN_SAMPLES))
+    if samples > P3_MAX_SAMPLES:
         raise ValueError("--samples %d is above the cap of %d"
-                         % (args.samples, P3_MAX_SAMPLES))
+                         % (samples, P3_MAX_SAMPLES))
     if args.verbose:
         triples = enumerate_triples(n)
         print("# %d monomial configurations for n = %d" % (len(triples), n))
         if args.mode == "symbolic":
             for tr in triples:
                 print("# %r: %s" % (tr, fixed_point_contribution(tr)))
-    value = hilb_chern_integral(n, args.mode, seed=args.seed,
-                                samples=args.samples)
+    value = hilb_chern_integral(n, args.mode, seed=args.seed, samples=samples)
     _emit_value(value, args.format)
     return 0
 
@@ -291,14 +311,14 @@ def build_parser() -> CliParser:
     p = sub.add_parser("p3", parents=[common],
                        help="point-insertion invariant of projective 3-space")
     p.add_argument("--n", type=int, default=None,
-                   help="number of points (overrides --s/--d)")
+                   help="number of points (or give --s and --d)")
     p.add_argument("--s", type=int, default=None, help="surface degree")
     p.add_argument("--d", type=int, default=None, help="curve degree")
     p.add_argument("--mode", choices=("symbolic", "sampled"),
                    default="symbolic")
-    p.add_argument("--samples", type=int, default=MIN_SAMPLES,
-                   help="evaluation points in sampled mode (>= %d)"
-                   % MIN_SAMPLES)
+    p.add_argument("--samples", type=int, default=None,
+                   help="evaluation points in sampled mode (%d to %d, "
+                   "default %d)" % (MIN_SAMPLES, P3_MAX_SAMPLES, MIN_SAMPLES))
     p.add_argument("--seed", type=int, default=None,
                    help="seed for sampled mode (fixed default)")
     p.add_argument("--verbose", action="store_true",
@@ -359,8 +379,13 @@ def build_parser() -> CliParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # looked up at call time, so that a replaced cmd_<command> is called
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        # looked up at call time, so that a replaced cmd_<command> is called;
+        # its output reaches stdout only once it has returned
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()   # a failed write is reported here, as exit 1
+        return code
     except ConsistencyError as exc:
         print("consistency failure: %s" % exc, file=sys.stderr)
         return 2

@@ -18,17 +18,14 @@ diagram convention):
 
 The obstruction character is identical except that every p2 pair is shifted
 by t1^-1 and every p3 pair by t2^-1.  The p1 blocks of the two characters
-coincide, so their weight factors cancel in the fixed-point contribution;
-fixed_point_contribution never materializes them, while the slower
-character-quotient route in contribution_from_characters cancels them as
-multisets and serves as an independent check.  The two routes take their
-weights independently and share only the cancel step _contribution: both
-lists of forms are split into an integer and primitive forms i*t + j with
-i > 0, and the forms common to both cancel as multisets.  What is left is
-a Contribution, scale * prod(num) / prod(den) with no form shared.  Over Q
-linear forms are irreducible, so by Gauss's lemma that is the coprime,
-canonical form: equal Contributions are equal functions, and no polynomial
-gcd is ever taken.
+coincide and cancel: fixed_point_contribution never materializes them,
+while contribution_from_characters, the slower character-quotient route
+and an independent check, cancels them as multisets.  The two routes share
+only the cancel step _contribution, which splits both lists of forms into
+an integer and primitive forms i*t + j with i > 0 and cancels the forms
+common to both.  The Contribution left, scale * prod(num) / prod(den), is
+coprime and canonical by Gauss's lemma, linear forms over Q being
+irreducible: equal Contributions are equal functions, with no gcd taken.
 
 The localization sum over all triples of total size n evaluates the
 integral of the top Chern class of the rank-2n obstruction bundle.  A
@@ -48,23 +45,14 @@ G(lam)(t) = F(lam)(1/t) and B_k(t) = A_k(1/t).  By theory the result is a
 constant (the equivariant parameters drop out), which the symbolic mode
 verifies literally and the sampled mode verifies at random rational points.
 
-The symbolic mode sums in big integers, with no polynomial gcd, no
-Fraction and no polynomial expanded term by term.  Each F(lam) is an
-integer times a product of numerator forms i*t + j over a product of
-denominator forms.  Made primitive, with a positive leading coefficient,
-equal forms compare equal, and the forms common to a numerator and its
-denominator cancel.  Then A_k = N_k / (c_k prod L_k): L_k is the multiset
+The symbolic mode sums in big integers: it divides no polynomial, takes
+no Fraction and expands no polynomial term by term.  Each F(lam), its
+forms split and cancelled as above, is an integer times primitive forms
+over primitive forms, so A_k = N_k / (c_k prod L_k): L_k is the multiset
 union of the denominator forms over the partitions of k, c_k the lcm of
 their integer contents, and N_k an integer polynomial.  B_k is A_k
 mirrored by _mirror; sampled mode, both contribution routes and
 _per_triple_sum evaluate G themselves.
-
-A leg A_k depends on k alone, so _a_leg packs it once per process and keeps
-it in a functools.cache: one entry per k asked for, and the work grows about
-1.8x per point, so no run holds more than a few dozen.  Several n in one
-process (check, a library loop over n) sum each leg once; a single call
-sums every leg it needs, as before.  _mirror with its shape guard, the
-convolution and the N = c * D check run on every call.
 
 Polynomials are summed by Kronecker substitution: every form is evaluated
 at one integer T = 2^B, so each product and sum is one big-integer
@@ -72,13 +60,12 @@ operation, and the integer N_k(T) is unpacked into its signed base-T
 digits.  B comes from a proven bound: the same code, run with each form
 replaced by |i| + |j|, bounds the l1 norm of N_k (||fg|| <= ||f|| ||g||),
 and a T whose half exceeds that bound makes the digits the coefficients.
-Each leg is packed at its own, narrower width, unpacked, and repacked at
-the width of the convolution.  The convolution is the one sampled mode
-takes, run on the packed integers over the common denominator
-D = c prod(L + L') of the unions L and L' of all L_k and L'_k, and
-unpacked into one numerator N.  The sum is constant exactly when N = c * D
-coefficient by coefficient, with D expanded form by form; this is checked
-literally before the constant c is returned.
+Each leg is packed at its own width, unpacked, and repacked for the
+convolution, sampled mode's, run over the common denominator
+D = c prod(L + L') of the legs and unpacked into one numerator N.  The
+sum is constant exactly when N = c * D coefficient by coefficient, with D
+expanded form by form; this is checked literally before c is returned,
+and a sum that fails is reported as the quotient N / D checked, unreduced.
 
 _per_triple_sum packs the unfactored sum of the weight quotients like one
 leg and checks it by the same literal test: no rational function is added.
@@ -188,29 +175,11 @@ def _times_forms(coeffs, forms):
     return coeffs
 
 
-def _deflate(a, p, q):
-    """a / (q*t - p) for an integer coefficient list a (lowest first), or
-    None unless p/q is a root of a.  With gcd(p, q) = 1 the quotient has
-    integer coefficients (Gauss's lemma), so one inexact step shows that
-    p/q is not a root."""
-    out = []
-    carry = 0
-    for c in reversed(a[1:]):
-        carry, rem = divmod(c + p * carry, q)
-        if rem:
-            return None
-        out.append(carry)
-    if a[0] + p * carry:
-        return None
-    return out[::-1]
-
-
 def _poly_str(coeffs):
     """The nonzero polynomial coeffs (lowest first) in t, highest power
     first: 4*t - 2, 1/4*t^4 + 1/2*t^3."""
     parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
+    for e, c in reversed(list(enumerate(coeffs))):
         if not c:
             continue
         if e == 0:
@@ -218,18 +187,15 @@ def _poly_str(coeffs):
         else:
             head = "" if abs(c) == 1 else str(abs(c)) + "*"
             mon = head + ("t" if e == 1 else "t^%d" % e)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + mon)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + mon)
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + mon)
     return " ".join(parts)
 
 
 def _quotient_str(coeffs, scale, den):
     """The integer polynomial coeffs over scale * prod(den), den a sequence
-    of forms (j, i) with i > 0 and no root shared with coeffs, as its
-    numerator over its monic denominator, or its numerator alone when den
-    is empty."""
+    of forms (j, i) with i > 0, as its numerator over its monic
+    denominator, or its numerator alone when den is empty."""
     lead = prod(i for _, i in den)
     top = _poly_str([Fraction(c, scale * lead) for c in coeffs])
     if not den:
@@ -429,30 +395,15 @@ def contribution_from_characters(triple) -> Contribution:
     return _contribution(_character_forms(triple))
 
 
-def _reduced(N, L):
-    """(N', L') with N / prod(L) = N' / prod(L'): the integer coefficient
-    list N divided exactly by each form of the Counter L that divides it,
-    counted with multiplicity, and L' the list of the forms left."""
-    left = []
-    for j, i in L.elements():
-        q = _deflate(N, -j, i)
-        if q is None:
-            left.append((j, i))
-        else:
-            N = q
-    return N, left
-
-
 def _constant(n, N, scale, L) -> Fraction:
     """c with N = c * D coefficient by coefficient, D = scale * prod(L)
     expanded, for the sum over Hilb^n; ConsistencyError if there is none."""
     D = _times_forms([scale], L.elements())
     if N and (len(N) != len(D)
               or any(x * D[-1] != y * N[-1] for x, y in zip(N, D))):
-        N, left = _reduced(N, L)
         raise ConsistencyError(
             "localization sum for n=%d is not constant: %s"
-            % (n, _quotient_str(N, scale, left)))
+            % (n, _quotient_str(N, scale, list(L.elements()))))
     return Fraction(N[-1], D[-1]) if N else Fraction(0)
 
 
@@ -467,19 +418,15 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     """Integral of the top Chern class over Hilb^n of the plane.
 
     Both modes take the factored sum of the module docstring.  symbolic
-    mode sums A_k and their convolution with B_k(t) = A_k(1/t) (at s2 = 1
-    swapping the torus weights is t -> 1/t) over common denominators of
-    linear forms, as big integers packed at T = 2^B with B from a proven
-    l1 bound, unpacks the numerator N and checks literally that it is a
-    constant multiple c * D of the expanded denominator; a non-constant sum
-    would mean a bug and raises ConsistencyError.  Each A_k is read from
-    _a_leg's cache, so a call after one at n' sums only the legs with
-    k > n' (none if n <= n'); a first call sums them all.  The mirror, its
-    shape guard, the convolution and the check run on every call.  sampled
-    mode evaluates the sum at `samples` distinct random rational points
-    with numerators and denominators bounded by 10**6, resampling when a
-    point is a pole of some F or G, and requires exact agreement.  Every partition of size at most n is p2 or
-    p3 of some triple, so the poles are those of the per-triple sum.
+    mode packs it as described there and raises ConsistencyError unless
+    N = c * D, which would mean a bug.  Each A_k is read from _a_leg's
+    cache, so a call after one at n' sums only the legs with k > n'; the
+    mirror, its shape guard, the convolution and the check run on every
+    call.  sampled mode evaluates the sum at `samples` distinct random
+    rational points with numerators and denominators bounded by 10**6,
+    redrawing a point that is a pole of some F or G (every partition of
+    size at most n is p2 or p3 of some triple, so these are the poles of
+    the per-triple sum), and requires exact agreement.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -503,9 +450,8 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
         G = [[_p3_factors(lam) for lam in ps] for ps in sizes]
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
         seen = set()
-        values = []
-        points = []
-        while len(values) < samples:
+        drawn = []   # (point, value)
+        while len(drawn) < samples:
             t0 = Fraction(rng.randint(-_BOUND, _BOUND), rng.randint(1, _BOUND))
             if t0 in seen:
                 continue
@@ -516,14 +462,12 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
                 B = [sum(_value_at(g, p, q) for g in gs) for gs in G]
             except ZeroDivisionError:
                 continue  # t0 is a pole of some F or G: draw again
-            values.append(_convolve(counts, A, B))
-            points.append(t0)
-        if any(v != values[0] for v in values):
+            drawn.append((t0, _convolve(counts, A, B)))
+        if any(v != drawn[0][1] for _, v in drawn):
             raise ConsistencyError(
                 "sampled localization values disagree for n=%d: %s"
-                % (n, list(zip(points, values)))
-            )
-        return values[0]
+                % (n, drawn))
+        return drawn[0][1]
     raise ValueError("mode must be 'symbolic' or 'sampled', got %r" % (mode,))
 
 

@@ -100,7 +100,7 @@ def test_p3_conflicting_selectors(capsys):
     ["--n", str(10**6)],
     ["--n", str(cli.P3_MAX_N + 1)],
     ["--s", "2000", "--d", "0"],
-    ["--n", "3", "--samples", str(cli.P3_MAX_SAMPLES + 1)],
+    ["--n", "3", "--mode", "sampled", "--samples", str(10**6)],
     ["--n", "3", "--mode", "sampled", "--samples", str(cli.P3_MAX_SAMPLES + 1)],
 ])
 def test_p3_caps_refuse_up_front(capsys, argv):
@@ -112,18 +112,36 @@ def test_p3_caps_refuse_up_front(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--n", "3", "--samples", "0"],
-    ["--n", "3", "--samples", "2", "--verbose"],
+    ["--n", "3", "--mode", "sampled", "--samples", "0"],
+    ["--n", "3", "--mode", "sampled", "--samples", "2"],
     ["--n", "3", "--mode", "sampled", "--samples", "2", "--verbose"],
     ["--s", "1", "--d", "1", "--mode", "sampled", "--samples", "-1"],
 ])
 def test_p3_refuses_too_few_samples(capsys, argv):
-    # in either mode, before anything is printed
+    # before anything is printed
     code, out, err = run(capsys, ["p3"] + argv)
     assert code == 1 and out == ""
     assert err.splitlines() == [
         "error: --samples %s is below the minimum of 3 points"
         % argv[argv.index("--samples") + 1]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "--samples", "10", "--seed", "5"],
+    ["--n", "3", "--seed", "5"],
+    ["--n", "3", "--samples", "3"],
+    ["--n", "3", "--samples", "0"],
+    ["--n", "3", "--samples", "2", "--verbose"],
+    ["--n", "3", "--samples", str(cli.P3_MAX_SAMPLES + 1)],
+    ["--s", "1", "--d", "1", "--mode", "symbolic", "--seed", "1"],
+])
+def test_p3_symbolic_refuses_sampling_flags(capsys, argv):
+    # symbolic mode draws no points, so a flag that picks them changes
+    # nothing there and is refused, whatever its value
+    code, out, err = run(capsys, ["p3"] + argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: --samples and --seed apply to --mode sampled only"]
 
 
 def test_p3_at_cap_runs(capsys):
@@ -382,6 +400,67 @@ def test_dt_values(capsys):
     ]:
         code, out, _ = run(capsys, argv)
         assert code == 0 and out.strip() == want
+
+
+# the most digits Python converts between int and str (3.11, and 3.10.7 on)
+STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _long_table(path, digits):
+    # one entry, (h, d) = (1, 0) with value 10^(digits - 1), and k = 0
+    path.write_text(json.dumps({"ell": 2, "k": 0, "nl": [
+        {"h": 1, "d": 0, "value": "1" + "0" * (digits - 1)}]}))
+    return str(path)
+
+
+def test_results_longer_than_the_digit_cap_print(capsys, tmp_path):
+    # the table's one value has as many digits as Python will parse; the
+    # results are multiples of it, longer than that, and print whole
+    table = _long_table(tmp_path / "long.json", STR_DIGITS or 4300)
+    code, out, err = run(capsys, ["dt", "--nl", table, "--d", "0", "--c", "1"])
+    assert (code, err) == (0, "")
+    assert out == "12" + "0" * (len(out) - 3) + "\n" and len(out) > STR_DIGITS
+    code, out, err = run(capsys, ["z", "--nl", table, "--d", "0",
+                                  "--terms", "3"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 6 and lines[-1] == "O(q^(13/4))"
+    assert max(map(len, lines)) > STR_DIGITS
+
+
+@pytest.mark.skipif(not STR_DIGITS, reason="this Python has no digit cap")
+def test_table_literals_longer_than_the_digit_cap_are_refused(capsys,
+                                                              tmp_path):
+    table = _long_table(tmp_path / "long.json", STR_DIGITS + 1)
+    for argv in (["nl-validate", table],
+                 ["dt", "--nl", table, "--d", "0", "--c", "1"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and str(STR_DIGITS) in err
+
+
+def test_failed_run_prints_nothing_on_stdout(capsys, monkeypatch):
+    # what a subcommand printed before it failed is dropped, not written
+    def half_done(args):
+        print("q^(0): 1")
+        raise ConsistencyError("the second half disagrees")
+
+    monkeypatch.setattr(cli, "cmd_goettsche", half_done)
+    code, out, err = run(capsys, ["goettsche", "--terms", "2"])
+    assert code == 2 and out == ""
+    assert err == "consistency failure: the second half disagrees\n"
+
+
+def test_failed_write_exits_one(capsys, monkeypatch):
+    # a closed pipe or a full disk shows when stdout is flushed, which main
+    # does itself, so it ends in one stderr line and exit 1
+    class Closed(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert cli.main(["p3", "--n", "1"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_missing_table_file(capsys):
