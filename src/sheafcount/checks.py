@@ -39,7 +39,7 @@ from .nl_dt import (
     z_series_closed,
     z_series_direct,
 )
-from .partitions import enumerate_triples
+from .partitions import enumerate_partitions, enumerate_triples
 from .qseries import PuiseuxSeries, goettsche_series, hilb_euler
 
 _FIXTURE_NAMES = ("two_copies", "mixed_shift", "symmetry_window", "quartic_pencil")
@@ -133,8 +133,26 @@ def eta_identity() -> str:
                 == PuiseuxSeries(1, {0: 1}, 30),
                 "G_%d * G_%d != 1 through q^30, G_e = prod (1-q^n)^-e"
                 % (e, -e))
+    # closed forms that share no code with the Euler product, through the
+    # CLI's longest series (SERIES_MAX_ORDER): G_e * G_-e = 1 holds for any
+    # wrong base product, these do not
+    top = 1000
+    pentagonal = {k * (3 * k - 1) // 2: (-1) ** abs(k)
+                  for k in range(-top, top + 1)}
+    jacobi = {k * (k + 1) // 2: (-1) ** k * (2 * k + 1) for k in range(top)}
+    partitions = {n: len(enumerate_partitions(n)) for n in range(26)}
+    for e, order, want, what in ((-1, top, pentagonal, "pentagonal theorem"),
+                                 (-3, top, jacobi, "Jacobi's identity"),
+                                 (1, 25, partitions, "partition count")):
+        series = goettsche_series(e, order)
+        for m in range(order + 1):
+            got = series.coefficient(m)
+            _expect(got == want.get(m, 0), "[q^%d] prod (1-q^n)^%d is %s, "
+                    "the %s gives %s" % (m, -e, got, what, want.get(m, 0)))
     return ("G_e * G_-e = 1, G_e = prod (1-q^n)^-e, for e in -7, 0, 1, 7, "
-            "12, 24 through q^30, q^1 coefficient 24")
+            "12, 24 through q^30, q^1 coefficient 24; G_-1, G_-3 by the "
+            "pentagonal theorem and Jacobi's identity through q^1000, G_1 "
+            "against partition counts through q^25")
 
 
 def _exponents_in_class(closed: dict, ell: int, what: str) -> int:

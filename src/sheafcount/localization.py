@@ -51,8 +51,9 @@ forms split and cancelled as above, is an integer times primitive forms
 over primitive forms, so A_k = N_k / (c_k prod L_k): L_k is the multiset
 union of the denominator forms over the partitions of k, c_k the lcm of
 their integer contents, and N_k an integer polynomial.  B_k is A_k
-mirrored by _mirror; sampled mode, both contribution routes and
-_per_triple_sum evaluate G themselves.
+mirrored by _mirror.  Sampled mode reads B_k(p/q) off the forms of F
+evaluated at (q, p), which are the forms of G at (p, q) term by term;
+both contribution routes and _per_triple_sum evaluate G themselves.
 
 Polynomials are summed by Kronecker substitution: every form is evaluated
 at one integer T = 2^B, so each product and sum is one big-integer
@@ -447,7 +448,6 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
             raise ValueError("sampled mode needs at least %d points"
                              % MIN_SAMPLES)
         F = [[_p2_factors(lam) for lam in ps] for ps in sizes]
-        G = [[_p3_factors(lam) for lam in ps] for ps in sizes]
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
         seen = set()
         drawn = []   # (point, value)
@@ -459,7 +459,7 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
             p, q = t0.numerator, t0.denominator
             try:
                 A = [sum(_value_at(f, p, q) for f in fs) for fs in F]
-                B = [sum(_value_at(g, p, q) for g in gs) for gs in G]
+                B = [sum(_value_at(f, q, p) for f in fs) for fs in F]
             except ZeroDivisionError:
                 continue  # t0 is a pole of some F or G: draw again
             drawn.append((t0, _convolve(counts, A, B)))

@@ -473,7 +473,7 @@ def _z_component(spec: FibrationSpec, terms: int, d: int,
     # component d of z_series_closed, hilb = G_e / (2q) through q^terms
     phi = phi_series(spec, d, terms + 1)
     if d == 0 and spec.k:
-        phi = phi - Fraction(spec.k)
+        phi = phi + Fraction(-spec.k)
     return (phi * hilb).truncate(terms)
 
 

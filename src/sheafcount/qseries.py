@@ -112,10 +112,6 @@ class PuiseuxSeries:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __neg__(self):
-        return PuiseuxSeries(
-            self.grid, {k: -v for k, v in self.coeffs.items()}, self.trunc)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = PuiseuxSeries(self.grid, {0: Fraction(other)}, self.trunc)
@@ -132,14 +128,6 @@ class PuiseuxSeries:
                 else:
                     out.pop(k, None)
         return PuiseuxSeries(a.grid, out, trunc)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, PuiseuxSeries) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -165,8 +153,6 @@ class PuiseuxSeries:
                         out.pop(k, None)
         return PuiseuxSeries(a.grid, out, trunc)
 
-    __rmul__ = __mul__
-
     def shift(self, exponent):
         """Multiply by q^exponent, refining the grid as needed."""
         e = Fraction(exponent)
@@ -181,21 +167,6 @@ class PuiseuxSeries:
     def terms(self):
         """Sorted list of (exponent, coefficient) Fraction pairs."""
         return [(Fraction(k, self.grid), v) for k, v in sorted(self.coeffs.items())]
-
-    def __str__(self):
-        bits = []
-        for e, c in self.terms():
-            if e == 0:
-                mon = str(abs(c))
-            else:
-                q = "q" if e == 1 else "q^(%s)" % e
-                mon = q if abs(c) == 1 else "%s*%s" % (abs(c), q)
-            if not bits:
-                bits.append(("-" if c < 0 else "") + mon)
-            else:
-                bits.append(("- " if c < 0 else "+ ") + mon)
-        body = " ".join(bits) if bits else "0"
-        return "%s + O(q^(%s))" % (body, Fraction(self.trunc + 1, self.grid))
 
     def __repr__(self):
         return "PuiseuxSeries(grid=%d, %r, trunc=%d)" % (

@@ -372,8 +372,8 @@ NON_CONSTANT = {
 def test_non_constant_sum_raises(monkeypatch):
     # with B_k = A_k (G replaced by F) the legs are no longer mirror images,
     # and the factored sum is not constant in t; the symbolic B legs are
-    # mirrored A legs, the sampled ones evaluate G; the legs are cached
-    # first, and N = c * D is checked anyway
+    # mirrored A legs, the sampled ones read F at the swapped point; the
+    # legs are cached first, and N = c * D is checked anyway
     hilb_chern_integral(3)
     monkeypatch.setattr(localization, "_mirror", lambda leg, k: leg)
     for n, text in NON_CONSTANT.items():
@@ -381,7 +381,10 @@ def test_non_constant_sum_raises(monkeypatch):
             hilb_chern_integral(n)
         assert str(err.value) == (
             "localization sum for n=%d is not constant: %s" % (n, text))
-    monkeypatch.setattr(localization, "_p3_factors", localization._p2_factors)
+    # sorting the point's two integers reads both legs at the same point
+    value_at = localization._value_at
+    monkeypatch.setattr(localization, "_value_at",
+                        lambda forms, p, q: value_at(forms, *sorted((p, q))))
     with pytest.raises(ConsistencyError):
         hilb_chern_integral(2, "sampled")
 
