@@ -16,6 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 from importlib import resources
 
+from .cli import SERIES_MAX_ORDER
 from .errors import ConsistencyError, NLValidationError
 from .localization import (
     _per_triple_sum,
@@ -134,9 +135,9 @@ def eta_identity() -> str:
                 "G_%d * G_%d != 1 through q^30, G_e = prod (1-q^n)^-e"
                 % (e, -e))
     # closed forms that share no code with the Euler product, through the
-    # CLI's longest series (SERIES_MAX_ORDER): G_e * G_-e = 1 holds for any
-    # wrong base product, these do not
-    top = 1000
+    # CLI's longest series: G_e * G_-e = 1 holds for any wrong base
+    # product, these do not
+    top = SERIES_MAX_ORDER
     pentagonal = {k * (3 * k - 1) // 2: (-1) ** abs(k)
                   for k in range(-top, top + 1)}
     jacobi = {k * (k + 1) // 2: (-1) ** k * (2 * k + 1) for k in range(top)}
@@ -151,8 +152,8 @@ def eta_identity() -> str:
                     "the %s gives %s" % (m, -e, got, what, want.get(m, 0)))
     return ("G_e * G_-e = 1, G_e = prod (1-q^n)^-e, for e in -7, 0, 1, 7, "
             "12, 24 through q^30, q^1 coefficient 24; G_-1, G_-3 by the "
-            "pentagonal theorem and Jacobi's identity through q^1000, G_1 "
-            "against partition counts through q^25")
+            "pentagonal theorem and Jacobi's identity through q^%d, G_1 "
+            "against partition counts through q^25" % top)
 
 
 def _exponents_in_class(closed: dict, ell: int, what: str) -> int:
@@ -266,12 +267,9 @@ def bound_validation() -> str:
     rng = random.Random(77)
     for _ in range(50):
         ell = rng.choice([2, 4, 6, 8, 10])
-        base = {}
-        for _ in range(rng.randint(1, 6)):
-            d = rng.randrange(ell)
-            h = rng.randint(-5, 1 + (d * d) // (2 * ell))
-            base[(h, d)] = Fraction(rng.randint(1, 9))
+        # seeds at d in [0, ell) share no orbit, so they cannot conflict;
         # the NLTable it returns raises if a cell leaves the bound
+        base = _random_entries(rng, ell, rng.randint(1, 6), 9)
         nl_symmetry_extend(NLTable(ell, base), rng.randint(-9, 0),
                            0, rng.randint(ell, 4 * ell))
     return ("violations rejected by name; 50 randomized extensions "

@@ -383,7 +383,18 @@ def main(argv=None) -> int:
         # its output reaches stdout only once it has returned
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = globals()["cmd_" + args.command.replace("-", "_")](args)
-        sys.stdout.write(out.getvalue())
+        binary = getattr(sys.stdout, "buffer", None)
+        if binary is None:   # a text-only stream, such as an io.StringIO
+            sys.stdout.write(out.getvalue())
+        else:
+            # straight to the file: a raw write may take only part of the
+            # bytes, and bytes left in a buffer would be written again at exit
+            sys.stdout.flush()
+            raw = getattr(binary, "raw", binary)
+            data = memoryview(out.getvalue().encode(sys.stdout.encoding,
+                                                    sys.stdout.errors))
+            while data:
+                data = data[raw.write(data):]
         sys.stdout.flush()   # a failed write is reported here, as exit 1
         return code
     except ConsistencyError as exc:

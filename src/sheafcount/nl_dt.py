@@ -25,12 +25,14 @@ Conventions that every formula below relies on:
   -k * chi(Hilb^(r^2 + 1 - r*c)) inside the halved sum.
 
 * The translation symmetry of tables is (h, d) -> (h + d + ell/2, d + ell),
-  value preserved; it requires even ell to stay integral.  On invariants it
-  induces, for rank 1, the matching (d, c) -> (d + ell, c + (2d + ell)/2):
-  the shift of c has to grow with d for the two generating series to line
-  up, which independently follows from twisting sheaves by the
-  polarization.  dt_symmetry_pair implements precisely that pairing and
-  the test suite verifies the invariance it promises.
+  value preserved; it requires even ell to stay integral.  Its orbits,
+  (h + j*d + j^2*ell/2, d + j*ell) over integers j, are what
+  nl_symmetry_extend walks.  On invariants it induces, for rank 1, the
+  matching (d, c) -> (d + ell, c + (2d + ell)/2): the shift of c has to
+  grow with d for the two generating series to line up, which
+  independently follows from twisting sheaves by the polarization.
+  dt_symmetry_pair implements precisely that pairing and the test suite
+  verifies the invariance it promises.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import count
 
 from .errors import ConsistencyError, NLValidationError
 from .qseries import PuiseuxSeries, goettsche_series, hilb_euler
@@ -337,44 +340,31 @@ def nl_dump(spec: FibrationSpec) -> dict:
             "nodal": spec.nodal, "nl": rows}
 
 
-def _sym_image(h, d, ell):
-    return h + d + ell // 2, d + ell
-
-
-def _sym_preimage(h, d, ell):
-    return h - d + ell // 2, d - ell
-
-
 def nl_symmetry_extend(table: NLTable, h_lo: int, d_min: int, d_max: int) -> NLTable:
     """Close a table under its translation symmetry within a window.
 
-    The symmetry identifies (h, d) with (h + d + ell/2, d + ell) at equal
-    value; it is applied in both directions and the closure keeps every
-    generated cell with d_min <= d <= d_max and h >= h_lo.  Existing
-    entries are never modified; two routes assigning different values to
-    one cell raise ConsistencyError.  The vanishing bound is equivariant
-    under the shift, so extension cannot create a violating entry; the
-    returned table revalidates anyway.
+    From each entry (h, d) the orbit (h + j*d + j^2*ell/2, d + j*ell) is
+    walked for j = 1, 2, ... and j = -1, -2, ..., each way up to the first
+    cell outside the window d_min <= d <= d_max, h >= h_lo.  Entries are
+    kept, in the window or not, and never modified; a cell reached with
+    two values raises ConsistencyError.  h - d^2/(2*ell) is constant on an
+    orbit, so no cell leaves the vanishing bound; the result revalidates.
     """
     ell = table.ell
     if ell % 2:
         raise ValueError("symmetry extension requires even ell, got %d" % ell)
     out = dict(table.entries)
-    work = list(out)
-    while work:
-        h, d = work.pop()
-        v = out[(h, d)]
-        for nh, nd in (_sym_image(h, d, ell), _sym_preimage(h, d, ell)):
-            if not (d_min <= nd <= d_max) or nh < h_lo:
-                continue
-            old = out.get((nh, nd))
-            if old is None:
-                out[(nh, nd)] = v
-                work.append((nh, nd))
-            elif old != v:
-                raise ConsistencyError(
-                    "symmetry conflict at (h=%d, d=%d): %s vs %s"
-                    % (nh, nd, old, v))
+    for (h, d), v in table.entries.items():
+        for step in (1, -1):
+            for j in count(step, step):
+                nh, nd = h + j * d + j * j * ell // 2, d + j * ell
+                if not d_min <= nd <= d_max or nh < h_lo:
+                    break
+                old = out.setdefault((nh, nd), v)
+                if old != v:
+                    raise ConsistencyError(
+                        "symmetry conflict at (h=%d, d=%d): %s vs %s"
+                        % (nh, nd, old, v))
     return NLTable(ell, out)
 
 

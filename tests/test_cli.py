@@ -463,6 +463,44 @@ def test_failed_write_exits_one(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
+def _cli_process(argv, unbuffered, stdout):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "sheafcount.cli"] + argv,
+                            stdout=stdout, stderr=subprocess.PIPE, env=env,
+                            bufsize=0)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_reader_closing_early_exits_one(unbuffered):
+    # about 108 KB, more than a 64 KiB pipe holds, so the write is cut when
+    # the reader closes; unbuffered, the raw write returns a short count
+    # and the bytes it did not take must not be dropped in silence
+    proc = _cli_process(["goettsche", "--terms", "1000"], unbuffered,
+                        subprocess.PIPE)
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_full_disk_exits_one(unbuffered):
+    # a short result sits in a buffer; if it stayed there after the error,
+    # interpreter exit would write it again and report a second failure
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process(["p3", "--n", "2"], unbuffered, full)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+    assert err == b"error: [Errno 28] No space left on device\n"
+
+
 def test_missing_table_file(capsys):
     code, _, err = run(capsys, ["dt", "--nl", "/no/such/table.json",
                                 "--d", "0", "--c", "0"])

@@ -468,6 +468,10 @@ def test_extend_window_filters():
     assert t.entries == {(1, 0): F(7)}
     t = nl_symmetry_extend(NLTable(4, {(1, 0): F(7)}), h_lo=4, d_min=0, d_max=8)
     assert t.entries == {(1, 0): F(7)}    # image (3,4) below h_lo
+    # the orbit of (5, -4) at ell 2 runs (2, -2), (1, 0), (2, 2), (5, 4): h
+    # dips under h_lo = 3 around d = 0, and the walk stops before (5, 4)
+    t = nl_symmetry_extend(NLTable(2, {(5, -4): F(7)}), 3, -4, 4)
+    assert t.entries == {(5, -4): F(7)}
 
 
 def test_extend_idempotent_on_fixed_window():
@@ -523,6 +527,70 @@ def test_extend_never_violates_bound():
         assert len(out) >= len(table)
         for (h, d) in out.entries:
             assert NLTable.bound_ok(h, d, ell)
+
+
+def _work_list_extend(table, h_lo, d_min, d_max):
+    # reference: the closure by a work list over the map and its inverse,
+    # which never uses the closed form of an orbit
+    ell = table.ell
+    out = dict(table.entries)
+    work = list(out)
+    while work:
+        h, d = work.pop()
+        v = out[(h, d)]
+        for nh, nd in ((h + d + ell // 2, d + ell), (h - d + ell // 2, d - ell)):
+            if not (d_min <= nd <= d_max) or nh < h_lo:
+                continue
+            old = out.get((nh, nd))
+            if old is None:
+                out[(nh, nd)] = v
+                work.append((nh, nd))
+            elif old != v:
+                raise ConsistencyError("symmetry conflict at (h=%d, d=%d)"
+                                       % (nh, nd))
+    return NLTable(ell, out)
+
+
+def _extend_outcome(extend, table, window):
+    try:
+        return extend(table, *window).entries
+    except ConsistencyError:
+        return "conflict"
+
+
+def test_orbit_walk_matches_work_list():
+    # seeds placed anywhere on their orbits, inside the window or not, some
+    # with explicit images, some with one image of another value; windows
+    # reach below d = 0, and h_lo cuts orbits where h dips near d = 0
+    rng = random.Random(1913)
+    outcomes = []
+    for _ in range(400):
+        ell = rng.choice([2, 4, 6])
+        entries = {}
+        for _ in range(rng.randint(1, 5)):
+            d = rng.randrange(ell)
+            h = rng.randint(-4, 1 + (d * d) // (2 * ell))
+            v = F(rng.randint(1, 9))
+            for j in rng.sample(range(-4, 5), rng.randint(1, 3)):
+                entries[(h + j * d + j * j * ell // 2, d + j * ell)] = v
+        if rng.random() < 0.3:
+            (h, d), v = rng.choice(sorted(entries.items()))
+            entries[(h + d + ell // 2, d + ell)] = v + 1
+        table = NLTable(ell, entries)
+        d_min = rng.randint(-4 * ell, ell)
+        window = (rng.randint(-6, 4), d_min, rng.randint(d_min, 4 * ell))
+        got = _extend_outcome(nl_symmetry_extend, table, window)
+        assert got == _extend_outcome(_work_list_extend, table, window), \
+            (ell, entries, window)
+        outcomes.append(got == "conflict")
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_orbit_walk_and_work_list_both_refuse_a_conflicting_pair():
+    table = NLTable(4, {(1, 0): F(1), (9, 8): F(2)})
+    for extend in (nl_symmetry_extend, _work_list_extend):
+        with pytest.raises(ConsistencyError):
+            extend(table, 0, -8, 8)
 
 
 # -- generating series ---------------------------------------------------
