@@ -34,12 +34,17 @@ INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 @pytest.fixture(autouse=True)
 def cold_legs():
-    # the legs A_k are cached per process: a leg packed under one test's
-    # replaced _width or factors must not reach another test, and a test
-    # that expects a leg to be summed must find the cache empty
-    localization._a_leg.cache_clear()
+    # the legs A_k, their forms and their blocks are cached per process: a
+    # leg packed under one test's replaced _width or factors must not reach
+    # another test, and a test that expects a leg to be summed must find the
+    # cache empty
+    caches = (localization._a_leg, localization._leg_forms,
+              localization._leg_blocks)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    localization._a_leg.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 def test_single_box_characters_frozen():
@@ -96,6 +101,15 @@ def test_contribution_routes_catch_swapped_legs(monkeypatch):
     assert str(err.value) == "contribution routes disagree at ((), (), (1,))"
 
 
+def _at_point(forms, t0):
+    """prod(num) / prod(den) at t0 for forms = (num, den), one Fraction per
+    term: the reference value for the sampled sums, which it shares no code
+    with.  ZeroDivisionError if t0 is a pole."""
+    num, den = forms
+    return (Fraction(prod(i * t0 + j for j, i in num))
+            / prod(i * t0 + j for j, i in den))
+
+
 def _random_form(rng):
     # the primitive form q*t - p of a root p/q; few roots, so that forms
     # coincide and cancel often
@@ -133,10 +147,9 @@ def test_contribution_is_canonical():
             assert localization._contribution(forms) == c
             assert hash(localization._contribution(forms)) == hash(c)
         for t0 in (Fraction(7, 11), Fraction(-13, 17), Fraction(19, 2)):
-            p, q = t0.numerator, t0.denominator
             value = c.scale * prod(i * t0 + j for j, i in c.num) \
                 / prod(i * t0 + j for j, i in c.den)
-            assert value == localization._value_at(forms, p, q)
+            assert value == _at_point(forms, t0)
         assert not Counter(c.num) & Counter(c.den)
         assert all(i > 0 for j, i in c.num + c.den)
 
@@ -188,10 +201,9 @@ def test_leg_sum_equals_rational_sum():
             num, scale, den = localization._leg_poly(legs)
             need = len(num) + sum(den.values()) + 2 * k + 1
             for t0 in _sum_points(legs, need):
-                p, q = t0.numerator, t0.denominator
                 packed = (sum(c * t0 ** e for e, c in enumerate(num))
                           / (scale * prod(i * t0 + j for j, i in den.elements())))
-                want = sum(localization._value_at(f, p, q) for f in legs)
+                want = sum(_at_point(f, t0) for f in legs)
                 assert packed == want, (factors, k, t0)
 
 
@@ -271,13 +283,12 @@ def test_third_point_is_second_at_inverse():
             G = localization._p3_factors(lam)
             good = 0
             for t0 in points:
-                p, q = t0.numerator, t0.denominator
                 try:
-                    at_inverse = localization._value_at(F, q, p)
+                    at_inverse = _at_point(F, 1 / t0)
                 except ZeroDivisionError:
                     at_inverse = None
                 try:
-                    value = localization._value_at(G, p, q)
+                    value = _at_point(G, t0)
                 except ZeroDivisionError:
                     value = None
                 assert value == at_inverse, (lam, t0)
@@ -382,11 +393,73 @@ def test_non_constant_sum_raises(monkeypatch):
         assert str(err.value) == (
             "localization sum for n=%d is not constant: %s" % (n, text))
     # sorting the point's two integers reads both legs at the same point
-    value_at = localization._value_at
-    monkeypatch.setattr(localization, "_value_at",
-                        lambda forms, p, q: value_at(forms, *sorted((p, q))))
+    legs_at = localization._legs_at
+    monkeypatch.setattr(localization, "_legs_at",
+                        lambda legs, M, p, q: legs_at(legs, M, *sorted((p, q))))
     with pytest.raises(ConsistencyError):
         hilb_chern_integral(2, "sampled")
+
+
+def test_sampled_legs_equal_term_sums():
+    # N_k / W against the sum of F(lam) term by term, at points with no
+    # pole; at n = 12 the legs of 33 partitions and more are summed in
+    # two or three blocks
+    n = 12
+    legs = [localization._leg_blocks(k) for k in range(n + 1)]
+    assert [len(blocks) for blocks in legs[-3:]] == [2, 2, 3]
+    M = Counter()
+    for blocks in legs:
+        for _, U in blocks:
+            M |= U
+    for t0 in (Fraction(104729, 7919), Fraction(-1299709, 15485863)):
+        N, W = localization._legs_at(legs, M, t0.numerator, t0.denominator)
+        for k in range(n + 1):
+            forms = localization._leg_forms(k)
+            assert Fraction(N[k], W) == sum(_at_point(f, t0) for f in forms)
+
+
+def _faulty_sampled(n, fault):
+    """hilb_chern_integral(n, "sampled") with the legs and the union M of
+    every _legs_at call replaced by fault(legs, M)."""
+    legs_at = localization._legs_at
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localization, "_legs_at", lambda legs, M, p, q:
+                   legs_at(*fault(legs, M), p, q))
+        return hilb_chern_integral(n, "sampled")
+
+
+def _term_over_whole(k, x):
+    # term x of leg k taken over its block's W_U instead of W_U // prod(den);
+    # below 33 partitions a leg is one block, scaled by W // W_U, so the
+    # term is taken over W
+    def fault(legs, M):
+        (forms, U), = legs[k]
+        forms = forms[:x] + ((forms[x][0], []),) + forms[x + 1:]
+        return legs[:k] + [((forms, U),)] + legs[k + 1:], M
+    return fault
+
+
+def test_sampled_sum_catches_a_term_over_the_whole():
+    # a term over W is prod(num) itself, not F(lam), and the values
+    # disagree: each term of n = 3 with a denominator, in turn
+    for k in range(1, 4):
+        for x in range(len(enumerate_partitions(k))):
+            with pytest.raises(ConsistencyError):
+                _faulty_sampled(3, _term_over_whole(k, x))
+
+
+def test_sampled_sum_catches_a_form_dropped_from_the_union():
+    # without one of its forms W need not be a multiple of the union of a
+    # block, and a rounded W // W_U makes the values disagree: each of the
+    # 12 forms of the union at n = 3, in turn
+    M = Counter()
+    for k in range(4):
+        for _, den in localization._leg_forms(k):
+            M |= Counter(den)
+    assert len(M) == 12
+    for f in M:
+        with pytest.raises(ConsistencyError):
+            _faulty_sampled(3, lambda legs, M: (legs, M - Counter([f])))
 
 
 def test_sampled_integrals():
