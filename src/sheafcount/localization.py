@@ -53,19 +53,20 @@ union of the denominator forms over the partitions of k, c_k the lcm of
 their integer contents, and N_k an integer polynomial.  B_k is A_k
 mirrored by _mirror.
 
-Sampled mode sums in integers too, from the raw forms of _p2_factors,
-with none of the splitting, cancelling, mirroring or packing above.  At
+Sampled mode sums in integers too, from the raw forms of the boxes, with
+none of the splitting, cancelling, mirroring or packing above.  At
 t0 = p/q the forms of F(lam) evaluated at (p, q) give F(lam)(t0), and at
 (q, p) they give G(lam)(t0), so B_k is read off the same forms at the
 swapped point; both contribution routes and _per_triple_sum evaluate G
-themselves.  A leg is summed over the multiset union of its den forms:
-each term is prod(num) * (W // prod(den)), W the product of the union at
-the point, an exact quotient.  Legs of more than _BLOCK partitions are
-summed in blocks, each over its own union and then scaled to the union
-of all legs, so that a term's quotient is taken of its block's product,
-not of one grown by the forms of every other partition.  Both sides'
-integer numerators go through the same convolution, and one Fraction is
-taken per point, over W_A * W_B.
+themselves.  A box's forms depend on its hook (arm, leg) alone
+(_box_forms), so at each point every hook's numerator and denominator
+product is taken once, and a partition's are products of its hooks'.  A
+leg is summed over the multiset union of its den forms, each kept up to
+sign: each term is prod(num) * (W // prod(den)), W the product of the
+union at the point, an exact quotient since a form and its negation
+divide each other.  Each leg is then scaled to the union of all legs.
+Both sides' integer numerators go through the same convolution, and one
+Fraction is taken per point, over W_A * W_B.
 
 Polynomials are summed by Kronecker substitution: every form is evaluated
 at one integer T = 2^B, so each product and sum is one big-integer
@@ -94,7 +95,7 @@ from math import gcd, lcm, prod
 
 from .errors import ConsistencyError
 from .partitions import (arm, boxes, check_partition, enumerate_partitions,
-                         enumerate_triples, leg)
+                         enumerate_triples, hooks, leg)
 
 # default seed for sampled mode; any fixed value works, reproducibility is
 # the only requirement
@@ -103,10 +104,6 @@ DEFAULT_SEED = 1729
 _BOUND = 10**6
 
 MIN_SAMPLES = 3   # sampled mode's fewest points, and the default
-
-# partitions per block of a sampled leg: a leg of more is summed block by
-# block, each over the union of its own dens (fastest of 8..64 at n = 16)
-_BLOCK = 32
 
 
 def _weights(triple, shift):
@@ -143,6 +140,14 @@ def obstruction_character(triple):
     return _weights(_checked(triple), 1)
 
 
+def _box_forms(a, l):
+    """The numerator and denominator forms (j, i), meaning i*t + j, that a
+    box with arm a and leg l adds to F (see _p2_factors): the one recipe
+    behind both modes, since a box's forms depend on its hook alone."""
+    return (((-a, a - l - 2), (a + 1, l - a - 2)),
+            ((-a, a - l - 1), (a + 1, l - a - 1)))
+
+
 def _p2_factors(p):
     """Numerator and denominator linear forms (j, i), meaning i*t + j, of
     F(p), the direct closed product over the boxes of p as the partition at
@@ -157,10 +162,10 @@ def _p2_factors(p):
     """
     num = []
     den = []
-    for b in boxes(p):
-        a, l = arm(p, b), leg(p, b)
-        num += [(-a, a - l - 2), (a + 1, l - a - 2)]
-        den += [(-a, a - l - 1), (a + 1, l - a - 1)]
+    for a, l in hooks(p):
+        box_num, box_den = _box_forms(a, l)
+        num += box_num
+        den += box_den
     return num, den
 
 
@@ -372,45 +377,57 @@ def _a_leg(k):
     return _leg_poly(_leg_forms(k))
 
 
+def _fold(form):
+    """form or its negation, whichever has a positive leading coefficient:
+    _split's sign rule, with no content divided."""
+    j, i = form
+    return form if i > 0 or (i == 0 and j > 0) else (-j, -i)
+
+
 @functools.cache
-def _leg_blocks(k):
-    """The forms of _leg_forms(k) cut into runs of at most _BLOCK
-    partitions, each paired with the multiset union of its den forms: the
-    leg as sampled mode sums it, cached like the forms and never mutated."""
-    forms = _leg_forms(k)
-    blocks = []
-    for s in range(0, len(forms), _BLOCK):
-        run = forms[s:s + _BLOCK]
-        union = Counter()
-        for _, den in run:
-            union |= Counter(den)
-        blocks.append((run, union))
-    return tuple(blocks)
+def _leg_hooks(k):
+    """(H, U): H the hook tuple of every partition of k, in
+    enumerate_partitions order, and U the multiset union of their den
+    forms, each folded by _fold: the leg as sampled mode sums it, cached
+    like the forms and never mutated."""
+    H = tuple(tuple(hooks(lam)) for lam in enumerate_partitions(k))
+    U = Counter()
+    for hs in H:
+        U |= Counter(_fold(f) for h in hs for f in _box_forms(*h)[1])
+    return H, U
 
 
 def _legs_at(legs, M, p, q):
-    """([N_0, ..., N_n], W): the sum of F(lam) over the blocks legs[k] of
-    _leg_blocks at t0 = p/q is N_k / W, with W the product of the forms of
-    M at (p, q) and M holding the union of every block.  At t0 each form
-    i*t0 + j is (i*p + j*q)/q, and each F(lam) has as many numerator as
-    denominator forms, so the q's cancel.  A block (forms, U) is summed
-    over the product W_U of its union: a term is
-    prod(num) * (W_U // prod(den)), and the block's sum is scaled by
-    W // W_U; U holds every den of its block, so both quotients are exact.
-    A zero form (t0 is a pole) raises ZeroDivisionError."""
+    """([N_0, ..., N_n], W): the sum of F(lam) over the partitions of k,
+    legs[k] = _leg_hooks(k), at t0 = p/q is N_k / W, with W the product of
+    the forms of M at (p, q) and M holding the union of every leg.  At t0
+    each form i*t0 + j is (i*p + j*q)/q, and each F(lam) has as many
+    numerator as denominator forms, so the q's cancel.  The numerator and
+    the denominator product of every hook (a, l), a + l < n, are taken
+    once; a leg (H, U) is summed over the product W_U of its union: a term
+    is the product of its hooks' numerators times W_U // (the product of
+    their denominators), and the leg's sum is scaled by W // W_U.  A form
+    and its negation divide each other, and U holds every den of its leg up
+    to sign, so both quotients are exact.  A zero form (t0 is a pole)
+    raises ZeroDivisionError."""
     def at(forms):
+        return prod(i * p + j * q for j, i in forms)
+
+    def at_union(forms):
         return prod((i * p + j * q) ** m for (j, i), m in forms.items())
-    W = at(M)
+    n = len(legs) - 1
+    num, den = {}, {}
+    for a in range(n):
+        for l in range(n - a):
+            box_num, box_den = _box_forms(a, l)
+            num[a, l], den[a, l] = at(box_num), at(box_den)
+    W = at_union(M)
     N = []
-    for blocks in legs:
-        total = 0
-        for forms, U in blocks:
-            WU = at(U)
-            total += (W // WU) * sum(
-                prod(i * p + j * q for j, i in num)
-                * (WU // prod(i * p + j * q for j, i in den))
-                for num, den in forms)
-        N.append(total)
+    for H, U in legs:
+        WU = at_union(U)
+        N.append((W // WU) * sum(
+            prod(map(num.__getitem__, hs))
+            * (WU // prod(map(den.__getitem__, hs))) for hs in H))
     return N, W
 
 
@@ -484,9 +501,10 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     redrawing a point that is a pole of some F or G (every partition of
     size at most n is p2 or p3 of some triple, so these are the poles of
     the per-triple sum), and requires exact agreement.  At each point
-    _legs_at sums the legs in integers over the union of their den forms,
-    at (p, q) for A and at (q, p) for B; the integer numerators are
-    convolved and one Fraction is taken per point.
+    _legs_at takes each hook's forms once and sums every leg in integers
+    over the union of its den forms up to sign, at (p, q) for A and at
+    (q, p) for B; the integer numerators are convolved and one Fraction is
+    taken per point.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -505,11 +523,10 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
         if samples < MIN_SAMPLES:
             raise ValueError("sampled mode needs at least %d points"
                              % MIN_SAMPLES)
-        legs = list(map(_leg_blocks, range(n + 1)))
+        legs = list(map(_leg_hooks, range(n + 1)))
         M = Counter()
-        for blocks in legs:
-            for _, union in blocks:
-                M |= union
+        for _, U in legs:
+            M |= U
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
         seen = set()
         drawn = []   # (point, value)

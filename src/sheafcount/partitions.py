@@ -73,6 +73,18 @@ def arm(p, b) -> int:
     return sum(1 for r in range(row + 1, len(p)) if p[r] > col)
 
 
+def hooks(p) -> list:
+    """(arm, leg) of every box of p, in boxes(p) order, read off the
+    conjugate partition in O(|p|): the box (row, col) has arm
+    conj[col] - row - 1 and leg p[row] - col - 1."""
+    conj = [0] * (p[0] if p else 0)
+    for width in p:
+        for col in range(width):
+            conj[col] += 1
+    return [(conj[col] - row - 1, width - col - 1)
+            for row, width in enumerate(p) for col in range(width)]
+
+
 def enumerate_triples(n: int) -> list:
     """All triples (p1, p2, p3) of partitions with |p1|+|p2|+|p3| = n.
 

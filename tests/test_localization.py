@@ -34,12 +34,12 @@ INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 @pytest.fixture(autouse=True)
 def cold_legs():
-    # the legs A_k, their forms and their blocks are cached per process: a
-    # leg packed under one test's replaced _width or factors must not reach
-    # another test, and a test that expects a leg to be summed must find the
-    # cache empty
+    # the legs A_k, their forms and their hooks and unions are cached per
+    # process: a leg packed under one test's replaced _width or factors
+    # must not reach another test, and a test that expects a leg to be
+    # summed must find the cache empty
     caches = (localization._a_leg, localization._leg_forms,
-              localization._leg_blocks)
+              localization._leg_hooks)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -400,22 +400,46 @@ def test_non_constant_sum_raises(monkeypatch):
         hilb_chern_integral(2, "sampled")
 
 
-def test_sampled_legs_equal_term_sums():
-    # N_k / W against the sum of F(lam) term by term, at points with no
-    # pole; at n = 12 the legs of 33 partitions and more are summed in
-    # two or three blocks
-    n = 12
-    legs = [localization._leg_blocks(k) for k in range(n + 1)]
-    assert [len(blocks) for blocks in legs[-3:]] == [2, 2, 3]
+def _f_at(lam, t0):
+    """F(lam) at t0 by the character route, one Fraction per term: the
+    reference for the sampled sums, which share neither its per-box arms
+    and legs nor its forms.  ZeroDivisionError if t0 is a pole."""
+    c = contribution_from_characters(((), lam, ()))
+    return c.scale * _at_point((c.num, c.den), t0)
+
+
+def _sampled_legs(n):
+    """The legs _leg_hooks(k), k <= n, and the union M of their unions."""
+    legs = [localization._leg_hooks(k) for k in range(n + 1)]
     M = Counter()
-    for blocks in legs:
-        for _, U in blocks:
-            M |= U
+    for _, U in legs:
+        M |= U
+    return legs, M
+
+
+def test_sampled_legs_equal_term_sums():
+    # N_k / W against the sum of F(lam) term by term, at points with no pole
+    n = 12
+    legs, M = _sampled_legs(n)
     for t0 in (Fraction(104729, 7919), Fraction(-1299709, 15485863)):
         N, W = localization._legs_at(legs, M, t0.numerator, t0.denominator)
         for k in range(n + 1):
-            forms = localization._leg_forms(k)
-            assert Fraction(N[k], W) == sum(_at_point(f, t0) for f in forms)
+            assert Fraction(N[k], W) == sum(
+                _f_at(lam, t0) for lam in enumerate_partitions(k))
+
+
+def test_sampled_unions_are_exact_up_to_sign():
+    # every den of a leg divides the product W_U of its union, with no
+    # remainder, although the union keeps each form only up to sign: its
+    # keys lead with a positive coefficient, as _split's do
+    for k in range(13):
+        _, U = localization._leg_hooks(k)
+        assert all(i > 0 or (i == 0 and j > 0) for j, i in U)
+        for p, q in ((104729, 7919), (-1299709, 15485863)):
+            WU = prod((i * p + j * q) ** m for (j, i), m in U.items())
+            for lam in enumerate_partitions(k):
+                _, den = localization._p2_factors(lam)
+                assert WU % prod(i * p + j * q for j, i in den) == 0, lam
 
 
 def _faulty_sampled(n, fault):
@@ -428,35 +452,29 @@ def _faulty_sampled(n, fault):
         return hilb_chern_integral(n, "sampled")
 
 
-def _term_over_whole(k, x):
-    # term x of leg k taken over its block's W_U instead of W_U // prod(den);
-    # below 33 partitions a leg is one block, scaled by W // W_U, so the
-    # term is taken over W
-    def fault(legs, M):
-        (forms, U), = legs[k]
-        forms = forms[:x] + ((forms[x][0], []),) + forms[x + 1:]
-        return legs[:k] + [((forms, U),)] + legs[k + 1:], M
-    return fault
-
-
-def test_sampled_sum_catches_a_term_over_the_whole():
-    # a term over W is prod(num) itself, not F(lam), and the values
-    # disagree: each term of n = 3 with a denominator, in turn
-    for k in range(1, 4):
-        for x in range(len(enumerate_partitions(k))):
-            with pytest.raises(ConsistencyError):
-                _faulty_sampled(3, _term_over_whole(k, x))
+def test_sampled_sum_catches_a_term_over_the_whole(monkeypatch):
+    # with the den forms of one hook read as empty at each point, while the
+    # unions, cached first, keep them, every term with that hook is taken
+    # over W_U // (the other dens) instead of W_U // prod(den): it is F(lam)
+    # times that hook's den, and the values disagree; each of the 6 hooks
+    # of n = 3, in turn
+    hilb_chern_integral(3, "sampled")
+    box_forms = localization._box_forms
+    hooks = [(a, l) for a in range(3) for l in range(3 - a)]
+    assert len(hooks) == 6
+    for hook in hooks:
+        monkeypatch.setattr(localization, "_box_forms", lambda a, l: (
+            box_forms(a, l)[0], () if (a, l) == hook else box_forms(a, l)[1]))
+        with pytest.raises(ConsistencyError):
+            hilb_chern_integral(3, "sampled")
 
 
 def test_sampled_sum_catches_a_form_dropped_from_the_union():
     # without one of its forms W need not be a multiple of the union of a
-    # block, and a rounded W // W_U makes the values disagree: each of the
-    # 12 forms of the union at n = 3, in turn
-    M = Counter()
-    for k in range(4):
-        for _, den in localization._leg_forms(k):
-            M |= Counter(den)
-    assert len(M) == 12
+    # leg, and a rounded W // W_U makes the values disagree: each of the
+    # 9 forms of the union at n = 3, folded up to sign, in turn
+    _, M = _sampled_legs(3)
+    assert len(M) == 9
     for f in M:
         with pytest.raises(ConsistencyError):
             _faulty_sampled(3, lambda legs, M: (legs, M - Counter([f])))
@@ -487,6 +505,31 @@ def test_sampled_resamples_on_pole(monkeypatch):
 
     monkeypatch.setattr(localization.random, "Random", FirstDrawIsOne)
     assert fixed_point_contribution(((), (1,), ())).den == ((-1, 1),)
+    assert hilb_chern_integral(2, "sampled") == 35
+    assert len(draws) == 8   # the pole, then three good points
+
+
+def test_sampled_resamples_on_a_pole_of_a_folded_form(monkeypatch):
+    # the first point drawn is t = 0/1, where the den form (0, -1) of the
+    # box of (1,), which is -t, vanishes; the union holds it only as its
+    # folded key (0, 1), so the draw must be skipped, not summed or raised
+    real = localization.random.Random
+    draws = []
+
+    class FirstDrawIsZero:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def randint(self, lo, hi):
+            draws.append((lo, hi))
+            if len(draws) <= 2:
+                return len(draws) - 1   # p = 0, then q = 1
+            return self.rng.randint(lo, hi)
+
+    monkeypatch.setattr(localization.random, "Random", FirstDrawIsZero)
+    assert (0, -1) in localization._p2_factors((1,))[1]
+    _, U = localization._leg_hooks(1)
+    assert U[0, 1] == 1 and (0, -1) not in U
     assert hilb_chern_integral(2, "sampled") == 35
     assert len(draws) == 8   # the pole, then three good points
 

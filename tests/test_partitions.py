@@ -13,6 +13,7 @@ from sheafcount.partitions import (
     check_partition,
     enumerate_partitions,
     enumerate_triples,
+    hooks,
     leg,
 )
 
@@ -116,6 +117,13 @@ def test_armleg_bounded_by_hook():
     for p in enumerate_partitions(7):
         for b in boxes(p):
             assert arm(p, b) + leg(p, b) + 1 <= 7
+
+
+def test_hooks_are_arm_and_leg_box_by_box():
+    # hooks reads the conjugate partition, arm and leg scan the diagram
+    for n in range(13):
+        for p in enumerate_partitions(n):
+            assert hooks(p) == [(arm(p, b), leg(p, b)) for b in boxes(p)]
 
 
 def test_armleg_reject_outside_box():
