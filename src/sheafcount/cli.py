@@ -5,8 +5,9 @@ Exit codes form part of the contract: 0 on success, 1 for unusable input
 an internal cross-check fails, meaning two computations that must agree by
 theory did not, and 3 when any other exception escapes a subcommand, which
 is a bug; it is reported as one stderr line, "internal error: <Type>:
-<message>", not as a traceback.  argparse's habit of exiting 2 on bad
-arguments is overridden to keep code 2 unambiguous.
+<message>", not as a traceback.  Arguments are read against one table,
+_COMMANDS, which also writes the -h/--help text; a bad argument is a usage
+error, one stderr line and exit 1, so that code 2 stays unambiguous.
 
 All output is deterministic: same invocation, same bytes.  Sampled
 evaluation uses a fixed default seed unless --seed is given.  stdout is
@@ -15,13 +16,13 @@ written once a subcommand returns, and empty if it fails; results print whole.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import io
 import json
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import ConsistencyError, NLValidationError
 from .localization import (
@@ -44,14 +45,6 @@ from .nl_dt import (
 )
 from .partitions import enumerate_triples
 from .qseries import PuiseuxSeries, goettsche_series
-
-
-class CliParser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors exit with status 1, not 2, and
-    print one stderr line."""
-
-    def error(self, message):
-        self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
 @contextlib.contextmanager
@@ -293,91 +286,205 @@ def cmd_check(args) -> int:
 
 # -- wiring --------------------------------------------------------------
 
-@functools.cache   # built on the first call, not at import
-def build_parser() -> CliParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "structured"),
-                        default="text",
-                        help="text (default) or one JSON object per result")
+# Each option is one row (flag, kind, default, help).  kind is int or str
+# for an option taking a value, a tuple of its choices, or bool for a switch
+# that is False unless given; the default _REQUIRED makes the option required.
+# A flag not starting with "-" names a positional; "-o/--out" is one option
+# spelled two ways.  The attribute an option sets, its dest, is its long name
+# with "-" read as "_" (_dest).
+_REQUIRED = object()
+_HELP = ("-h/--help", bool, False, "show this help and exit")
+_FORMAT = ("--format", ("text", "structured"), "text",
+           "text (default) or one JSON object per result")
+_NL = ("--nl", str, _REQUIRED, "table document (JSON)")
+_DESCRIPTION = ("Exact sheaf-counting invariants: fixed-point sums on Hilbert "
+                "schemes of the plane,\nand K3-fibration counts driven by "
+                "intersection-number tables.")
 
-    parser = CliParser(prog="sheafcount",
-                       description="Exact sheaf-counting invariants: "
-                                   "fixed-point sums on Hilbert schemes of "
-                                   "the plane, and K3-fibration counts "
-                                   "driven by intersection-number tables.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="COMMAND")
-
-    p = sub.add_parser("p3", parents=[common],
-                       help="point-insertion invariant of projective 3-space")
-    p.add_argument("--n", type=int, default=None,
-                   help="number of points (or give --s and --d)")
-    p.add_argument("--s", type=int, default=None, help="surface degree")
-    p.add_argument("--d", type=int, default=None, help="curve degree")
-    p.add_argument("--mode", choices=("symbolic", "sampled"),
-                   default="symbolic")
-    p.add_argument("--samples", type=int, default=None,
-                   help="evaluation points in sampled mode (%d to %d, "
-                   "default %d)" % (MIN_SAMPLES, P3_MAX_SAMPLES, MIN_SAMPLES))
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for sampled mode (fixed default)")
-    p.add_argument("--verbose", action="store_true",
-                   help="list fixed points and their contributions")
-
-    p = sub.add_parser("goettsche", parents=[common],
-                       help="Hilbert-scheme Euler-number series")
-    p.add_argument("--euler", type=int, default=24,
-                   help="surface Euler number (default 24)")
-    p.add_argument("--terms", type=int, required=True,
-                   help="truncation order")
-
-    p = sub.add_parser("phi", parents=[common],
-                       help="table generating series, one degree component")
-    p.add_argument("--nl", required=True, help="table document (JSON)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--terms", type=int, required=True)
-
-    p = sub.add_parser("z", parents=[common],
-                       help="invariant generating series from a table")
-    p.add_argument("--nl", required=True, help="table document (JSON)")
-    p.add_argument("--terms", type=int, required=True)
-    p.add_argument("--d", type=int, default=None,
-                   help="single degree component (default: all)")
-    p.add_argument("--check", action="store_true",
-                   help="verify the closed form against the direct sum")
-
-    p = sub.add_parser("dt", parents=[common],
-                       help="single invariant from a table")
-    p.add_argument("--nl", required=True, help="table document (JSON)")
-    p.add_argument("--r", type=int, default=1, help="rank (default 1)")
-    p.add_argument("--d", type=int, required=True,
-                   help="linear coefficient of the Hilbert polynomial")
-    p.add_argument("--c", type=int, required=True,
-                   help="constant coefficient of the Hilbert polynomial")
-
-    p = sub.add_parser("nl-validate", parents=[common],
-                       help="validate a table document")
-    p.add_argument("file")
-
+# command: (help line, option rows)
+_COMMANDS = {
+    "p3": ("point-insertion invariant of projective 3-space", (
+        ("--n", int, None, "number of points (or give --s and --d)"),
+        ("--s", int, None, "surface degree"),
+        ("--d", int, None, "curve degree"),
+        ("--mode", ("symbolic", "sampled"), "symbolic",
+         "symbolic (default), or sampled at seeded rational points"),
+        ("--samples", int, None, "evaluation points in sampled mode "
+         "(%d to %d, default %d)" % (MIN_SAMPLES, P3_MAX_SAMPLES, MIN_SAMPLES)),
+        ("--seed", int, None, "seed for sampled mode (fixed default)"),
+        ("--verbose", bool, False, "list fixed points and their contributions"),
+        _FORMAT)),
+    "goettsche": ("Hilbert-scheme Euler-number series", (
+        ("--euler", int, 24, "surface Euler number (default 24)"),
+        ("--terms", int, _REQUIRED, "truncation order"),
+        _FORMAT)),
+    "phi": ("table generating series, one degree component", (
+        _NL,
+        ("--d", int, _REQUIRED, "degree component"),
+        ("--terms", int, _REQUIRED, "truncation order"),
+        _FORMAT)),
+    "z": ("invariant generating series from a table", (
+        _NL,
+        ("--terms", int, _REQUIRED, "truncation order"),
+        ("--d", int, None, "single degree component (default: all)"),
+        ("--check", bool, False,
+         "verify the closed form against the direct sum"),
+        _FORMAT)),
+    "dt": ("single invariant from a table", (
+        _NL,
+        ("--r", int, 1, "rank (default 1)"),
+        ("--d", int, _REQUIRED,
+         "linear coefficient of the Hilbert polynomial"),
+        ("--c", int, _REQUIRED,
+         "constant coefficient of the Hilbert polynomial"),
+        _FORMAT)),
+    "nl-validate": ("validate a table document", (
+        ("file", str, _REQUIRED, "table document (JSON)"),
+        _FORMAT)),
     # nl-extend always prints a table document, so it takes no --format
-    p = sub.add_parser("nl-extend",
-                       help="close a table under its translation symmetry")
-    p.add_argument("file")
-    p.add_argument("--h-lo", type=int, required=True, dest="h_lo",
-                   help="keep generated entries with h >= this")
-    p.add_argument("--d-min", type=int, required=True, dest="d_min")
-    p.add_argument("--d-max", type=int, required=True, dest="d_max")
-    p.add_argument("-o", "--out", default=None,
-                   help="write the extended document here instead of stdout")
+    "nl-extend": ("close a table under its translation symmetry", (
+        ("file", str, _REQUIRED, "table document (JSON)"),
+        ("--h-lo", int, _REQUIRED, "keep generated entries with h >= this"),
+        ("--d-min", int, _REQUIRED, "lowest degree of the window"),
+        ("--d-max", int, _REQUIRED, "highest degree of the window"),
+        ("-o/--out", str, None,
+         "write the extended document here instead of stdout"))),
+    "check": ("run the deterministic self-test battery", (_FORMAT,)),
+}
 
-    sub.add_parser("check", parents=[common],
-                   help="run the deterministic self-test battery")
 
-    return parser
+def _dest(row) -> str:
+    return row[0].split("/")[-1].lstrip("-").replace("-", "_")
+
+
+def _spelling(row) -> str:
+    flag, kind = row[0], row[1]
+    if kind is bool:
+        return flag
+    if isinstance(kind, tuple):
+        return "%s {%s}" % (flag, ",".join(kind))
+    if flag[0] != "-":
+        return flag.upper()
+    return "%s %s" % (flag, _dest(row).upper())
+
+
+def _help(command) -> str:
+    """-h/--help text, of the whole program or of one command."""
+    if command is None:
+        return "usage: sheafcount [-h] COMMAND ...\n\n%s\n\ncommands:\n%s" % (
+            _DESCRIPTION, "".join("  %-12s %s\n" % (name, line)
+                                  for name, (line, _) in _COMMANDS.items()))
+    line, rows = _COMMANDS[command]
+    rows += (_HELP,)
+    usage = " ".join(_spelling(row) if row[2] is _REQUIRED else
+                     "[%s]" % _spelling(row) for row in rows)
+    width = max(len(_spelling(row)) for row in rows)
+    return "usage: sheafcount %s %s\n\n%s\n\noptions:\n%s" % (
+        command, usage, line,
+        "".join("  %-*s  %s\n" % (width, _spelling(row), row[3]) for row in rows))
+
+
+def _option(tok, flags):
+    """(flag, the value written into tok, or None) if tok is an option
+    token, else None for a positional; flag is tok itself when flags has no
+    such option.  Flags match whole, never by a prefix; --flag=value and
+    -oVALUE carry their value, and a negative number or a token holding a
+    space is a positional, as with argparse."""
+    if tok in flags:
+        return tok, None
+    if tok[:1] != "-" or tok == "-":
+        return None
+    name, eq, value = tok.partition("=")
+    if eq and name in flags:
+        return name, value
+    if tok[:2] in flags:   # a short flag and its value: -oFILE
+        return tok[:2], tok[2:]
+    if re.match(r"-\d+$|-\d*\.\d+$", tok) or " " in tok:
+        return None
+    return tok, None
+
+
+def _usage_error(prog, reason):
+    sys.stderr.write("%s: error: %s\n" % (prog, reason))
+    raise SystemExit(1)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """argv read against _COMMANDS: the command, and one attribute per
+    option of it.  -h/--help prints help and exits 0; a usage error exits 1
+    after one stderr line.  A repeated option keeps its last value, and
+    after "--" every token is a positional.  Unknown flags and stray words
+    are reported once every token is read, so a later -h still gives help.
+    """
+    prog, command, rows = "sheafcount", None, ()
+    flags = {"-h": _HELP, "--help": _HELP}
+    values, slots, extras = {}, [], []
+    i, ended, after_file = 0, False, -1
+    while i < len(argv):
+        tok, i = argv[i], i + 1
+        opt = None if ended or tok == "--" else _option(tok, flags)
+        if opt is None and command is None:
+            if tok not in _COMMANDS:
+                _usage_error(prog, "argument COMMAND: invalid choice: %r "
+                             "(choose from %s)" % (tok, ", ".join(_COMMANDS)))
+            command, prog, rows = tok, prog + " " + tok, _COMMANDS[tok][1]
+            flags.update((f, row) for row in rows if row[0][0] == "-"
+                          for f in row[0].split("/"))
+            values = {_dest(row): row[2] for row in rows
+                      if row[2] is not _REQUIRED}
+            slots = [row for row in rows if row[0][0] != "-"]
+        elif tok == "--" and not ended:
+            # as argparse has it: dropped before the file or just after it
+            ended = True
+            if not slots and after_file != i - 1:
+                extras.append(tok)
+        elif opt is None:
+            if slots:
+                values[_dest(slots.pop(0))], after_file = tok, i
+            else:
+                extras.append(tok)
+        elif opt[0] not in flags:
+            extras.append(tok)
+        else:
+            row, value = flags[opt[0]], opt[1]
+            name, kind = row[0], row[1]
+            if kind is bool and value is not None:
+                _usage_error(prog, "argument %s: ignored explicit argument %r"
+                             % (name, value))
+            if row is _HELP:
+                sys.stdout.write(_help(command))
+                raise SystemExit(0)
+            if kind is bool:
+                value = True
+            elif value is None:
+                if i == len(argv) or argv[i] == "--" or _option(argv[i], flags):
+                    _usage_error(prog, "argument %s: expected one argument"
+                                 % name)
+                value, i = argv[i], i + 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(prog, "argument %s: invalid int value: %r"
+                                 % (name, value))
+            elif isinstance(kind, tuple) and value not in kind:
+                _usage_error(prog, "argument %s: invalid choice: %r (choose "
+                             "from %s)" % (name, value, ", ".join(kind)))
+            values[_dest(row)] = value
+    if command is None:
+        _usage_error(prog, "the following arguments are required: COMMAND")
+    if extras:
+        _usage_error(prog, "unrecognized arguments: %s"
+                     % " ".join(map(repr, extras)))
+    missing = [row[0] for row in rows if _dest(row) not in values]
+    if missing:
+        _usage_error(prog, "the following arguments are required: %s"
+                     % ", ".join(missing))
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         # looked up at call time, so that a replaced cmd_<command> is called;
         # its output reaches stdout only once it has returned

@@ -389,11 +389,21 @@ def _leg_hooks(k):
     """(H, U): H the hook tuple of every partition of k, in
     enumerate_partitions order, and U the multiset union of their den
     forms, each folded by _fold: the leg as sampled mode sums it, cached
-    like the forms and never mutated."""
+    like the forms and never mutated.  The dens of each distinct hook are
+    folded once, and a partition's are counted from its hook multiplicities."""
     H = tuple(tuple(hooks(lam)) for lam in enumerate_partitions(k))
+    folded = {}
     U = Counter()
     for hs in H:
-        U |= Counter(_fold(f) for h in hs for f in _box_forms(*h)[1])
+        dens = {}
+        for h, m in Counter(hs).items():
+            if h not in folded:
+                folded[h] = [_fold(f) for f in _box_forms(*h)[1]]
+            for f in folded[h]:
+                dens[f] = dens.get(f, 0) + m
+        for f, m in dens.items():   # U |= dens, with no Counter built
+            if m > U.get(f, 0):
+                U[f] = m
     return H, U
 
 

@@ -1,7 +1,7 @@
 """Command line behavior: values, formats, determinism, exit codes.
 
-Exit code semantics under test: 0 success, 1 unusable input (also the
-argparse path, which is overridden away from its default of 2), 2 internal
+Exit code semantics under test: 0 success, 1 unusable input (also a usage
+error, raised as SystemExit(1) by the argument reader), 2 internal
 consistency failure, 3 any other exception (a bug), reported in one line.
 Byte-identical output on identical invocations is part of the contract."""
 
@@ -14,9 +14,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sheafcount import checks, cli
@@ -163,7 +164,7 @@ def test_p3_negative_degrees_refused(capsys, s, d):
     assert len(err.splitlines()) == 1 and "s=%s, d=%s" % (s, d) in err
 
 
-# -- argparse-level failures --------------------------------------------
+# -- usage errors and help ----------------------------------------------
 
 def test_unknown_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -189,6 +190,91 @@ def test_check_takes_no_seed(capsys):
     err = capsys.readouterr().err
     assert exc.value.code == 1
     assert len(err.splitlines()) == 1 and "--seed" in err
+
+
+_HAS_DIGIT_CAP = hasattr(sys, "get_int_max_str_digits")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["goettsche"], "required: --terms"),
+    (["goettsche", "--terms", "x"], "--terms: invalid int value: 'x'"),
+    pytest.param(["goettsche", "--terms", "9" * 5000], "invalid int value",
+                 marks=pytest.mark.skipif(not _HAS_DIGIT_CAP,
+                                          reason="no str(int) digit cap")),
+    (["p3", "--n", "3", "--mode", "exact"], "--mode: invalid choice: 'exact'"),
+    (["p3", "--n", "3", "--bogus"], "unrecognized arguments: '--bogus'"),
+    (["goettsche", "--terms"], "--terms: expected one argument"),
+    (["dt", "--nl", "--d", "0", "--c", "0"], "--nl: expected one argument"),
+    (["goettsche", "--terms", "2", "extra"], "unrecognized arguments: 'extra'"),
+    (["goettsche", "--terms", "2", "a\nb"], "unrecognized arguments: 'a\\nb'"),
+    # "--" is dropped before the file or just after it, as argparse has it
+    (["goettsche", "--terms", "2", "--"], "unrecognized arguments: '--'"),
+    (["nl-validate", "t.json", "--format", "text", "--"],
+     "unrecognized arguments: '--'"),
+    (["p3", "--n", "3", "--verbose=yes"], "--verbose: ignored explicit argument"),
+    # a prefix of a flag is no alias for it
+    (["goettsche", "--ter", "5"], "unrecognized arguments: '--ter' '5'"),
+])
+def test_usage_errors_exit_one_with_one_line(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and reason in err
+    prog = "sheafcount " + argv[0] if argv[0] in cli._COMMANDS else "sheafcount"
+    assert err.startswith(prog + ": error: ")
+
+
+def test_flag_value_forms(capsys):
+    # --flag=value, negative values and a repeated flag, whose last value wins
+    terms = run(capsys, ["goettsche", "--terms", "5"])
+    assert terms[0] == 0 and run(capsys, ["goettsche", "--terms=5"]) == terms
+    assert run(capsys, ["goettsche", "--terms", "1", "--terms", "5"]) == terms
+    dt = ["dt", "--nl", fixture("two_copies"), "--d", "0"]
+    code, out, _ = run(capsys, dt + ["--c", "-400"])
+    assert code == 0 and out.strip().lstrip("-").isdigit()
+    assert run(capsys, dt + ["--c=-400"]) == (code, out, "")
+    code, out, _ = run(capsys, ["goettsche", "--euler", "-7", "--terms", "1"])
+    assert code == 0 and out.splitlines()[1] == "q^(1): -7"
+
+
+def test_parsed_namespace():
+    # after "--", a word starting with "-" is the file
+    args = cli.parse_args(["nl-extend", "--h-lo", "-1", "--d-min", "0",
+                           "--d-max", "2", "--", "-t.json"])
+    assert cli.parse_args(["nl-validate", "t.json", "--"]).file == "t.json"
+    assert vars(args) == {"command": "nl-extend", "file": "-t.json",
+                          "h_lo": -1, "d_min": 0, "d_max": 2, "out": None}
+    args = cli.parse_args(["nl-extend", "t.json", "--h-lo", "0", "--d-min",
+                           "0", "--d-max", "2", "-o", "a", "-ob", "--out=c"])
+    assert args.file == "t.json" and args.out == "c"
+    args = cli.parse_args(["p3", "--s", "1", "--d", "1", "--verbose",
+                           "--format", "structured", "--mode=sampled"])
+    assert vars(args) == {"command": "p3", "n": None, "s": 1, "d": 1,
+                          "mode": "sampled", "samples": None, "seed": None,
+                          "verbose": True, "format": "structured"}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_command(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    words = out.split()
+    assert all(command in words for command in cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_command_help_lists_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "-h"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith("usage: sheafcount %s " % command)
+    for row in cli._COMMANDS[command][1]:
+        assert (row[0] if row[0][0] == "-" else row[0].upper()) in out
 
 
 # -- series commands -----------------------------------------------------
@@ -562,17 +648,24 @@ def test_nl_validate_deep_nesting_is_one_line_error(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # start-up cost: these two alone once took about half the import time;
-    # only modules the import adds count, not those the site hooks loaded
+def test_cli_start_leaves_out_slow_modules():
+    # start-up cost: dataclasses and inspect once took about half the import
+    # time, and argparse's gettext lookups and locale import about 5 ms a
+    # process; only modules the import or the run adds count, not those the
+    # site hooks loaded.  Arguments are read in main, so the cli is checked
+    # after a whole main call as well as after its import.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
-    for module in ("sheafcount.cli", "sheafcount.checks"):
-        code = ("import sys; before = set(sys.modules); import %s; print(sorted("
-                "{'dataclasses', 'inspect'} & (set(sys.modules) - before)))" % module)
+    slow = "{'argparse', 'dataclasses', 'gettext', 'inspect', 'locale'}"
+    for module, then in (("sheafcount.cli", "sheafcount.cli.main(['p3', '--n', '3'])"),
+                         ("sheafcount.checks", "print()")):
+        code = ("import sys; before = set(sys.modules); import %s; "
+                "print(sorted(%s & (set(sys.modules) - before))); %s; "
+                "print(sorted(%s & (set(sys.modules) - before)))"
+                % (module, slow, then, slow))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n", module
+        assert proc.stdout.splitlines()[::2] == ["[]", "[]"], module
 
 
 _JSON_SCALARS = st.one_of(
@@ -668,6 +761,68 @@ def _series_argv(draw):
 def test_series_commands_fuzz_table_documents(doc, argv):
     _assert_clean_exit(*_main_on_doc(json.dumps(doc).encode(), argv),
                        codes=(0, 1, 2))
+
+
+# argv drawn from the option table: a command and, mostly, a plausible value
+# for each of its options, spelled "--flag value" or "--flag=value", mixed
+# with noise tokens: flags and prefixes of flags, --flag=value forms, -h and
+# "--", values (negative, past the digit cap, not integers) and stray words.
+# Values stay small, so that an accepted run is quick (p3 at most n = 10);
+# t.json is a copy of a bundled table in the run's directory.
+_FLAGS = sorted({flag for _, rows in cli._COMMANDS.values() for row in rows
+                 if row[0][0] == "-" for flag in row[0].split("/")})
+_ARG_VALUES = st.sampled_from(["0", "3", "-7", "-400", "9" * 5000, "1.5", "x",
+                               "", "-x y", "sampled", "t.json"])
+_ARG_NOISE = st.one_of(
+    st.sampled_from(_FLAGS + ["-h", "--help", "--"]),
+    st.sampled_from(_FLAGS).flatmap(
+        lambda f: st.integers(1, len(f) - 1).map(lambda k: f[:k])),
+    st.tuples(st.sampled_from(_FLAGS), _ARG_VALUES).map("=".join),
+    _ARG_VALUES,
+    st.text(max_size=4))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["frobnicate", *cli._COMMANDS]))
+    groups = []
+    for flags, kind, _, _ in cli._COMMANDS.get(command, ("", ()))[1]:
+        if not draw(st.integers(0, 4)):
+            continue
+        flag = draw(st.sampled_from(flags.split("/")))
+        if kind is bool:
+            groups.append([flag])
+            continue
+        value = (str(draw(st.integers(-2, 3))) if kind is int else
+                 draw(st.sampled_from(kind)) if kind is not str else "t.json")
+        groups.append([value] if flag[0] != "-" else
+                      draw(st.sampled_from([[flag, value], [flag + "=" + value]])))
+    groups += [[tok] for tok in draw(st.lists(_ARG_NOISE, max_size=4))]
+    argv = [command] + [tok for group in draw(st.permutations(groups))
+                        for tok in group]
+    return argv if draw(st.integers(0, 9)) else argv[1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+def test_argv_fuzz_ends_cleanly(argv):
+    # by return or SystemExit; in a scratch directory, since -o writes a
+    # file, and with the check battery (about 1 s a run) stubbed out
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "cmd_check", lambda args: 0):
+        os.chdir(tmp)
+        try:
+            Path("t.json").write_bytes(Path(fixture("two_copies")).read_bytes())
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        finally:
+            os.chdir(cwd)
+    event("exit %s" % code)
+    _assert_clean_exit(code, err.getvalue(), codes=(0, 1, 2))
 
 
 def test_nl_extend_stdout(capsys):

@@ -431,10 +431,19 @@ def test_sampled_legs_equal_term_sums():
 def test_sampled_unions_are_exact_up_to_sign():
     # every den of a leg divides the product W_U of its union, with no
     # remainder, although the union keeps each form only up to sign: its
-    # keys lead with a positive coefficient, as _split's do
+    # keys lead with a positive coefficient, as _split's do.  U is the least
+    # such union, each form as often as in the partition that has it most,
+    # here counted box by box from _p2_factors: a smaller U can still pass
+    # the division at a point, where a content multiple such as (0, 2)
+    # stands in for (0, 1)
     for k in range(13):
         _, U = localization._leg_hooks(k)
         assert all(i > 0 or (i == 0 and j > 0) for j, i in U)
+        least = Counter()
+        for lam in enumerate_partitions(k):
+            least |= Counter(map(localization._fold,
+                                 localization._p2_factors(lam)[1]))
+        assert U == least
         for p, q in ((104729, 7919), (-1299709, 15485863)):
             WU = prod((i * p + j * q) ** m for (j, i), m in U.items())
             for lam in enumerate_partitions(k):
