@@ -305,8 +305,9 @@ _DESCRIPTION = ("Exact sheaf-counting invariants: fixed-point sums on Hilbert "
 _COMMANDS = {
     "p3": ("point-insertion invariant of projective 3-space", (
         ("--n", int, None, "number of points (or give --s and --d)"),
-        ("--s", int, None, "surface degree"),
-        ("--d", int, None, "curve degree"),
+        ("--s", int, None, "with --d, a second spelling of n: "
+         "n = s(s+3)/2 - d + 1"),
+        ("--d", int, None, "with --s (s changes n only, not the integrand)"),
         ("--mode", ("symbolic", "sampled"), "symbolic",
          "symbolic (default), or sampled at seeded rational points"),
         ("--samples", int, None, "evaluation points in sampled mode "

@@ -45,13 +45,13 @@ G(lam)(t) = F(lam)(1/t) and B_k(t) = A_k(1/t).  By theory the result is a
 constant (the equivariant parameters drop out), which the symbolic mode
 verifies literally and the sampled mode verifies at random rational points.
 
-The symbolic mode sums in big integers: it divides no polynomial, takes
-no Fraction and expands no polynomial term by term.  Each F(lam), its
-forms split and cancelled as above, is an integer times primitive forms
-over primitive forms, so A_k = N_k / (c_k prod L_k): L_k is the multiset
-union of the denominator forms over the partitions of k, c_k the lcm of
-their integer contents, and N_k an integer polynomial.  B_k is A_k
-mirrored by _mirror.
+The symbolic mode sums in big integers: it divides no polynomial, adds
+no Fraction and expands no polynomial term by term.  Every sum it takes
+is a sum of Contributions, whose cancel step _contribution has already
+run: A_k is the sum of the Contributions F(lam) over the partitions of k,
+so A_k = N_k / (c_k prod L_k), with L_k the multiset union of their
+denominator forms, c_k the lcm of their scales' denominators, and N_k an
+integer polynomial.  B_k is A_k mirrored by _mirror.
 
 Sampled mode sums in integers too, from the raw forms of the boxes, with
 none of the splitting, cancelling, mirroring or packing above.  At
@@ -81,8 +81,9 @@ sum is constant exactly when N = c * D coefficient by coefficient, with D
 expanded form by form; this is checked literally before c is returned,
 and a sum that fails is reported as the quotient N / D checked, unreduced.
 
-_per_triple_sum packs the unfactored sum of the weight quotients like one
-leg and checks it by the same literal test: no rational function is added.
+_per_triple_sum packs the unfactored sum of contribution_from_characters
+over the triples like one leg and checks it by the same literal test: no
+rational function is added.
 """
 
 from __future__ import annotations
@@ -176,19 +177,6 @@ def _p3_factors(p):
     return [f[::-1] for f in num], [f[::-1] for f in den]
 
 
-def _cancelled(forms):
-    """(cn, num, cd, den) with prod(num forms) / prod(den forms) =
-    cn * prod(num) / (cd * prod(den)): cd > 0, num and den Counters of
-    primitive forms from _split, and the forms common to both cancelled
-    as multisets."""
-    cn, num = _split(forms[0])
-    cd, den = _split(forms[1])
-    common = num & den
-    if cd < 0:
-        cn, cd = -cn, -cd
-    return cn, num - common, cd, den - common
-
-
 def _times_forms(coeffs, forms):
     """Integer coefficient list (coeffs[k] is the coefficient of t^k) of the
     polynomial coeffs times the product of the forms (j, i), i*t + j."""
@@ -242,10 +230,15 @@ class Contribution(namedtuple("Contribution", "scale num den")):
 
 def _contribution(forms) -> Contribution:
     """prod(num forms) / prod(den forms) as a Contribution, forms
-    = (num, den): the one cancel step of both contribution routes."""
-    cn, num, cd, den = _cancelled(forms)
-    return Contribution(Fraction(cn, cd), tuple(sorted(num.elements())),
-                        tuple(sorted(den.elements())))
+    = (num, den): both lists split by _split and the forms common to both
+    cancelled as multisets, the one cancel step of the package."""
+    cn, num = _split(forms[0])
+    cd, den = _split(forms[1])
+    # multiset differences: num - den drops from num the forms it shares
+    # with den, and den - num the same ones from den
+    return Contribution(Fraction(cn, cd),
+                        tuple(sorted((num - den).elements())),
+                        tuple(sorted((den - num).elements())))
 
 
 def fixed_point_contribution(triple) -> Contribution:
@@ -345,17 +338,14 @@ def _common(terms, ev):
              for factors, c, den in terms], e, M)
 
 
-def _leg_poly(legs):
+def _leg_poly(contributions):
     """A_k (or B_k) as (N_k, c_k, L_k) with A_k = N_k / (c_k prod(L_k)):
-    the sum of F(lam) (or G) over the form lists in legs, over the common
-    denominator of _common, with N_k an integer coefficient list.  Forms
-    common to a numerator and its denominator cancel first.  N_k is packed
-    at the narrowest width its own l1 bound allows, then unpacked; the
-    convolution repacks it at its own width."""
-    terms = []
-    for forms in legs:
-        cn, num, cd, den = _cancelled(forms)
-        terms.append(([(cn,), *num.elements()], cd, den))
+    the sum of the Contributions, over the common denominator of _common,
+    with N_k an integer coefficient list.  N_k is packed at the narrowest
+    width its own l1 bound allows, then unpacked; the convolution repacks
+    it at its own width."""
+    terms = [([(x.scale.numerator,), *x.num], x.scale.denominator,
+              Counter(x.den)) for x in contributions]
 
     def numerator(ev):
         parts, c, L = _common(terms, ev)
@@ -364,17 +354,12 @@ def _leg_poly(legs):
 
 
 @functools.cache
-def _leg_forms(k):
-    """The raw forms _p2_factors(lam) of every partition lam of k, listed
-    once per process and k for both modes, and shared, so never mutated."""
-    return tuple(map(_p2_factors, enumerate_partitions(k)))
-
-
-@functools.cache
 def _a_leg(k):
-    """A_k = (N_k, c_k, L_k), _leg_poly over the F forms of every partition
-    of k: summed once per process and k, and shared, so never mutated."""
-    return _leg_poly(_leg_forms(k))
+    """A_k = (N_k, c_k, L_k), _leg_poly over the Contributions F(lam) of
+    the partitions lam of k: summed once per process and k, and shared, so
+    never mutated."""
+    return _leg_poly(_contribution(_p2_factors(lam))
+                     for lam in enumerate_partitions(k))
 
 
 def _fold(form):
@@ -462,21 +447,15 @@ def _convolve(counts, A, B):
                for b in range(n + 1))
 
 
-def _character_forms(triple):
-    """(num, den): the obstruction and the tangent character of triple as
-    linear forms (j, i), meaning i*t + j, one per pair (i, j)."""
-    return ([(j, i) for i, j in obstruction_character(triple)],
-            [(j, i) for i, j in tangent_character(triple)])
-
-
 def contribution_from_characters(triple) -> Contribution:
     """The same contribution computed the slow way, as a weight quotient:
-    the obstruction forms of _character_forms over the tangent forms, with
-    the forms common to both (the whole p1 block among them) cancelled.
-    Its weights come from the characters, not from the per-leg forms of
-    fixed_point_contribution, so the two routes check each other and share
-    only _contribution."""
-    return _contribution(_character_forms(triple))
+    the obstruction character over the tangent character, each pair (i, j)
+    read as the form (j, i), with the forms common to both (the whole p1
+    block among them) cancelled.  Its weights come from the characters, not
+    from the per-leg forms of fixed_point_contribution, so the two routes
+    check each other and share only _contribution."""
+    return _contribution(([(j, i) for i, j in obstruction_character(triple)],
+                          [(j, i) for i, j in tangent_character(triple)]))
 
 
 def _constant(n, N, scale, L) -> Fraction:
@@ -492,9 +471,11 @@ def _constant(n, N, scale, L) -> Fraction:
 
 
 def _per_triple_sum(n) -> Fraction:
-    """The sum of the weight quotients over all triples of size n: the
-    reference for hilb_chern_integral, sharing none of its weight algebra."""
-    return _constant(n, *_leg_poly(map(_character_forms, enumerate_triples(n))))
+    """The sum of contribution_from_characters over all triples of size n,
+    packed by _leg_poly like one leg: the reference for hilb_chern_integral,
+    sharing none of its weight algebra."""
+    return _constant(n, *_leg_poly(map(contribution_from_characters,
+                                       enumerate_triples(n))))
 
 
 def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
@@ -561,12 +542,11 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
 
 
 def p3_point_count(s: int, d: int) -> int:
-    """Expected number of surface points carried by a curve configuration.
+    """n = s(s+3)/2 - d + 1: p3's second spelling of the number of points.
 
-    A degree-s surface and a degree-d curve in projective 3-space meet the
-    counting problem through n = s(s+3)/2 - d + 1 free points; a negative
-    value has no moduli interpretation and is rejected, as are negative
-    degrees.
+    s and d enter the count only through n; whatever s is, the integrand
+    is the plane's at s = 1.  Negative s or d, and a pair that gives
+    n < 0, are rejected.
     """
     if s < 0 or d < 0:
         raise ValueError("degrees must be nonnegative: s=%d, d=%d" % (s, d))

@@ -246,7 +246,10 @@ def _parse_rational(raw, where: str) -> Fraction:
         if not _RATIONAL_RE.match(s):
             raise NLValidationError(
                 "%s: %r is not an exact rational 'p' or 'p/q'" % (where, raw))
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ValueError as exc:   # p or q past the str(int) digit cap
+            raise NLValidationError("%s: %s" % (where, exc)) from exc
     raise NLValidationError(
         "%s: %r is not an exact rational (floating point is not accepted)"
         % (where, raw))
@@ -315,7 +318,9 @@ def nl_loads(text: str) -> FibrationSpec:
     """Parse a JSON table document from a string, rejecting any float."""
     try:
         doc = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
+    except NLValidationError:
+        raise   # _reject_float's own message
+    except ValueError as exc:   # bad JSON, or an int past the str(int) digit cap
         raise NLValidationError("malformed document: %s" % exc) from exc
     except RecursionError:
         raise NLValidationError("malformed document: nested too deeply") from None

@@ -122,11 +122,7 @@ class PuiseuxSeries:
         out = {k: v for k, v in a.coeffs.items() if k <= trunc}
         for k, v in b.coeffs.items():
             if k <= trunc:
-                s = out.get(k, Fraction(0)) + v
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                out[k] = out.get(k, 0) + v
         return PuiseuxSeries(a.grid, out, trunc)
 
     def __mul__(self, other):
@@ -146,11 +142,7 @@ class PuiseuxSeries:
             for j, cb in b.coeffs.items():
                 k = i + j
                 if k <= trunc:
-                    s = out.get(k, Fraction(0)) + ca * cb
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+                    out[k] = out.get(k, 0) + ca * cb
         return PuiseuxSeries(a.grid, out, trunc)
 
     def shift(self, exponent):

@@ -525,6 +525,26 @@ def test_table_literals_longer_than_the_digit_cap_are_refused(capsys,
         assert len(err.splitlines()) == 1 and str(STR_DIGITS) in err
 
 
+_PAST_CAP = "1" + "0" * STR_DIGITS   # one digit more than Python parses
+
+
+@pytest.mark.skipif(not STR_DIGITS, reason="this Python has no digit cap")
+@pytest.mark.parametrize("text", [
+    '{"ell": 2, "k": 0, "nl": [{"h": 1, "d": 0, "value": %s}]}' % _PAST_CAP,
+    '{"ell": 2, "k": 0, "nl": [{"h": 1, "d": 0, "value": "1/%s"}]}'
+    % _PAST_CAP,
+    '{"ell": %s, "k": 0, "nl": []}' % _PAST_CAP,
+], ids=["json-int-value", "rational-value", "ell"])
+def test_numbers_past_the_digit_cap_name_the_table(capsys, tmp_path, text):
+    # refused like every other table error: one line naming the file
+    table = tmp_path / "long.json"
+    table.write_text(text)
+    code, out, err = run(capsys, ["nl-validate", str(table)])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and str(STR_DIGITS) in err
+    assert err.startswith("error: %s: " % table)
+
+
 def test_failed_run_prints_nothing_on_stdout(capsys, monkeypatch):
     # what a subcommand printed before it failed is dropped, not written
     def half_done(args):

@@ -34,12 +34,11 @@ INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 @pytest.fixture(autouse=True)
 def cold_legs():
-    # the legs A_k, their forms and their hooks and unions are cached per
+    # the legs A_k and sampled mode's hooks and unions are cached per
     # process: a leg packed under one test's replaced _width or factors
     # must not reach another test, and a test that expects a leg to be
     # summed must find the cache empty
-    caches = (localization._a_leg, localization._leg_forms,
-              localization._leg_hooks)
+    caches = (localization._a_leg, localization._leg_hooks)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -198,7 +197,8 @@ def test_leg_sum_equals_rational_sum():
     for factors in (localization._p2_factors, localization._p3_factors):
         for k in range(6):
             legs = [factors(lam) for lam in enumerate_partitions(k)]
-            num, scale, den = localization._leg_poly(legs)
+            num, scale, den = localization._leg_poly(
+                map(localization._contribution, legs))
             need = len(num) + sum(den.values()) + 2 * k + 1
             for t0 in _sum_points(legs, need):
                 packed = (sum(c * t0 ** e for e, c in enumerate(num))
@@ -222,14 +222,15 @@ def test_leg_bound_holds(monkeypatch):
     monkeypatch.setattr(localization, "_width", spy)
     for factors in (localization._p2_factors, localization._p3_factors):
         for k in range(7):
-            legs = [factors(lam) for lam in enumerate_partitions(k)]
+            terms = [localization._contribution(factors(lam))
+                     for lam in enumerate_partitions(k)]
             bounds.clear()
-            N, scale, den = localization._leg_poly(legs)
+            N, scale, den = localization._leg_poly(terms)
             total = [0] * (sum(den.values()) + 2 * k + 1)
-            for forms in legs:
-                cn, num, cd, own = localization._cancelled(forms)
-                term = _times_forms([scale // cd * cn],
-                                    [*num.elements(), *(den - own).elements()])
+            for x in terms:
+                term = _times_forms(
+                    [scale // x.scale.denominator * x.scale.numerator],
+                    [*x.num, *(den - Counter(x.den)).elements()])
                 for e, c in enumerate(term):
                     total[e] += c
             while total and not total[-1]:
@@ -301,12 +302,23 @@ def test_mirror_of_a_leg_is_b_leg():
     # when N c' prod(L') = N' c prod(L), both sides expanded
     for k in range(13):
         ps = enumerate_partitions(k)
-        A = [localization._p2_factors(lam) for lam in ps]
-        N, c, L = localization._mirror(localization._leg_poly(A), k)
+        N, c, L = localization._mirror(localization._leg_poly(
+            localization._contribution(localization._p2_factors(lam))
+            for lam in ps), k)
         M, e, K = localization._leg_poly(
-            [localization._p3_factors(lam) for lam in ps])
+            localization._contribution(localization._p3_factors(lam))
+            for lam in ps)
         assert (_times_forms([e * x for x in N], K.elements())
                 == _times_forms([c * x for x in M], L.elements())), k
+
+
+def test_a_leg_sums_the_printed_contributions():
+    # A_k is the sum of the Contributions p3 --verbose prints for the
+    # triples ((), lam, ()), packed by the same _leg_poly
+    for k in range(9):
+        assert localization._a_leg(k) == localization._leg_poly(
+            fixed_point_contribution(((), lam, ()))
+            for lam in enumerate_partitions(k)), k
 
 
 def _unreversed(real, leg, k):

@@ -213,6 +213,18 @@ def test_multiplication_by_scalar():
     assert (a * 0).coeffs == {}
 
 
+def test_sums_and_products_that_cancel_store_no_zero():
+    # the constructor drops zero coefficients, so a sum or a product that
+    # cancels a coefficient leaves no key behind, and an exact zero is falsy
+    s = PuiseuxSeries(2, {1: 1, 3: Fraction(2, 3)}, 8)
+    neg = s * PuiseuxSeries(1, {0: -1}, 20)
+    assert neg == s * (-1) and neg.trunc == 8
+    zero = s + neg
+    assert zero.coeffs == {} and not zero and zero.trunc == 8
+    p = PuiseuxSeries(1, {0: 1, 1: 1}, 6) * PuiseuxSeries(1, {0: 1, 1: -1}, 6)
+    assert p.coeffs == {0: 1, 2: -1} and p.trunc == 6
+
+
 def test_shift_refines_grid():
     s = PuiseuxSeries(1, {0: 1, 1: 2}, 4)
     t = s.shift(Fraction(9, 8))
