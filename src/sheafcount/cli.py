@@ -502,7 +502,14 @@ def main(argv=None) -> int:
             data = memoryview(out.getvalue().encode(sys.stdout.encoding,
                                                     sys.stdout.errors))
             while data:
-                data = data[raw.write(data):]
+                written = raw.write(data)
+                if written is None:
+                    # a non-blocking file that is full takes no bytes: wait
+                    # until it can take some, rather than retry at once
+                    import select
+                    select.select([], [raw], [])
+                    continue
+                data = data[written:]
         sys.stdout.flush()   # a failed write is reported here, as exit 1
         return code
     except ConsistencyError as exc:

@@ -21,11 +21,12 @@ by t1^-1 and every p3 pair by t2^-1.  The p1 blocks of the two characters
 coincide and cancel: fixed_point_contribution never materializes them,
 while contribution_from_characters, the slower character-quotient route
 and an independent check, cancels them as multisets.  The two routes share
-only the cancel step _contribution, which splits both lists of forms into
-an integer and primitive forms i*t + j with i > 0 and cancels the forms
-common to both.  The Contribution left, scale * prod(num) / prod(den), is
-coprime and canonical by Gauss's lemma, linear forms over Q being
-irreducible: equal Contributions are equal functions, with no gcd taken.
+only _contribution, which splits both lists of forms into an integer and
+primitive forms i*t + j with i > 0 (_split) and cancels the forms common
+to both (_cancel, the one cancel step).  The Contribution left,
+scale * prod(num) / prod(den), is coprime and canonical by Gauss's lemma,
+linear forms over Q being irreducible: equal Contributions are equal
+functions, with no gcd taken.
 
 The localization sum over all triples of total size n evaluates the
 integral of the top Chern class of the rank-2n obstruction bundle.  A
@@ -47,26 +48,29 @@ verifies literally and the sampled mode verifies at random rational points.
 
 The symbolic mode sums in big integers: it divides no polynomial, adds
 no Fraction and expands no polynomial term by term.  Every sum it takes
-is a sum of Contributions, whose cancel step _contribution has already
-run: A_k is the sum of the Contributions F(lam) over the partitions of k,
-so A_k = N_k / (c_k prod L_k), with L_k the multiset union of their
+is a sum of Contributions, whose cancel step _cancel has already run:
+A_k is the sum of the Contributions F(lam) over the partitions of k, so
+A_k = N_k / (c_k prod L_k), with L_k the multiset union of their
 denominator forms, c_k the lcm of their scales' denominators, and N_k an
-integer polynomial.  B_k is A_k mirrored by _mirror.
+integer polynomial.  B_k is A_k mirrored by _mirror.  A box's forms
+depend on its hook (arm, leg) alone (_box_forms), so _split runs once per
+hook and process (_hook_split), and each F(lam) is _cancel of its hooks'
+split forms.
 
 Sampled mode sums in integers too, from the raw forms of the boxes, with
 none of the splitting, cancelling, mirroring or packing above.  At
 t0 = p/q the forms of F(lam) evaluated at (p, q) give F(lam)(t0), and at
 (q, p) they give G(lam)(t0), so B_k is read off the same forms at the
 swapped point; both contribution routes and _per_triple_sum evaluate G
-themselves.  A box's forms depend on its hook (arm, leg) alone
-(_box_forms), so at each point every hook's numerator and denominator
-product is taken once, and a partition's are products of its hooks'.  A
+themselves.  At each point every hook's numerator and denominator product
+is taken once, into lists that each partition reads by its hooks'
+indices (_hook_id), and a partition's are products of its hooks'.  A
 leg is summed over the multiset union of its den forms, each kept up to
-sign: each term is prod(num) * (W // prod(den)), W the product of the
-union at the point, an exact quotient since a form and its negation
-divide each other.  Each leg is then scaled to the union of all legs.
-Both sides' integer numerators go through the same convolution, and one
-Fraction is taken per point, over W_A * W_B.
+sign and valued once per point: each term is prod(num) * (W // prod(den)),
+W the product of the union at the point, an exact quotient since a form
+and its negation divide each other.  Each leg is then scaled to the union
+of all legs.  Both sides' integer numerators go through the same
+convolution, and one Fraction is taken per point, over W_A * W_B.
 
 Polynomials are summed by Kronecker substitution: every form is evaluated
 at one integer T = 2^B, so each product and sum is one big-integer
@@ -74,12 +78,15 @@ operation, and the integer N_k(T) is unpacked into its signed base-T
 digits.  B comes from a proven bound: the same code, run with each form
 replaced by |i| + |j|, bounds the l1 norm of N_k (||fg|| <= ||f|| ||g||),
 and a T whose half exceeds that bound makes the digits the coefficients.
-Each leg is packed at its own width, unpacked, and repacked for the
-convolution, sampled mode's, run over the common denominator
-D = c prod(L + L') of the legs and unpacked into one numerator N.  The
-sum is constant exactly when N = c * D coefficient by coefficient, with D
-expanded form by form; this is checked literally before c is returned,
-and a sum that fails is reported as the quotient N / D checked, unreduced.
+_common takes a sum's union of denominators and lcm of scales once per
+sum, outside the evaluator, so the bound pass and the packed pass share
+them, and each pass values every distinct form once.  Each leg is packed
+at its own width, unpacked, and repacked for the convolution, sampled
+mode's, run over the common denominator D = c prod(L + L') of the legs
+and unpacked into one numerator N.  The sum is constant exactly when
+N = c * D coefficient by coefficient, with D expanded form by form; this
+is checked literally before c is returned, and a sum that fails is
+reported as the quotient N / D checked, unreduced.
 
 _per_triple_sum packs the unfactored sum of contribution_from_characters
 over the triples like one leg and checks it by the same literal test: no
@@ -228,17 +235,28 @@ class Contribution(namedtuple("Contribution", "scale num den")):
         return _quotient_str(_times_forms([cn], self.num), cd, self.den)
 
 
+def _cancel(cn, num, cd, den) -> Contribution:
+    """cn * prod(num) / (cd * prod(den)) as a Contribution, cn and cd
+    integers and num and den lists of forms split by _split: the forms
+    common to both cancelled as multisets, the one cancel step of the
+    package."""
+    # multiset differences: each den form takes one copy of itself out of
+    # num if one is left there, and stays in den otherwise
+    left = Counter(num)
+    kept = []
+    for f in den:
+        if left.get(f):
+            left[f] -= 1
+        else:
+            kept.append(f)
+    return Contribution(Fraction(cn, cd), tuple(sorted(left.elements())),
+                        tuple(sorted(kept)))
+
+
 def _contribution(forms) -> Contribution:
     """prod(num forms) / prod(den forms) as a Contribution, forms
-    = (num, den): both lists split by _split and the forms common to both
-    cancelled as multisets, the one cancel step of the package."""
-    cn, num = _split(forms[0])
-    cd, den = _split(forms[1])
-    # multiset differences: num - den drops from num the forms it shares
-    # with den, and den - num the same ones from den
-    return Contribution(Fraction(cn, cd),
-                        tuple(sorted((num - den).elements())),
-                        tuple(sorted((den - num).elements())))
+    = (num, den): both lists split by _split, then _cancel."""
+    return _cancel(*_split(forms[0]), *_split(forms[1]))
 
 
 def fixed_point_contribution(triple) -> Contribution:
@@ -252,15 +270,15 @@ def fixed_point_contribution(triple) -> Contribution:
 
 def _split(forms):
     """(c, forms') with prod(forms) = c * prod(forms'): c an integer and
-    forms' a Counter of primitive nonconstant forms whose leading
-    coefficient is positive, so that equal factors compare equal."""
+    forms' a list of primitive nonconstant forms whose leading coefficient
+    is positive, so that equal factors compare equal."""
     c = 1
-    out = Counter()
+    out = []
     for j, i in forms:
         g = gcd(i, j) if i > 0 or (i == 0 and j > 0) else -gcd(i, j)
         c *= g
         if i:
-            out[j // g, i // g] += 1
+            out.append((j // g, i // g))
     return c, out
 
 
@@ -304,38 +322,52 @@ def _unpack(x, bits):
     return digits
 
 
-def _packed(numerator):
+def _packed(numerator, scale, L):
     """(N, scale, L) for a sum N / (scale * prod(L)), with N an integer
-    polynomial and numerator(ev) returning (N under ev, scale, L).  N is
-    evaluated under _norm for an l1 bound, which gives the width, then at
+    polynomial and numerator(ev) returning N under ev.  N is evaluated
+    under _norm for an l1 bound, which gives the width, then at
     T = 2**width, and returned as its unpacked coefficient list."""
-    bound, _, L = numerator(_norm)
-    bits = _width(bound, L)
-    packed, scale, L = numerator(_at(bits))
-    return _unpack(packed, bits), scale, L
+    bits = _width(numerator(_norm), L)
+    return _unpack(numerator(_at(bits)), bits), scale, L
 
 
-def _prod(forms, ev):
-    return prod(ev(f) ** m for f, m in forms.items())
+def _union(counters):
+    """The multiset union of the Counters: each key as often as in the one
+    that has it most."""
+    out = Counter()
+    for counter in counters:
+        for f, m in counter.items():
+            if m > out.get(f, 0):
+                out[f] = m
+    return out
 
 
-def _common(terms, ev):
+def _common(terms):
     """The terms prod(factors) / (c * prod(den)), (factors, c, den) with c a
-    positive integer and den a Counter of forms, over their common
-    denominator e * prod(M): M is the multiset union of the dens and e the
-    lcm of the c's.  Returns ([numerator of each term under ev], e, M).
+    positive integer, factors a list of hashable coefficient sequences and
+    den a Counter of forms, over their common denominator e * prod(M): M is
+    the multiset union of the dens and e the lcm of the c's, both taken once
+    per sum.  Returns (numerators, e, M), numerators(ev) the list of each
+    term's numerator under ev, in which each distinct form and factor is
+    valued once.
 
     Under _at(bits) a numerator is its value at T = 2**bits, prod(M - den)
     computed as prod(M) // prod(den) exactly.  Under _norm the same code
     bounds its l1 norm, by ||f g|| <= ||f|| ||g|| and ||i*t + j|| = |i|+|j|.
     """
     e = lcm(*(c for _, c, _ in terms))
-    M = Counter()
-    for _, _, den in terms:
-        M |= den
-    whole = _prod(M, ev)
-    return ([(e // c) * prod(map(ev, factors)) * (whole // _prod(den, ev))
-             for factors, c, den in terms], e, M)
+    M = _union(den for _, _, den in terms)
+    distinct = set(M).union(*(factors for factors, _, _ in terms))
+
+    def numerators(ev):
+        value = {f: ev(f) for f in distinct}
+
+        def at(forms):
+            return prod(value[f] ** m for f, m in forms.items())
+        whole = at(M)
+        return [(e // c) * prod(map(value.__getitem__, factors))
+                * (whole // at(den)) for factors, c, den in terms]
+    return numerators, e, M
 
 
 def _leg_poly(contributions):
@@ -344,22 +376,38 @@ def _leg_poly(contributions):
     with N_k an integer coefficient list.  N_k is packed at the narrowest
     width its own l1 bound allows, then unpacked; the convolution repacks
     it at its own width."""
-    terms = [([(x.scale.numerator,), *x.num], x.scale.denominator,
-              Counter(x.den)) for x in contributions]
+    numerators, c, L = _common([
+        ([(x.scale.numerator,), *x.num], x.scale.denominator, Counter(x.den))
+        for x in contributions])
+    return _packed(lambda ev: sum(numerators(ev)), c, L)
 
-    def numerator(ev):
-        parts, c, L = _common(terms, ev)
-        return sum(parts), c, L
-    return _packed(numerator)
+
+@functools.cache
+def _hook_split(a, l):
+    """_split of the numerator and of the denominator forms of the hook
+    (a, l), ((cn, num), (cd, den)): taken once per process and hook, and
+    shared, so never mutated."""
+    return tuple(map(_split, _box_forms(a, l)))
 
 
 @functools.cache
 def _a_leg(k):
     """A_k = (N_k, c_k, L_k), _leg_poly over the Contributions F(lam) of
     the partitions lam of k: summed once per process and k, and shared, so
-    never mutated."""
-    return _leg_poly(_contribution(_p2_factors(lam))
-                     for lam in enumerate_partitions(k))
+    never mutated.  Each F(lam) is _cancel of its hooks' _hook_split forms,
+    so _split runs once per distinct hook, not once per box."""
+    contributions = []
+    for lam in enumerate_partitions(k):
+        cn = cd = 1
+        num, den = [], []
+        for a, l in hooks(lam):
+            (hn, hnum), (hd, hden) = _hook_split(a, l)
+            cn *= hn
+            cd *= hd
+            num += hnum
+            den += hden
+        contributions.append(_cancel(cn, num, cd, den))
+    return _leg_poly(contributions)
 
 
 def _fold(form):
@@ -369,27 +417,30 @@ def _fold(form):
     return form if i > 0 or (i == 0 and j > 0) else (-j, -i)
 
 
+def _hook_id(a, l):
+    """The index of the hook (a, l) in the per-point lists of _legs_at:
+    (a+l)(a+l+1)/2 + a, so the hooks with a + l < n fill range(n(n+1)/2),
+    by a + l and then by a."""
+    return (a + l) * (a + l + 1) // 2 + a
+
+
 @functools.cache
 def _leg_hooks(k):
-    """(H, U): H the hook tuple of every partition of k, in
-    enumerate_partitions order, and U the multiset union of their den
-    forms, each folded by _fold: the leg as sampled mode sums it, cached
-    like the forms and never mutated.  The dens of each distinct hook are
-    folded once, and a partition's are counted from its hook multiplicities."""
-    H = tuple(tuple(hooks(lam)) for lam in enumerate_partitions(k))
-    folded = {}
-    U = Counter()
-    for hs in H:
-        dens = {}
-        for h, m in Counter(hs).items():
-            if h not in folded:
-                folded[h] = [_fold(f) for f in _box_forms(*h)[1]]
-            for f in folded[h]:
-                dens[f] = dens.get(f, 0) + m
-        for f, m in dens.items():   # U |= dens, with no Counter built
-            if m > U.get(f, 0):
-                U[f] = m
-    return H, U
+    """(H, U): H the hooks of every partition of k, in
+    enumerate_partitions order, each as its tuple of _hook_id indices, and
+    U the multiset union of their den forms, each folded by _fold: the leg
+    as sampled mode sums it, cached like the forms and never mutated.  The
+    dens of each hook with a + l < k are folded once, and each partition's
+    are counted from its hook indices."""
+    ids = {}
+    folded = {}   # by hook index
+    for s in range(k):
+        for a in range(s + 1):
+            h = ids[a, s - a] = _hook_id(a, s - a)
+            folded[h] = [_fold(f) for f in _box_forms(a, s - a)[1]]
+    H = tuple(tuple(map(ids.__getitem__, hooks(lam)))
+              for lam in enumerate_partitions(k))
+    return H, _union(Counter([f for h in hs for f in folded[h]]) for hs in H)
 
 
 def _legs_at(legs, M, p, q):
@@ -397,32 +448,46 @@ def _legs_at(legs, M, p, q):
     legs[k] = _leg_hooks(k), at t0 = p/q is N_k / W, with W the product of
     the forms of M at (p, q) and M holding the union of every leg.  At t0
     each form i*t0 + j is (i*p + j*q)/q, and each F(lam) has as many
-    numerator as denominator forms, so the q's cancel.  The numerator and
-    the denominator product of every hook (a, l), a + l < n, are taken
-    once; a leg (H, U) is summed over the product W_U of its union: a term
-    is the product of its hooks' numerators times W_U // (the product of
-    their denominators), and the leg's sum is scaled by W // W_U.  A form
-    and its negation divide each other, and U holds every den of its leg up
-    to sign, so both quotients are exact.  A zero form (t0 is a pole)
-    raises ZeroDivisionError."""
-    def at(forms):
-        return prod(i * p + j * q for j, i in forms)
+    numerator as denominator forms, so the q's cancel.
+
+    Once per hook (a, l) with a + l < n, the product of its _box_forms
+    numerator forms and that of its denominator forms are taken at the
+    point, by a plain loop over however many forms it has, into two lists
+    in _hook_id order, which the legs' index tuples read.  Once per form,
+    each form of the legs' own unions is valued at the point, into a table
+    that W and every W_U read.  A leg (H, U) is summed over the product W_U
+    of its union: a term is the product of its hooks' numerators times
+    W_U // (the product of their denominators), and the leg's sum is scaled
+    by W // W_U.  A form and its negation divide each other, and U holds
+    every den of its leg up to sign, so both quotients are exact.  A zero
+    form (t0 is a pole) raises ZeroDivisionError."""
+    n = len(legs) - 1
+    num, den = [], []
+    for s in range(n):
+        for a in range(s + 1):
+            box_num, box_den = _box_forms(a, s - a)
+            x = 1
+            for j, i in box_num:
+                x *= i * p + j * q
+            num.append(x)
+            x = 1
+            for j, i in box_den:
+                x *= i * p + j * q
+            den.append(x)
+    value = {(j, i): i * p + j * q
+             for j, i in set().union(*(U for _, U in legs))}
 
     def at_union(forms):
-        return prod((i * p + j * q) ** m for (j, i), m in forms.items())
-    n = len(legs) - 1
-    num, den = {}, {}
-    for a in range(n):
-        for l in range(n - a):
-            box_num, box_den = _box_forms(a, l)
-            num[a, l], den[a, l] = at(box_num), at(box_den)
+        return prod(value[f] ** m for f, m in forms.items())
     W = at_union(M)
     N = []
+    num_at, den_at = num.__getitem__, den.__getitem__
     for H, U in legs:
         WU = at_union(U)
-        N.append((W // WU) * sum(
-            prod(map(num.__getitem__, hs))
-            * (WU // prod(map(den.__getitem__, hs))) for hs in H))
+        total = 0
+        for hs in H:
+            total += prod(map(num_at, hs)) * (WU // prod(map(den_at, hs)))
+        N.append((W // WU) * total)
     return N, W
 
 
@@ -478,46 +543,50 @@ def _per_triple_sum(n) -> Fraction:
                                        enumerate_triples(n))))
 
 
+@functools.cache
+def _count(k):
+    """p(k), the number of partitions of k: counted once per process."""
+    return len(enumerate_partitions(k))
+
+
 def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
                         samples: int = MIN_SAMPLES) -> Fraction:
     """Integral of the top Chern class over Hilb^n of the plane.
 
-    Both modes take the factored sum of the module docstring.  symbolic
-    mode packs it as described there and raises ConsistencyError unless
-    N = c * D, which would mean a bug.  Each A_k is read from _a_leg's
-    cache, so a call after one at n' sums only the legs with k > n'; the
-    mirror, its shape guard, the convolution and the check run on every
-    call.  sampled mode evaluates the sum at `samples` distinct random
-    rational points with numerators and denominators bounded by 10**6,
-    redrawing a point that is a pole of some F or G (every partition of
-    size at most n is p2 or p3 of some triple, so these are the poles of
-    the per-triple sum), and requires exact agreement.  At each point
-    _legs_at takes each hook's forms once and sums every leg in integers
-    over the union of its den forms up to sign, at (p, q) for A and at
-    (q, p) for B; the integer numerators are convolved and one Fraction is
-    taken per point.
+    Both modes take the factored sum of the module docstring, with each
+    p(k) counted once per process (_count).  symbolic mode packs it as
+    described there and raises ConsistencyError unless N = c * D, which
+    would mean a bug.  Each A_k is read from _a_leg's cache, so a call
+    after one at n' sums only the legs with k > n', and each hook is split
+    once per process; the mirror, its shape guard, the convolution and the
+    check run on every call, the convolution's two _common unions once per
+    call and each distinct form once per pass.  sampled mode evaluates the
+    sum at `samples` distinct random rational points with numerators and
+    denominators bounded by 10**6, redrawing a point that is a pole of some
+    F or G (every partition of size at most n is p2 or p3 of some triple,
+    so these are the poles of the per-triple sum), and requires exact
+    agreement.  The union M of the legs is taken once per call.  At each
+    point _legs_at takes each hook's forms once and each union form once,
+    and sums every leg in integers over the union of its den forms up to
+    sign, at (p, q) for A and at (q, p) for B; the integer numerators are
+    convolved and one Fraction is taken per point.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    counts = [len(enumerate_partitions(k)) for k in range(n + 1)]
+    counts = list(map(_count, range(n + 1)))
     if mode == "symbolic":
         legs = list(map(_a_leg, range(n + 1)))
-        A = [([N], c, L) for N, c, L in legs]
-        B = [([N], c, L) for N, c, L in map(_mirror, legs, range(n + 1))]
-
-        def numerator(ev):
-            QA, ea, MA = _common(A, ev)
-            QB, eb, MB = _common(B, ev)
-            return _convolve(counts, QA, QB), ea * eb, MA + MB
-        return _constant(n, *_packed(numerator))
+        QA, ea, MA = _common([([tuple(N)], c, L) for N, c, L in legs])
+        QB, eb, MB = _common([([tuple(N)], c, L)
+                              for N, c, L in map(_mirror, legs, range(n + 1))])
+        return _constant(n, *_packed(
+            lambda ev: _convolve(counts, QA(ev), QB(ev)), ea * eb, MA + MB))
     if mode == "sampled":
         if samples < MIN_SAMPLES:
             raise ValueError("sampled mode needs at least %d points"
                              % MIN_SAMPLES)
         legs = list(map(_leg_hooks, range(n + 1)))
-        M = Counter()
-        for _, U in legs:
-            M |= U
+        M = _union(U for _, U in legs)
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
         seen = set()
         drawn = []   # (point, value)

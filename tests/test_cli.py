@@ -594,6 +594,37 @@ def test_reader_closing_early_exits_one(unbuffered):
     assert err == b"error: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX pipes and rusage")
+def test_full_non_blocking_stdout_is_waited_for():
+    # into a non-blocking pipe that is full, the raw write takes no bytes and
+    # returns None; main must wait until the pipe drains, not retry at once.
+    # The reader of the non-blocking pipe waits 2 s before it reads, and the
+    # run may use little more CPU than the same run into a blocking pipe
+    import resource
+
+    argv = ["p3", "--n", "8", "--verbose"]   # about 90 KB, in about 0.3 s
+    runs = []
+    for blocking in (True, False):
+        r, w = os.pipe()
+        os.set_blocking(w, blocking)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = _cli_process(argv, False, w)
+        os.close(w)
+        if not blocking:
+            time.sleep(2)
+        with open(r, "rb") as reader:
+            out = reader.read()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0 and err == b"", (blocking, err)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        runs.append((out, after.ru_utime + after.ru_stime
+                     - before.ru_utime - before.ru_stime))
+    (want, cpu_blocking), (got, cpu) = runs
+    assert len(want) > 80_000 and got == want
+    assert cpu < cpu_blocking + 0.75, (cpu, cpu_blocking)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_full_disk_exits_one(unbuffered):

@@ -14,7 +14,7 @@ from math import prod
 
 import pytest
 
-from sheafcount import checks, localization
+from sheafcount import checks, localization, partitions
 from sheafcount.errors import ConsistencyError
 from sheafcount.localization import (
     _times_forms,
@@ -34,11 +34,12 @@ INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 @pytest.fixture(autouse=True)
 def cold_legs():
-    # the legs A_k and sampled mode's hooks and unions are cached per
-    # process: a leg packed under one test's replaced _width or factors
-    # must not reach another test, and a test that expects a leg to be
-    # summed must find the cache empty
-    caches = (localization._a_leg, localization._leg_hooks)
+    # the legs A_k, the split forms of each hook and sampled mode's hooks
+    # and unions are cached per process: a leg packed under one test's
+    # replaced _width or factors must not reach another test, and a test
+    # that expects a leg to be summed must find the cache empty
+    caches = (localization._a_leg, localization._hook_split,
+              localization._leg_hooks)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -314,11 +315,32 @@ def test_mirror_of_a_leg_is_b_leg():
 
 def test_a_leg_sums_the_printed_contributions():
     # A_k is the sum of the Contributions p3 --verbose prints for the
-    # triples ((), lam, ()), packed by the same _leg_poly
-    for k in range(9):
+    # triples ((), lam, ()), packed by the same _leg_poly: the leg built from
+    # each hook's split forms against the one split box by box
+    for k in range(13):
         assert localization._a_leg(k) == localization._leg_poly(
             fixed_point_contribution(((), lam, ()))
             for lam in enumerate_partitions(k)), k
+
+
+def test_a_leg_catches_a_wrong_hook_split(monkeypatch):
+    # with the content of one hook's split numerator doubled, every F(lam)
+    # with that hook is doubled in A_k, and the sum is no longer constant;
+    # each of the 6 hooks with a + l < 3, in turn.  At n = 4, not 3: the
+    # hook (0, 2) is in (3,) alone, which enters the sum at n = 3 only as
+    # F((3,)) + G((3,)) = -4, a constant, so doubling it there gives 136,
+    # wrong but constant; at n = 4 it enters as F((3,)) G((1,)) too
+    split = localization._hook_split
+    hook_list = [(a, l) for a in range(3) for l in range(3 - a)]
+    assert len(hook_list) == 6
+    for hook in hook_list:
+        def doubled(a, l, hook=hook):
+            (cn, num), den = split(a, l)
+            return ((2 * cn if (a, l) == hook else cn, num), den)
+        monkeypatch.setattr(localization, "_hook_split", doubled)
+        localization._a_leg.cache_clear()
+        with pytest.raises(ConsistencyError):
+            hilb_chern_integral(4)
 
 
 def _unreversed(real, leg, k):
@@ -438,6 +460,34 @@ def test_sampled_legs_equal_term_sums():
         for k in range(n + 1):
             assert Fraction(N[k], W) == sum(
                 _f_at(lam, t0) for lam in enumerate_partitions(k))
+
+
+def test_sampled_hooks_decode_to_the_partitions_hooks():
+    # each index tuple of _leg_hooks(k) is hooks(lam) through _hook_id, in
+    # enumerate_partitions order
+    for k in range(13):
+        ids = {localization._hook_id(a, l): (a, l)
+               for a in range(k) for l in range(k - a)}
+        H, _ = localization._leg_hooks(k)
+        assert [[ids[h] for h in hs] for hs in H] == [
+            partitions.hooks(lam) for lam in enumerate_partitions(k)], k
+
+
+def test_hook_ids_follow_the_fill_order(monkeypatch):
+    # _legs_at reads each hook (a, l) with a + l < n through _box_forms once,
+    # and _hook_id maps them, in that order, onto range(n(n+1)/2): the
+    # index of each hook is its place in the per-point lists
+    box_forms = localization._box_forms
+    read = []
+    monkeypatch.setattr(localization, "_box_forms",
+                        lambda a, l: read.append((a, l)) or box_forms(a, l))
+    for n in range(17):
+        legs, M = _sampled_legs(n)
+        read.clear()
+        localization._legs_at(legs, M, 104729, 7919)
+        assert [localization._hook_id(a, l) for a, l in read] == list(
+            range(n * (n + 1) // 2)), n
+        assert sorted(read) == [(a, l) for a in range(n) for l in range(n - a)]
 
 
 def test_sampled_unions_are_exact_up_to_sign():
