@@ -9,8 +9,6 @@ seed and random tables come from fixed seeds, so every run tests the same
 points and the same tables.
 """
 
-from __future__ import annotations
-
 import random
 from collections import namedtuple
 from fractions import Fraction

@@ -12,13 +12,12 @@ error, one stderr line and exit 1, so that code 2 stays unambiguous.
 All output is deterministic: same invocation, same bytes.  Sampled
 evaluation uses a fixed default seed unless --seed is given.  stdout is
 written once a subcommand returns, and empty if it fails; results print whole.
+json is imported only where a document is read or written, so p3 never loads
+it, and neither does start-up.
 """
-
-from __future__ import annotations
 
 import contextlib
 import io
-import json
 import re
 import sys
 from fractions import Fraction
@@ -63,7 +62,8 @@ def _any_length():
 
 @_any_length()
 def _emit_value(v, fmt: str):
-    print(json.dumps({"value": str(v)}) if fmt == "structured" else v)
+    # json.dumps({"value": str(v)}) byte for byte: no str(v) here needs escapes
+    print('{"value": "%s"}' % v if fmt == "structured" else v)
 
 
 def _series_doc(s: PuiseuxSeries) -> dict:
@@ -83,6 +83,7 @@ def _print_series_text(s: PuiseuxSeries):
 @_any_length()
 def _emit_series(s: PuiseuxSeries, fmt: str):
     if fmt == "structured":
+        import json
         print(json.dumps(_series_doc(s)))
     else:
         _print_series_text(s)
@@ -91,6 +92,7 @@ def _emit_series(s: PuiseuxSeries, fmt: str):
 @_any_length()
 def _emit_components(comp: dict, fmt: str):
     if fmt == "structured":
+        import json
         print(json.dumps(
             {"components": [[d, _series_doc(comp[d])] for d in sorted(comp)]}))
     else:
@@ -227,6 +229,7 @@ def cmd_dt(args) -> int:
 def cmd_nl_validate(args) -> int:
     spec = nl_load_path(args.file)
     if args.format == "structured":
+        import json
         print(json.dumps({"value": "ok", "entries": len(spec.nl),
                           "ell": spec.ell, "k": spec.k}))
     else:
@@ -244,6 +247,7 @@ def cmd_nl_extend(args) -> int:
     bigger = nl_symmetry_extend(spec.nl, args.h_lo, args.d_min, args.d_max)
     doc = nl_dump(FibrationSpec(ell=spec.ell, k=spec.k, euler=spec.euler,
                                 nodal=spec.nodal, nl=bigger))
+    import json
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -261,6 +265,8 @@ def cmd_check(args) -> int:
     JSON object per check with its name, outcome and detail.  Neither
     carries timings, so the same invocation prints the same bytes.
     """
+    import json
+
     from .checks import CHECKS  # here, so the other subcommands skip its import
 
     failures = 0

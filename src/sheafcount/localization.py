@@ -52,10 +52,10 @@ is a sum of Contributions, whose cancel step _cancel has already run:
 A_k is the sum of the Contributions F(lam) over the partitions of k, so
 A_k = N_k / (c_k prod L_k), with L_k the multiset union of their
 denominator forms, c_k the lcm of their scales' denominators, and N_k an
-integer polynomial.  B_k is A_k mirrored by _mirror.  A box's forms
-depend on its hook (arm, leg) alone (_box_forms), so _split runs once per
-hook and process (_hook_split), and each F(lam) is _cancel of its hooks'
-split forms.
+integer polynomial.  B_k is A_k mirrored by _mirror, once per process
+and k (_b_leg).  A box's forms depend on its hook (arm, leg) alone
+(_box_forms), so _split runs once per hook and process (_hook_split), and
+each F(lam) is _cancel of its hooks' split forms.
 
 Sampled mode sums in integers too, from the raw forms of the boxes, with
 none of the splitting, cancelling, mirroring or packing above.  At
@@ -92,8 +92,6 @@ _per_triple_sum packs the unfactored sum of contribution_from_characters
 over the triples like one leg and checks it by the same literal test: no
 rational function is added.
 """
-
-from __future__ import annotations
 
 import functools
 import random
@@ -410,6 +408,12 @@ def _a_leg(k):
     return _leg_poly(contributions)
 
 
+@functools.cache
+def _b_leg(k):
+    """B_k, _mirror of A_k: mirrored once per process and k, never mutated."""
+    return _mirror(_a_leg(k), k)
+
+
 def _fold(form):
     """form or its negation, whichever has a positive leading coefficient:
     _split's sign rule, with no content divided."""
@@ -556,12 +560,12 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     Both modes take the factored sum of the module docstring, with each
     p(k) counted once per process (_count).  symbolic mode packs it as
     described there and raises ConsistencyError unless N = c * D, which
-    would mean a bug.  Each A_k is read from _a_leg's cache, so a call
-    after one at n' sums only the legs with k > n', and each hook is split
-    once per process; the mirror, its shape guard, the convolution and the
-    check run on every call, the convolution's two _common unions once per
-    call and each distinct form once per pass.  sampled mode evaluates the
-    sum at `samples` distinct random rational points with numerators and
+    would mean a bug.  A_k and B_k are read from the caches of _a_leg and
+    _b_leg, so a call after one at n' sums and mirrors only the legs with
+    k > n', and each hook is split once per process; the convolution and
+    the check run on every call, its two _common unions once per call and
+    each distinct form once per pass.  sampled mode evaluates the sum at
+    `samples` distinct random rational points with numerators and
     denominators bounded by 10**6, redrawing a point that is a pole of some
     F or G (every partition of size at most n is p2 or p3 of some triple,
     so these are the poles of the per-triple sum), and requires exact
@@ -575,10 +579,10 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
         raise ValueError("n must be nonnegative")
     counts = list(map(_count, range(n + 1)))
     if mode == "symbolic":
-        legs = list(map(_a_leg, range(n + 1)))
-        QA, ea, MA = _common([([tuple(N)], c, L) for N, c, L in legs])
+        QA, ea, MA = _common([([tuple(N)], c, L)
+                              for N, c, L in map(_a_leg, range(n + 1))])
         QB, eb, MB = _common([([tuple(N)], c, L)
-                              for N, c, L in map(_mirror, legs, range(n + 1))])
+                              for N, c, L in map(_b_leg, range(n + 1))])
         return _constant(n, *_packed(
             lambda ev: _convolve(counts, QA(ev), QB(ev)), ea * eb, MA + MB))
     if mode == "sampled":

@@ -35,9 +35,6 @@ Conventions that every formula below relies on:
   verifies the invariance it promises.
 """
 
-from __future__ import annotations
-
-import json
 import re
 from fractions import Fraction
 from itertools import count
@@ -233,9 +230,6 @@ class FibrationSpec(_Record):
         self._set(ell, k, nl, euler, nodal)
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
-
 def _parse_rational(raw, where: str) -> Fraction:
     if isinstance(raw, bool):
         raise NLValidationError("%s: boolean is not a number" % where)
@@ -243,7 +237,7 @@ def _parse_rational(raw, where: str) -> Fraction:
         return Fraction(raw)
     if isinstance(raw, str):
         s = raw.strip()
-        if not _RATIONAL_RE.match(s):
+        if not re.match(r"^[+-]?\d+(/[1-9]\d*)?$", s):
             raise NLValidationError(
                 "%s: %r is not an exact rational 'p' or 'p/q'" % (where, raw))
         try:
@@ -316,6 +310,8 @@ def _reject_float(raw):
 
 def nl_loads(text: str) -> FibrationSpec:
     """Parse a JSON table document from a string, rejecting any float."""
+    import json   # here, so that only a command reading a document loads it
+
     try:
         doc = json.loads(text, parse_float=_reject_float)
     except NLValidationError:

@@ -10,8 +10,6 @@ larger index.  The opposite naming is also in circulation; all weight
 formulas downstream assume the convention stated here.
 """
 
-from __future__ import annotations
-
 
 def check_partition(p) -> tuple:
     """Normalize p to a tuple and verify it is a valid partition."""

@@ -12,8 +12,6 @@ Euler number e, the e-th power of the inverse Euler product.  For e = -24
 it is the twenty-fourth power of the Dedekind eta function divided by q.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import lcm
 

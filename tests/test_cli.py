@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -701,22 +702,53 @@ def test_nl_validate_deep_nesting_is_one_line_error(tmp_path):
 
 def test_cli_start_leaves_out_slow_modules():
     # start-up cost: dataclasses and inspect once took about half the import
-    # time, and argparse's gettext lookups and locale import about 5 ms a
-    # process; only modules the import or the run adds count, not those the
+    # time, argparse's gettext lookups and locale import about 5 ms a
+    # process, and json, __future__ and a compiled regex a third of the
+    # rest; only modules the import or the run adds count, not those the
     # site hooks loaded.  Arguments are read in main, so the cli is checked
-    # after a whole main call as well as after its import.
+    # after a whole main call as well as after its import.  p3 writes its
+    # value line without json; dt and nl-validate load it to read their
+    # table, and nl-validate to write its document too, byte for byte
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
-    slow = "{'argparse', 'dataclasses', 'gettext', 'inspect', 'locale'}"
-    for module, then in (("sheafcount.cli", "sheafcount.cli.main(['p3', '--n', '3'])"),
-                         ("sheafcount.checks", "print()")):
+    slow = ("{'__future__', 'argparse', 'dataclasses', 'gettext', 'inspect', "
+            "'json', 'locale'}")
+    table = fixture("two_copies")
+    structured = ["--format", "structured"]
+    for module, argv, loads, out in (
+            ("sheafcount.cli", ["p3", "--n", "3"], [], "140\n"),
+            ("sheafcount.cli", ["p3", "--n", "3"] + structured, [],
+             '{"value": "140"}\n'),
+            ("sheafcount.cli", ["p3", "--n", "3", "--mode", "sampled"]
+             + structured, [], '{"value": "140"}\n'),
+            ("sheafcount.cli", ["dt", "--nl", table, "--d", "0", "--c", "0"]
+             + structured, ["json"], '{"value": "324"}\n'),
+            ("sheafcount.cli", ["nl-validate", table] + structured, ["json"],
+             json.dumps({"value": "ok", "entries": 1, "ell": 2, "k": 0}) + "\n"),
+            ("sheafcount.checks", None, [], "")):
+        run_main = "code = sheafcount.cli.main(%r)" % argv if argv else "code = 0"
         code = ("import sys; before = set(sys.modules); import %s; "
-                "print(sorted(%s & (set(sys.modules) - before))); %s; "
-                "print(sorted(%s & (set(sys.modules) - before)))"
-                % (module, slow, then, slow))
+                "added = lambda: sorted(%s & (set(sys.modules) - before)); "
+                "print(added(), file=sys.stderr); %s; "
+                "print(added(), file=sys.stderr); sys.exit(code)"
+                % (module, slow, run_main))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[::2] == ["[]", "[]"], module
+        assert proc.stderr.splitlines() == ["[]", repr(loads)], argv
+        assert proc.stdout == out, argv
+
+
+@pytest.mark.parametrize("v", [
+    0, -7, Fraction(-3, 4), "closed = direct: OK",
+    10 ** getattr(sys, "get_int_max_str_digits", lambda: 4300)()],
+    ids=["zero", "negative", "fraction", "check", "past_the_digit_cap"])
+def test_value_line_is_the_json_document(capsys, v):
+    # _emit_value writes {"value": ...} by hand; an int with more digits
+    # than Python's str(int) cap is printed whole, like any other
+    cli._emit_value(v, "structured")
+    with cli._any_length():
+        want = json.dumps({"value": str(v)}) + "\n"
+    assert capsys.readouterr().out == want
 
 
 _JSON_SCALARS = st.one_of(

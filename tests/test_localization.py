@@ -34,12 +34,12 @@ INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 @pytest.fixture(autouse=True)
 def cold_legs():
-    # the legs A_k, the split forms of each hook and sampled mode's hooks
-    # and unions are cached per process: a leg packed under one test's
-    # replaced _width or factors must not reach another test, and a test
-    # that expects a leg to be summed must find the cache empty
-    caches = (localization._a_leg, localization._hook_split,
-              localization._leg_hooks)
+    # the legs A_k and B_k, the split forms of each hook and sampled mode's
+    # hooks and unions are cached per process: a leg packed under one test's
+    # replaced _width, factors or mirror must not reach another test, and a
+    # test that expects a leg to be summed must find the cache empty
+    caches = (localization._a_leg, localization._b_leg,
+              localization._hook_split, localization._leg_hooks)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -339,6 +339,7 @@ def test_a_leg_catches_a_wrong_hook_split(monkeypatch):
             return ((2 * cn if (a, l) == hook else cn, num), den)
         monkeypatch.setattr(localization, "_hook_split", doubled)
         localization._a_leg.cache_clear()
+        localization._b_leg.cache_clear()
         with pytest.raises(ConsistencyError):
             hilb_chern_integral(4)
 
@@ -358,10 +359,13 @@ def _unsigned(real, leg, k):
 
 @pytest.mark.parametrize("mutant", [_unreversed, _unsigned])
 def test_broken_mirror_raises(monkeypatch, mutant):
-    hilb_chern_integral(3)   # the legs are cached, the mirror runs anyway
+    # the A legs are cached; the B legs are mirrored again once their cache
+    # is cleared, as in a fresh process
+    hilb_chern_integral(3)
     real = localization._mirror
     monkeypatch.setattr(localization, "_mirror",
                         lambda leg, k: mutant(real, leg, k))
+    localization._b_leg.cache_clear()
     with pytest.raises(ConsistencyError):
         hilb_chern_integral(2)
 
@@ -396,9 +400,11 @@ def test_integrals_in_any_order():
     random.Random(16).shuffle(shuffled)
     for order in (range(13), range(12, -1, -1), shuffled):
         localization._a_leg.cache_clear()
+        localization._b_leg.cache_clear()
         for n in order:
             assert hilb_chern_integral(n) == series.coefficient(n), n
     assert localization._a_leg.cache_info().currsize == 13
+    assert localization._b_leg.cache_info().currsize == 13
 
 
 # the non-constant sums with G replaced by F, as _constant prints them: the
@@ -418,9 +424,10 @@ def test_non_constant_sum_raises(monkeypatch):
     # with B_k = A_k (G replaced by F) the legs are no longer mirror images,
     # and the factored sum is not constant in t; the symbolic B legs are
     # mirrored A legs, the sampled ones read F at the swapped point; the
-    # legs are cached first, and N = c * D is checked anyway
+    # A legs are cached first, and N = c * D is checked anyway
     hilb_chern_integral(3)
     monkeypatch.setattr(localization, "_mirror", lambda leg, k: leg)
+    localization._b_leg.cache_clear()
     for n, text in NON_CONSTANT.items():
         with pytest.raises(ConsistencyError) as err:
             hilb_chern_integral(n)
