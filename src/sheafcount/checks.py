@@ -80,7 +80,8 @@ def point_values() -> str:
         _expect(got == want, "n=%d: %s != [q^n] prod (1-q^m)^-7 = %s"
                 % (n, got, want))
     return ("symbolic p3 integrals 1, 7, 35, 140 for n <= 3 and "
-            "[q^n] prod (1-q^m)^-7 (observed identity) for n <= 8")
+            "[q^n] prod (1-q^m)^-7 for n <= 8, which follows from each "
+            "leg's route-C identity (the formula of arXiv:0801.2565)")
 
 
 def sum_constancy() -> str:

@@ -46,19 +46,23 @@ G(lam)(t) = F(lam)(1/t) and B_k(t) = A_k(1/t).  By theory the result is a
 constant (the equivariant parameters drop out), which the symbolic mode
 verifies literally and the sampled mode verifies at random rational points.
 
-The symbolic mode sums in big integers: it divides no polynomial, adds
-no Fraction and expands no polynomial term by term.  Every sum it takes
-is a sum of Contributions, whose cancel step _cancel has already run:
-A_k is the sum of the Contributions F(lam) over the partitions of k, so
-A_k = N_k / (c_k prod L_k), with L_k the multiset union of their
-denominator forms, c_k the lcm of their scales' denominators, and N_k an
-integer polynomial.  B_k is A_k mirrored by _mirror, once per process
-and k (_b_leg).  A box's forms depend on its hook (arm, leg) alone
-(_box_forms), so _split runs once per hook and process (_hook_split), and
-each F(lam) is _cancel of its hooks' split forms.
+The symbolic mode sums in big integers: it divides no polynomial, adds no
+Fraction and expands no polynomial term by term.  A_k is the sum of the
+Contributions F(lam) over the partitions of k, each _cancel of its hooks'
+forms, split once per hook (arm, leg) and process (_hook_split):
+A_k = N_k / (c_k prod L_k), L_k the multiset union of their den forms,
+c_k the lcm of their scales' denominators and N_k an integer polynomial.
+Route C gives each leg in closed form by Carlsson and Okounkov's formula
+(arXiv:0801.2565): A_k = [x^k] prod (1-x^m)^E(t) = R_k / (1-t)^k, with
+E(t) = 2(2t-1)/(1-t) and deg R_k = k.  _a_leg certifies each leg against
+S_k = k! R_k (_c_leg) before caching it, k! N_k (1-t)^k = S_k c_k prod L_k
+coefficient by coefficient, and the sum is taken over route C's one form
+per leg: A_b = S_b / (b! (1-t)^b) and B_c(t) = A_c(1/t) =
+(-1)^c rev(S_c) / (c! (1-t)^c), rev reversing the c + 1 coefficients;
+1 - t is written -(t - 1), keeping _split's i > 0.
 
 Sampled mode sums in integers too, from the raw forms of the boxes, with
-none of the splitting, cancelling, mirroring or packing above.  At
+none of the splitting, cancelling, route C or packing above.  At
 t0 = p/q the forms of F(lam) evaluated at (p, q) give F(lam)(t0), and at
 (q, p) they give G(lam)(t0), so B_k is read off the same forms at the
 swapped point; both contribution routes and _per_triple_sum evaluate G
@@ -72,21 +76,19 @@ and its negation divide each other.  Each leg is then scaled to the union
 of all legs.  Both sides' integer numerators go through the same
 convolution, and one Fraction is taken per point, over W_A * W_B.
 
-Polynomials are summed by Kronecker substitution: every form is evaluated
+Polynomials are summed by Kronecker substitution: every form is valued
 at one integer T = 2^B, so each product and sum is one big-integer
-operation, and the integer N_k(T) is unpacked into its signed base-T
-digits.  B comes from a proven bound: the same code, run with each form
-replaced by |i| + |j|, bounds the l1 norm of N_k (||fg|| <= ||f|| ||g||),
-and a T whose half exceeds that bound makes the digits the coefficients.
-_common takes a sum's union of denominators and lcm of scales once per
-sum, outside the evaluator, so the bound pass and the packed pass share
-them, and each pass values every distinct form once.  Each leg is packed
-at its own width, unpacked, and repacked for the convolution, sampled
-mode's, run over the common denominator D = c prod(L + L') of the legs
-and unpacked into one numerator N.  The sum is constant exactly when
-N = c * D coefficient by coefficient, with D expanded form by form; this
-is checked literally before c is returned, and a sum that fails is
-reported as the quotient N / D checked, unreduced.
+operation, and the value is unpacked into its signed base-T digits.  B
+comes from a proven bound: the same code, run with each form replaced by
+|i| + |j|, bounds the l1 norm (||fg|| <= ||f|| ||g||), and a T whose half
+exceeds it makes the digits the coefficients.  _leg_poly takes a sum's
+union of denominators and lcm of scales once, outside the evaluator, so
+both passes share them, and each pass values every distinct form once.
+The convolution, sampled mode's, runs over D = n!^2 (1 - t)^n, with each
+p(a)'s (1 - t)^a in the numerator N.  The sum is constant exactly when
+N = c * D coefficient by coefficient, D expanded; this is checked
+literally before c is returned, and a sum that fails is reported as the
+quotient N / D checked, unreduced.
 
 _per_triple_sum packs the unfactored sum of contribution_from_characters
 over the triples like one leg and checks it by the same literal test: no
@@ -97,7 +99,7 @@ import functools
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .errors import ConsistencyError
 from .partitions import (arm, boxes, check_partition, enumerate_partitions,
@@ -340,44 +342,31 @@ def _union(counters):
     return out
 
 
-def _common(terms):
-    """The terms prod(factors) / (c * prod(den)), (factors, c, den) with c a
-    positive integer, factors a list of hashable coefficient sequences and
-    den a Counter of forms, over their common denominator e * prod(M): M is
-    the multiset union of the dens and e the lcm of the c's, both taken once
-    per sum.  Returns (numerators, e, M), numerators(ev) the list of each
-    term's numerator under ev, in which each distinct form and factor is
-    valued once.
+def _leg_poly(contributions):
+    """A sum of Contributions as (N, c, L), the sum = N / (c prod(L)): L the
+    multiset union of their dens and c the lcm of their scales'
+    denominators, taken once per sum, outside the evaluator, so both passes
+    of _packed share them, and N an integer coefficient list, packed at the
+    narrowest width its own l1 bound allows and unpacked.  Under _at(bits)
+    a term's numerator is its value at T = 2**bits, prod(L - den) taken as
+    prod(L) // prod(den) exactly, each distinct form valued once; under
+    _norm the same code bounds its l1 norm, by ||f g|| <= ||f|| ||g|| and
+    ||i*t + j|| = |i| + |j|."""
+    terms = [(x.scale, x.num, Counter(x.den)) for x in contributions]
+    c = lcm(*(s.denominator for s, _, _ in terms))
+    L = _union(den for _, _, den in terms)
+    distinct = set(L).union(*(num for _, num, _ in terms))
 
-    Under _at(bits) a numerator is its value at T = 2**bits, prod(M - den)
-    computed as prod(M) // prod(den) exactly.  Under _norm the same code
-    bounds its l1 norm, by ||f g|| <= ||f|| ||g|| and ||i*t + j|| = |i|+|j|.
-    """
-    e = lcm(*(c for _, c, _ in terms))
-    M = _union(den for _, _, den in terms)
-    distinct = set(M).union(*(factors for factors, _, _ in terms))
-
-    def numerators(ev):
+    def numerator(ev):
         value = {f: ev(f) for f in distinct}
 
         def at(forms):
             return prod(value[f] ** m for f, m in forms.items())
-        whole = at(M)
-        return [(e // c) * prod(map(value.__getitem__, factors))
-                * (whole // at(den)) for factors, c, den in terms]
-    return numerators, e, M
-
-
-def _leg_poly(contributions):
-    """A_k (or B_k) as (N_k, c_k, L_k) with A_k = N_k / (c_k prod(L_k)):
-    the sum of the Contributions, over the common denominator of _common,
-    with N_k an integer coefficient list.  N_k is packed at the narrowest
-    width its own l1 bound allows, then unpacked; the convolution repacks
-    it at its own width."""
-    numerators, c, L = _common([
-        ([(x.scale.numerator,), *x.num], x.scale.denominator, Counter(x.den))
-        for x in contributions])
-    return _packed(lambda ev: sum(numerators(ev)), c, L)
+        whole = at(L)
+        return sum(ev((s.numerator * (c // s.denominator),))
+                   * prod(map(value.__getitem__, num)) * (whole // at(den))
+                   for s, num, den in terms)
+    return _packed(numerator, c, L)
 
 
 @functools.cache
@@ -389,11 +378,29 @@ def _hook_split(a, l):
 
 
 @functools.cache
+def _c_leg(k):
+    """S_k = k! R_k, route C's leg A_k = R_k / (1-t)^k, as k + 1 integer
+    coefficients, lowest first, by k R_k = (2 - 4t) sum over j <= k of
+    sigma(j) R_{k-j} (1-t)^(j-1) times k!/k, a multiple of (k-j)!: taken
+    once per process and k, and shared, so never mutated."""
+    if not k:
+        return [1]
+    total = [0] * k
+    for j in range(1, k + 1):
+        w = sum(d for d in range(1, j + 1) if not j % d) \
+            * (factorial(k - 1) // factorial(k - j))
+        total = [x + y for x, y in zip(total, _times_forms(
+            [w * x for x in _c_leg(k - j)], [(1, -1)] * (j - 1)))]
+    return _times_forms(total, [(2, -4)])
+
+
+@functools.cache
 def _a_leg(k):
     """A_k = (N_k, c_k, L_k), _leg_poly over the Contributions F(lam) of
-    the partitions lam of k: summed once per process and k, and shared, so
-    never mutated.  Each F(lam) is _cancel of its hooks' _hook_split forms,
-    so _split runs once per distinct hook, not once per box."""
+    the partitions lam of k, each _cancel of its hooks' _hook_split forms:
+    summed once per process and k, shared, so never mutated, and certified
+    before it is cached, ConsistencyError naming k unless
+    k! N_k (1-t)^k = S_k c_k prod(L_k), S_k = _c_leg(k), both expanded."""
     contributions = []
     for lam in enumerate_partitions(k):
         cn = cd = 1
@@ -405,13 +412,15 @@ def _a_leg(k):
             num += hnum
             den += hden
         contributions.append(_cancel(cn, num, cd, den))
-    return _leg_poly(contributions)
-
-
-@functools.cache
-def _b_leg(k):
-    """B_k, _mirror of A_k: mirrored once per process and k, never mutated."""
-    return _mirror(_a_leg(k), k)
+    N, c, L = leg = _leg_poly(contributions)
+    S, f = [(-1) ** k * x for x in _c_leg(k)], factorial(k)  # over f (t-1)^k
+    if (_times_forms([f * x for x in N], [(-1, 1)] * k)
+            != _times_forms([c * x for x in S], L.elements())):
+        raise ConsistencyError(
+            "leg A_%d disagrees with route C: %s, not %s"
+            % (k, _quotient_str(N, c, list(L.elements())),
+               _quotient_str(S, f, [(-1, 1)] * k)))
+    return leg
 
 
 def _fold(form):
@@ -495,20 +504,6 @@ def _legs_at(legs, M, p, q):
     return N, W
 
 
-def _mirror(leg, k):
-    """B_k(t) = A_k(1/t) = rev(N) / (c prod(j*t + i)) from A_k = (N, c, L),
-    over the forms (j, i) of L swapped, those with j < 0 negated and N's
-    sign flipped once per negation.  ConsistencyError naming k unless
-    len(N) = |L| + 1, N(0) != 0 and t is not in L: the shape of every leg."""
-    N, c, L = leg
-    if len(N) != sum(L.values()) + 1 or not N[0] or L[0, 1]:
-        raise ConsistencyError("leg A_%d has no mirror image: N = %s, L = %s"
-                               % (k, N, sorted(L.elements())))
-    flips = sum(m for (j, _), m in L.items() if j < 0)
-    M = Counter({(i, j) if j > 0 else (-i, -j): m for (j, i), m in L.items()})
-    return [(-1) ** flips * x for x in reversed(N)], c, M
-
-
 def _convolve(counts, A, B):
     """Sum of counts[a] * A[b] * B[c] over a + b + c = n = len(counts) - 1."""
     n = len(counts) - 1
@@ -557,34 +552,39 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
                         samples: int = MIN_SAMPLES) -> Fraction:
     """Integral of the top Chern class over Hilb^n of the plane.
 
-    Both modes take the factored sum of the module docstring, with each
-    p(k) counted once per process (_count).  symbolic mode packs it as
-    described there and raises ConsistencyError unless N = c * D, which
-    would mean a bug.  A_k and B_k are read from the caches of _a_leg and
-    _b_leg, so a call after one at n' sums and mirrors only the legs with
-    k > n', and each hook is split once per process; the convolution and
-    the check run on every call, its two _common unions once per call and
-    each distinct form once per pass.  sampled mode evaluates the sum at
-    `samples` distinct random rational points with numerators and
-    denominators bounded by 10**6, redrawing a point that is a pole of some
-    F or G (every partition of size at most n is p2 or p3 of some triple,
-    so these are the poles of the per-triple sum), and requires exact
-    agreement.  The union M of the legs is taken once per call.  At each
-    point _legs_at takes each hook's forms once and each union form once,
-    and sums every leg in integers over the union of its den forms up to
-    sign, at (p, q) for A and at (q, p) for B; the integer numerators are
-    convolved and one Fraction is taken per point.
+    Both modes take the factored sum of the module docstring, each p(k)
+    counted once per process (_count).  symbolic mode certifies each leg
+    A_k, k <= n, against route C through the cache of _a_leg (a call after
+    one at n' sums only the legs with k > n'), packs the sum over route C's
+    legs and raises ConsistencyError unless N = c * D, which would mean a
+    bug.  sampled mode evaluates the sum at `samples` distinct random
+    rational points with numerators and denominators bounded by 10**6,
+    redrawing a point that is a pole of some F or G (every partition of
+    size at most n is p2 or p3 of some triple, so these are the poles of
+    the per-triple sum), and requires exact agreement.  At each point
+    _legs_at sums every leg in integers over the union of its den forms up
+    to sign, at (p, q) for A and at (q, p) for B; the integer numerators
+    are convolved and one Fraction is taken per point.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     counts = list(map(_count, range(n + 1)))
     if mode == "symbolic":
-        QA, ea, MA = _common([([tuple(N)], c, L)
-                              for N, c, L in map(_a_leg, range(n + 1))])
-        QB, eb, MB = _common([([tuple(N)], c, L)
-                              for N, c, L in map(_b_leg, range(n + 1))])
-        return _constant(n, *_packed(
-            lambda ev: _convolve(counts, QA(ev), QB(ev)), ea * eb, MA + MB))
+        # n!^2 (1-t)^n = (-1)^n n!^2 (t-1)^n times the terms p(a) A_b B_c:
+        # p(a) (1-t)^a, (n!/b!) S_b and (n!/c!) (-1)^c rev(S_c)
+        f, A, B = factorial(n), [], []
+        for k in range(n + 1):
+            _a_leg(k)   # certified against S_k before any sum is taken
+            S, w = _c_leg(k), f // factorial(k)
+            A.append([w * x for x in S])
+            B.append([(-1) ** k * w * x for x in reversed(S)])
+
+        def numerator(ev):
+            x = ev([1, -1])
+            return _convolve([m * x ** a for a, m in enumerate(counts)],
+                             list(map(ev, A)), list(map(ev, B)))
+        return _constant(n, *_packed(numerator, (-1) ** n * f * f,
+                                     Counter({(-1, 1): n})))
     if mode == "sampled":
         if samples < MIN_SAMPLES:
             raise ValueError("sampled mode needs at least %d points"

@@ -7,10 +7,12 @@ the equivariant parameter; and the constants must reproduce the known
 integer values.  Integer values up to n = 7 were cross-checked against a
 from-scratch reimplementation before being frozen here."""
 
+import inspect
 import random
+import types
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -34,11 +36,11 @@ INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 @pytest.fixture(autouse=True)
 def cold_legs():
-    # the legs A_k and B_k, the split forms of each hook and sampled mode's
+    # the legs A_k and S_k, the split forms of each hook and sampled mode's
     # hooks and unions are cached per process: a leg packed under one test's
-    # replaced _width, factors or mirror must not reach another test, and a
-    # test that expects a leg to be summed must find the cache empty
-    caches = (localization._a_leg, localization._b_leg,
+    # replaced _width or factors must not reach another test, and a test
+    # that expects a leg to be summed must find the cache empty
+    caches = (localization._a_leg, localization._c_leg,
               localization._hook_split, localization._leg_hooks)
     for cached in caches:
         cached.cache_clear()
@@ -263,15 +265,16 @@ def test_narrowed_width_never_gives_a_wrong_value(monkeypatch):
 
 
 def test_narrowed_width_error_text(monkeypatch):
-    # at n = 2 the narrowed digits of A_1 have one coefficient too many for
-    # its one form, so the leg has no mirror image and the sum is not taken
+    # at n = 2 the narrowed digits of A_1 are not its coefficients, so the
+    # leg disagrees with route C and the sum is not taken
     real = localization._width
     monkeypatch.setattr(localization, "_width",
                         lambda bound, forms: real(1, forms))
     with pytest.raises(ConsistencyError) as err:
         hilb_chern_integral(2)
     assert str(err.value) == (
-        "leg A_1 has no mirror image: N = [-2, 0, 1], L = [(-1, 1)]")
+        "leg A_1 disagrees with route C: (t^2 - 2)/(t - 1), not "
+        "(4*t - 2)/(t - 1)")
 
 
 def test_third_point_is_second_at_inverse():
@@ -298,19 +301,32 @@ def test_third_point_is_second_at_inverse():
             assert good >= 10, lam
 
 
-def test_mirror_of_a_leg_is_b_leg():
-    # N / (c prod(L)) = N' / (c' prod(L')) as rational functions exactly
-    # when N c' prod(L') = N' c prod(L), both sides expanded
+def test_reversed_c_leg_is_the_third_point_leg():
+    # B_k, the sum of G(lam) = F(lam)(1/t), is (-1)^k rev(S_k) / (k! (1-t)^k)
+    # = rev(S_k) / (k! (t-1)^k): as rational functions N / (c prod(L)) =
+    # rev(S_k) / (k! (t-1)^k) exactly when k! N (t-1)^k = c rev(S_k) prod(L)
     for k in range(13):
-        ps = enumerate_partitions(k)
-        N, c, L = localization._mirror(localization._leg_poly(
-            localization._contribution(localization._p2_factors(lam))
-            for lam in ps), k)
-        M, e, K = localization._leg_poly(
+        N, c, L = localization._leg_poly(
             localization._contribution(localization._p3_factors(lam))
-            for lam in ps)
-        assert (_times_forms([e * x for x in N], K.elements())
-                == _times_forms([c * x for x in M], L.elements())), k
+            for lam in enumerate_partitions(k))
+        S = localization._c_leg(k)
+        assert len(S) == k + 1, k
+        assert (_times_forms([factorial(k) * x for x in N], [(-1, 1)] * k)
+                == _times_forms([c * x for x in reversed(S)], L.elements())), k
+
+
+def test_c_leg_ends_are_euler_powers():
+    # A_k = R_k / (1-t)^k = [x^k] prod (1-x^m)^E(t), E(t) = 2(2t-1)/(1-t):
+    # at t = 0, E = -2 and A_k = R_k(0); as t -> oo, E -> -4 and A_k tends to
+    # (-1)^k times the leading coefficient of R_k.  Both ends are read off
+    # S_k = k! R_k against the q-series Euler powers, which share no code
+    # with the recurrence
+    at_zero, at_infinity = goettsche_series(2, 16), goettsche_series(4, 16)
+    for k in range(17):
+        S = localization._c_leg(k)
+        assert Fraction(S[0], factorial(k)) == at_zero.coefficient(k), k
+        assert (Fraction((-1) ** k * S[k], factorial(k))
+                == at_infinity.coefficient(k)), k
 
 
 def test_a_leg_sums_the_printed_contributions():
@@ -325,11 +341,12 @@ def test_a_leg_sums_the_printed_contributions():
 
 def test_a_leg_catches_a_wrong_hook_split(monkeypatch):
     # with the content of one hook's split numerator doubled, every F(lam)
-    # with that hook is doubled in A_k, and the sum is no longer constant;
-    # each of the 6 hooks with a + l < 3, in turn.  At n = 4, not 3: the
-    # hook (0, 2) is in (3,) alone, which enters the sum at n = 3 only as
-    # F((3,)) + G((3,)) = -4, a constant, so doubling it there gives 136,
-    # wrong but constant; at n = 4 it enters as F((3,)) G((1,)) too
+    # with that hook is doubled in A_k, which then disagrees with route C at
+    # the first leg that has the hook, k = a + l + 1, named in the error;
+    # each of the 6 hooks with a + l < 3, in turn.  The sum alone misses two
+    # of them: (0, 2) is in (3,) alone, which enters the sum at n = 3 only
+    # as F((3,)) + G((3,)) = -4, a constant, so the doubled sum is 136, wrong
+    # but constant, and at n = 1, (0, 0) gives 1 + 2 * 6 = 13
     split = localization._hook_split
     hook_list = [(a, l) for a in range(3) for l in range(3 - a)]
     assert len(hook_list) == 6
@@ -339,46 +356,69 @@ def test_a_leg_catches_a_wrong_hook_split(monkeypatch):
             return ((2 * cn if (a, l) == hook else cn, num), den)
         monkeypatch.setattr(localization, "_hook_split", doubled)
         localization._a_leg.cache_clear()
-        localization._b_leg.cache_clear()
-        with pytest.raises(ConsistencyError):
-            hilb_chern_integral(4)
+        k = sum(hook) + 1
+        with pytest.raises(ConsistencyError) as err:
+            hilb_chern_integral(k)
+        assert str(err.value).startswith(
+            "leg A_%d disagrees with route C: " % k), hook
 
 
-def _unreversed(real, leg, k):
-    # the forms swapped and the sign flipped, but N not reversed
-    N, c, L = real(leg, k)
-    return N[::-1], c, L
+def test_box_forms_mutant_raises_in_symbolic_mode(monkeypatch):
+    # the numerator forms of the hook (0, 2) doubled at the one recipe both
+    # modes read: symbolic mode splits them into a doubled content, and A_3
+    # disagrees with route C at n = 3, where the sum alone is 136, constant
+    box_forms = localization._box_forms
 
-
-def _unsigned(real, leg, k):
-    # N reversed and the forms swapped, but N's sign not flipped
-    N, c, L = real(leg, k)
-    flips = sum(m for (j, _), m in leg[2].items() if j < 0)
-    return [(-1) ** flips * x for x in N], c, L
-
-
-@pytest.mark.parametrize("mutant", [_unreversed, _unsigned])
-def test_broken_mirror_raises(monkeypatch, mutant):
-    # the A legs are cached; the B legs are mirrored again once their cache
-    # is cleared, as in a fresh process
-    hilb_chern_integral(3)
-    real = localization._mirror
-    monkeypatch.setattr(localization, "_mirror",
-                        lambda leg, k: mutant(real, leg, k))
-    localization._b_leg.cache_clear()
-    with pytest.raises(ConsistencyError):
-        hilb_chern_integral(2)
-
-
-@pytest.mark.parametrize("N, L", [
-    ([1, 2, 3], {(-1, 1): 1}),    # degree 2 over one form
-    ([0, 2], {(-1, 1): 1}),       # N(0) = 0
-    ([1, 2], {(0, 1): 1}),        # the form t
-])
-def test_mirror_refuses_other_shapes(N, L):
+    def doubled(a, l):
+        num, den = box_forms(a, l)
+        if (a, l) == (0, 2):
+            num = ((2 * num[0][0], 2 * num[0][1]),) + num[1:]
+        return num, den
+    monkeypatch.setattr(localization, "_box_forms", doubled)
     with pytest.raises(ConsistencyError) as err:
-        localization._mirror((N, 1, Counter(L)), 5)
-    assert str(err.value).startswith("leg A_5 has no mirror image: ")
+        hilb_chern_integral(3)
+    assert str(err.value).startswith("leg A_3 disagrees with route C: ")
+
+
+def _mutant(old, new):
+    """A fresh copy of localization, its caches cold, with the one
+    occurrence of old in its source replaced by new."""
+    source = inspect.getsource(localization)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("sheafcount._mutant")
+    module.__package__ = "sheafcount"
+    exec(compile(source.replace(old, new), localization.__file__, "exec"),
+         module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("make, first, leg", [
+    # B_c with rev(S_c) unreversed: at n = 1 it is -A_1, so the sum is
+    # p(1) = 1, wrong but constant; every n >= 2 raises
+    pytest.param(lambda: _mutant("reversed(S)", "S"), 2, None,
+                 id="b-not-reversed"),
+    pytest.param(lambda: _mutant("(-1) ** k * w * x for x in reversed(S)",
+                                 "w * x for x in reversed(S)"), 1, None,
+                 id="b-unsigned"),
+    pytest.param(lambda: _mutant("m * x ** a for a, m", "m for a, m"), 1,
+                 None, id="no-power-of-1-t"),
+    # the recurrence's 2 - 4t = -(1-t) E(t) read as 2 - 3t
+    pytest.param(lambda: _mutant("(2, -4)", "(2, -3)"), 1, 1, id="wrong-e"),
+    # route C's S_2 tripled, and every leg the recurrence takes from it
+    pytest.param(lambda: _mutant("[(2, -4)])",
+                                 "[(2, -4)] if k != 2 else [(6, -12)])"),
+                 2, 2, id="scaled-leg"),
+])
+def test_route_c_mutant_raises(make, first, leg):
+    # each mutant raises for every n from the first it can reach, through
+    # the literal N = c * D of the convolution, or through the certificate
+    # of the first leg it gets wrong, named in the error
+    for n in range(first, 9):
+        with pytest.raises(ConsistencyError) as err:
+            make().hilb_chern_integral(n)
+        if leg is not None:
+            assert str(err.value).startswith(
+                "leg A_%d disagrees with route C: " % leg), n
 
 
 def test_integrals_match_series():
@@ -400,37 +440,32 @@ def test_integrals_in_any_order():
     random.Random(16).shuffle(shuffled)
     for order in (range(13), range(12, -1, -1), shuffled):
         localization._a_leg.cache_clear()
-        localization._b_leg.cache_clear()
+        localization._c_leg.cache_clear()
         for n in order:
             assert hilb_chern_integral(n) == series.coefficient(n), n
     assert localization._a_leg.cache_info().currsize == 13
-    assert localization._b_leg.cache_info().currsize == 13
+    assert localization._c_leg.cache_info().currsize == 13
 
 
 # the non-constant sums with G replaced by F, as _constant prints them: the
 # numerator it checked over the expanded common denominator, unreduced
 NON_CONSTANT = {
-    1: "(9*t^2 - 14*t + 5)/(t^2 - 2*t + 1)",
-    2: "(54*t^4 - 174*t^3 + 206*t^2 - 106*t + 20)"
-       "/(t^4 - 4*t^3 + 6*t^2 - 4*t + 1)",
-    3: "(255*t^10 - 5294/3*t^9 + 12866/3*t^8 - 9074/3*t^7 - 4576*t^6"
-       " + 9582*t^5 - 4474*t^4 - 9094/3*t^3 + 12739/3*t^2 - 5284/3*t + 260)"
-       "/(t^10 - 8*t^9 + 24*t^8 - 28*t^7 - 10*t^6 + 60*t^5 - 52*t^4"
-       " - 4*t^3 + 33*t^2 - 20*t + 4)",
+    1: "(9*t - 5)/(t - 1)",
+    2: "(54*t^2 - 66*t + 20)/(t^2 - 2*t + 1)",
+    3: "(255*t^3 - 1469/3*t^2 + 931/3*t - 65)/(t^3 - 3*t^2 + 3*t - 1)",
 }
 
 
 def test_non_constant_sum_raises(monkeypatch):
-    # with B_k = A_k (G replaced by F) the legs are no longer mirror images,
-    # and the factored sum is not constant in t; the symbolic B legs are
-    # mirrored A legs, the sampled ones read F at the swapped point; the
-    # A legs are cached first, and N = c * D is checked anyway
-    hilb_chern_integral(3)
-    monkeypatch.setattr(localization, "_mirror", lambda leg, k: leg)
-    localization._b_leg.cache_clear()
+    # with B_k = A_k (G replaced by F) the factored sum is not constant in
+    # t; the symbolic B legs are route C's reversed and signed, the sampled
+    # ones read F at the swapped point; every leg passes its certificate,
+    # and N = c * D is checked anyway
+    mutant = _mutant("[(-1) ** k * w * x for x in reversed(S)]",
+                     "[w * x for x in S]")
     for n, text in NON_CONSTANT.items():
         with pytest.raises(ConsistencyError) as err:
-            hilb_chern_integral(n)
+            mutant.hilb_chern_integral(n)
         assert str(err.value) == (
             "localization sum for n=%d is not constant: %s" % (n, text))
     # sorting the point's two integers reads both legs at the same point
