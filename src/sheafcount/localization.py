@@ -62,19 +62,22 @@ per leg: A_b = S_b / (b! (1-t)^b) and B_c(t) = A_c(1/t) =
 1 - t is written -(t - 1), keeping _split's i > 0.
 
 Sampled mode sums in integers too, from the raw forms of the boxes, with
-none of the splitting, cancelling, route C or packing above.  At
-t0 = p/q the forms of F(lam) evaluated at (p, q) give F(lam)(t0), and at
-(q, p) they give G(lam)(t0), so B_k is read off the same forms at the
-swapped point; both contribution routes and _per_triple_sum evaluate G
-themselves.  At each point every hook's numerator and denominator product
-is taken once, into lists that each partition reads by its hooks'
-indices (_hook_id), and a partition's are products of its hooks'.  A
-leg is summed over the multiset union of its den forms, each kept up to
-sign and valued once per point: each term is prod(num) * (W // prod(den)),
-W the product of the union at the point, an exact quotient since a form
-and its negation divide each other.  Each leg is then scaled to the union
-of all legs.  Both sides' integer numerators go through the same
-convolution, and one Fraction is taken per point, over W_A * W_B.
+none of the splitting, cancelling or packing above.  At t0 = p/q the forms
+of F(lam) evaluated at (p, q) give F(lam)(t0), and at (q, p) they give
+G(lam)(t0), so B_k is read off the same forms at the swapped point; both
+contribution routes and _per_triple_sum evaluate G themselves.  What does
+not depend on the point is taken once per process and n, in a plan
+(_plan): the distinct forms, each hook's numerator and denominator form
+indices (_hook_id), each leg's partitions as tuples of hook indices, and
+M, the least multiset union of every partition's den forms, each kept up
+to sign.  At a point each form is valued once and each hook's products
+are taken once, and every leg is summed over the one product W of M: a
+partition adds prod(num) * (W // prod(den)), an exact quotient since a
+form and its negation divide each other.  Route C certifies every leg at
+every point, on both sides, in integers with no polynomial S_k:
+N_k k! (q-p)^k = r_k W, r_k = q^k S_k(p/q) by S_k's recurrence at (p, q).
+Both sides' integer numerators go through the same convolution, and one
+Fraction is taken per point, over W_A * W_B.
 
 Polynomials are summed by Kronecker substitution: every form is valued
 at one integer T = 2^B, so each product and sum is one big-integer
@@ -378,19 +381,28 @@ def _hook_split(a, l):
 
 
 @functools.cache
+def _c_weight(k, j):
+    """sigma(j) (k-1)!/(k-j)!, sigma the divisor sum: the weight of
+    S_{k-j} (1-t)^(j-1) in route C's recurrence for S_k (_c_leg), taken
+    once per process and (k, j)."""
+    return (sum(d for d in range(1, j + 1) if not j % d)
+            * (factorial(k - 1) // factorial(k - j)))
+
+
+@functools.cache
 def _c_leg(k):
     """S_k = k! R_k, route C's leg A_k = R_k / (1-t)^k, as k + 1 integer
     coefficients, lowest first, by k R_k = (2 - 4t) sum over j <= k of
-    sigma(j) R_{k-j} (1-t)^(j-1) times k!/k, a multiple of (k-j)!: taken
-    once per process and k, and shared, so never mutated."""
+    sigma(j) R_{k-j} (1-t)^(j-1) times k!/k, a multiple of (k-j)!, so
+    S_k = (2 - 4t) sum of _c_weight(k, j) S_{k-j} (1-t)^(j-1): taken once
+    per process and k, and shared, so never mutated."""
     if not k:
         return [1]
     total = [0] * k
     for j in range(1, k + 1):
-        w = sum(d for d in range(1, j + 1) if not j % d) \
-            * (factorial(k - 1) // factorial(k - j))
         total = [x + y for x, y in zip(total, _times_forms(
-            [w * x for x in _c_leg(k - j)], [(1, -1)] * (j - 1)))]
+            [_c_weight(k, j) * x for x in _c_leg(k - j)],
+            [(1, -1)] * (j - 1)))]
     return _times_forms(total, [(2, -4)])
 
 
@@ -431,76 +443,90 @@ def _fold(form):
 
 
 def _hook_id(a, l):
-    """The index of the hook (a, l) in the per-point lists of _legs_at:
-    (a+l)(a+l+1)/2 + a, so the hooks with a + l < n fill range(n(n+1)/2),
-    by a + l and then by a."""
+    """The index of the hook (a, l) in _plan's hooks: (a+l)(a+l+1)/2 + a,
+    so the hooks with a + l < n fill range(n(n+1)/2), by a + l, then a."""
     return (a + l) * (a + l + 1) // 2 + a
 
 
 @functools.cache
-def _leg_hooks(k):
-    """(H, U): H the hooks of every partition of k, in
-    enumerate_partitions order, each as its tuple of _hook_id indices, and
-    U the multiset union of their den forms, each folded by _fold: the leg
-    as sampled mode sums it, cached like the forms and never mutated.  The
-    dens of each hook with a + l < k are folded once, and each partition's
-    are counted from its hook indices."""
-    ids = {}
-    folded = {}   # by hook index
-    for s in range(k):
-        for a in range(s + 1):
-            h = ids[a, s - a] = _hook_id(a, s - a)
-            folded[h] = [_fold(f) for f in _box_forms(a, s - a)[1]]
-    H = tuple(tuple(map(ids.__getitem__, hooks(lam)))
-              for lam in enumerate_partitions(k))
-    return H, _union(Counter([f for h in hs for f in folded[h]]) for hs in H)
+def _plan(n):
+    """Sampled mode's point-free plan for n, (forms, hooks, M, legs,
+    weights), _plan(n - 1) extended by the hooks with a + l = n - 1 and by
+    leg n: the distinct forms; each hook's num and den form indices, by
+    _hook_id; the union of every partition's den forms, each folded by
+    _fold, as (index, multiplicity) pairs; each partition's hook indices,
+    by k; _c_weight(k, j), 1 <= j <= k.  Cached, never mutated."""
+    if not n:
+        return (), (), (), (((),),), ()
+    forms, table, M, legs, weights = _plan(n - 1)
+    index = {f: x for x, f in enumerate(forms)}
+
+    def ids(fs):
+        return tuple(index.setdefault(f, len(index)) for f in fs)
+    table += tuple(tuple(map(ids, _box_forms(a, n - 1 - a)))
+                   for a in range(n))
+    forms = list(index)
+    folded = [[_fold(forms[f]) for f in den] for _, den in table]
+    union = {forms[f]: m for f, m in M}
+    H = tuple(tuple(_hook_id(a, l) for a, l in hooks(lam))
+              for lam in enumerate_partitions(n))
+    for hs in H:
+        count = {}
+        for h in hs:
+            for f in folded[h]:
+                m = count[f] = count.get(f, 0) + 1
+                if m > union.get(f, 0):
+                    union[f] = m
+    M = tuple(zip(ids(union), union.values()))
+    return (tuple(index), table, M, legs + (H,),
+            weights + (tuple(_c_weight(n, j) for j in range(1, n + 1)),))
 
 
-def _legs_at(legs, M, p, q):
-    """([N_0, ..., N_n], W): the sum of F(lam) over the partitions of k,
-    legs[k] = _leg_hooks(k), at t0 = p/q is N_k / W, with W the product of
-    the forms of M at (p, q) and M holding the union of every leg.  At t0
-    each form i*t0 + j is (i*p + j*q)/q, and each F(lam) has as many
-    numerator as denominator forms, so the q's cancel.
+def _legs_at(plan, p, q):
+    """([N_0, ..., N_n], W): the sum of F(lam) over the partitions of k at
+    t0 = p/q is N_k / W, W the product of the plan's M at (p, q).  Each form
+    i*t0 + j is (i*p + j*q)/q there, and F(lam) has as many numerator as
+    denominator forms, so the q's cancel.  A term is its hooks' numerators
+    times W // (their dens), exact as M holds every den up to sign.  A
+    zero form (t0 is a pole) raises ZeroDivisionError.
 
-    Once per hook (a, l) with a + l < n, the product of its _box_forms
-    numerator forms and that of its denominator forms are taken at the
-    point, by a plain loop over however many forms it has, into two lists
-    in _hook_id order, which the legs' index tuples read.  Once per form,
-    each form of the legs' own unions is valued at the point, into a table
-    that W and every W_U read.  A leg (H, U) is summed over the product W_U
-    of its union: a term is the product of its hooks' numerators times
-    W_U // (the product of their denominators), and the leg's sum is scaled
-    by W // W_U.  A form and its negation divide each other, and U holds
-    every den of its leg up to sign, so both quotients are exact.  A zero
-    form (t0 is a pole) raises ZeroDivisionError."""
-    n = len(legs) - 1
+    Route C certifies each leg: A_k(t0) = r_k / (k! (q-p)^k) with
+    r_k = q^k S_k(p/q), by _c_leg's recurrence at (p, q), so
+    ConsistencyError names the first k with N_k k! (q-p)^k != r_k W."""
+    forms, table, M, legs, weights = plan
+    v = [i * p + j * q for j, i in forms]
     num, den = [], []
-    for s in range(n):
-        for a in range(s + 1):
-            box_num, box_den = _box_forms(a, s - a)
-            x = 1
-            for j, i in box_num:
-                x *= i * p + j * q
-            num.append(x)
-            x = 1
-            for j, i in box_den:
-                x *= i * p + j * q
-            den.append(x)
-    value = {(j, i): i * p + j * q
-             for j, i in set().union(*(U for _, U in legs))}
-
-    def at_union(forms):
-        return prod(value[f] ** m for f, m in forms.items())
-    W = at_union(M)
+    for ns, ds in table:
+        x = y = 1
+        for f in ns:
+            x *= v[f]
+        for f in ds:
+            y *= v[f]
+        num.append(x)
+        den.append(y)
+    W = 1
+    for f, m in M:
+        W *= v[f] ** m
     N = []
-    num_at, den_at = num.__getitem__, den.__getitem__
-    for H, U in legs:
-        WU = at_union(U)
+    for H in legs:
         total = 0
         for hs in H:
-            total += prod(map(num_at, hs)) * (WU // prod(map(den_at, hs)))
-        N.append((W // WU) * total)
+            x = y = 1
+            for h in hs:
+                x *= num[h]
+                y *= den[h]
+            total += x * (W // y)
+        N.append(total)
+    d, e = q - p, 2 * (q - 2 * p)
+    powers, r = [1], [1]   # d^k and r_k
+    for ws in weights:
+        r.append(e * sum(w * x * y
+                         for w, x, y in zip(ws, powers, reversed(r))))
+        powers.append(powers[-1] * d)
+    for k, (x, y) in enumerate(zip(N, r)):
+        if x * factorial(k) * powers[k] != y * W:
+            raise ConsistencyError("leg A_%d disagrees with route C at t = %s"
+                                   % (k, Fraction(p, q)))
     return N, W
 
 
@@ -561,10 +587,12 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     rational points with numerators and denominators bounded by 10**6,
     redrawing a point that is a pole of some F or G (every partition of
     size at most n is p2 or p3 of some triple, so these are the poles of
-    the per-triple sum), and requires exact agreement.  At each point
-    _legs_at sums every leg in integers over the union of its den forms up
-    to sign, at (p, q) for A and at (q, p) for B; the integer numerators
-    are convolved and one Fraction is taken per point.
+    the per-triple sum), and requires exact agreement.  It takes the
+    point-free part of the sum once per process and n (_plan); at each
+    point _legs_at sums every leg in integers over one product W of den
+    forms, at (p, q) for A and at (q, p) for B, and certifies each leg
+    against route C there, raising ConsistencyError naming the leg; the
+    integer numerators are convolved and one Fraction is taken per point.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -589,8 +617,7 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
         if samples < MIN_SAMPLES:
             raise ValueError("sampled mode needs at least %d points"
                              % MIN_SAMPLES)
-        legs = list(map(_leg_hooks, range(n + 1)))
-        M = _union(U for _, U in legs)
+        plan = _plan(n)
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
         seen = set()
         drawn = []   # (point, value)
@@ -601,8 +628,8 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
             seen.add(t0)
             p, q = t0.numerator, t0.denominator
             try:
-                A, WA = _legs_at(legs, M, p, q)
-                B, WB = _legs_at(legs, M, q, p)
+                A, WA = _legs_at(plan, p, q)
+                B, WB = _legs_at(plan, q, p)
             except ZeroDivisionError:
                 continue  # t0 is a pole of some F or G: draw again
             drawn.append((t0, Fraction(_convolve(counts, A, B), WA * WB)))

@@ -10,7 +10,7 @@ from-scratch reimplementation before being frozen here."""
 import inspect
 import random
 import types
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import factorial, prod
 
@@ -36,12 +36,13 @@ INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 @pytest.fixture(autouse=True)
 def cold_legs():
-    # the legs A_k and S_k, the split forms of each hook and sampled mode's
-    # hooks and unions are cached per process: a leg packed under one test's
-    # replaced _width or factors must not reach another test, and a test
-    # that expects a leg to be summed must find the cache empty
+    # the legs A_k and S_k, route C's weights, the split forms of each hook
+    # and sampled mode's plans are cached per process: a leg packed under
+    # one test's replaced _width or factors must not reach another test,
+    # and a test that expects a leg to be summed must find the cache empty
     caches = (localization._a_leg, localization._c_leg,
-              localization._hook_split, localization._leg_hooks)
+              localization._c_weight, localization._hook_split,
+              localization._plan)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -471,7 +472,7 @@ def test_non_constant_sum_raises(monkeypatch):
     # sorting the point's two integers reads both legs at the same point
     legs_at = localization._legs_at
     monkeypatch.setattr(localization, "_legs_at",
-                        lambda legs, M, p, q: legs_at(legs, M, *sorted((p, q))))
+                        lambda plan, p, q: legs_at(plan, *sorted((p, q))))
     with pytest.raises(ConsistencyError):
         hilb_chern_integral(2, "sampled")
 
@@ -484,113 +485,207 @@ def _f_at(lam, t0):
     return c.scale * _at_point((c.num, c.den), t0)
 
 
-def _sampled_legs(n):
-    """The legs _leg_hooks(k), k <= n, and the union M of their unions."""
-    legs = [localization._leg_hooks(k) for k in range(n + 1)]
-    M = Counter()
-    for _, U in legs:
-        M |= U
-    return legs, M
+# the fields of sampled mode's plan, in the order _plan returns them
+Plan = namedtuple("Plan", "forms hooks M legs weights")
+
+
+def _plan(n):
+    """localization._plan(n) with its fields named."""
+    return Plan(*localization._plan(n))
+
+
+def _forms_of(plan, indices):
+    """The forms (j, i) of plan.forms at the given indices."""
+    return [plan.forms[f] for f in indices]
+
+
+def _union_of(plan):
+    """plan.M as a Counter of its forms."""
+    return Counter({plan.forms[f]: m for f, m in plan.M})
 
 
 def test_sampled_legs_equal_term_sums():
     # N_k / W against the sum of F(lam) term by term, at points with no pole
     n = 12
-    legs, M = _sampled_legs(n)
+    plan = _plan(n)
     for t0 in (Fraction(104729, 7919), Fraction(-1299709, 15485863)):
-        N, W = localization._legs_at(legs, M, t0.numerator, t0.denominator)
+        N, W = localization._legs_at(plan, t0.numerator, t0.denominator)
         for k in range(n + 1):
             assert Fraction(N[k], W) == sum(
                 _f_at(lam, t0) for lam in enumerate_partitions(k))
 
 
 def test_sampled_hooks_decode_to_the_partitions_hooks():
-    # each index tuple of _leg_hooks(k) is hooks(lam) through _hook_id, in
+    # each index tuple of the plan's legs is hooks(lam) through _hook_id, in
     # enumerate_partitions order
-    for k in range(13):
-        ids = {localization._hook_id(a, l): (a, l)
-               for a in range(k) for l in range(k - a)}
-        H, _ = localization._leg_hooks(k)
+    plan = _plan(12)
+    assert len(plan.legs) == 13
+    ids = {localization._hook_id(a, l): (a, l)
+           for a in range(12) for l in range(12 - a)}
+    for k, H in enumerate(plan.legs):
         assert [[ids[h] for h in hs] for hs in H] == [
             partitions.hooks(lam) for lam in enumerate_partitions(k)], k
 
 
-def test_hook_ids_follow_the_fill_order(monkeypatch):
-    # _legs_at reads each hook (a, l) with a + l < n through _box_forms once,
-    # and _hook_id maps them, in that order, onto range(n(n+1)/2): the
-    # index of each hook is its place in the per-point lists
-    box_forms = localization._box_forms
-    read = []
-    monkeypatch.setattr(localization, "_box_forms",
-                        lambda a, l: read.append((a, l)) or box_forms(a, l))
+def test_hook_ids_follow_the_fill_order():
+    # _hook_id maps the hooks (a, l) with a + l < n onto range(n(n+1)/2),
+    # and the plan's hook table holds at each index the form indices of
+    # that hook's _box_forms, numerators and denominators; the plan for n
+    # extends the plan for n - 1, whose indices stay as they were
     for n in range(17):
-        legs, M = _sampled_legs(n)
-        read.clear()
-        localization._legs_at(legs, M, 104729, 7919)
-        assert [localization._hook_id(a, l) for a, l in read] == list(
-            range(n * (n + 1) // 2)), n
-        assert sorted(read) == [(a, l) for a in range(n) for l in range(n - a)]
+        plan = _plan(n)
+        assert len(plan.hooks) == n * (n + 1) // 2, n
+        if n:
+            prev = _plan(n - 1)
+            for field in ("forms", "hooks", "legs", "weights"):
+                old = getattr(prev, field)
+                assert getattr(plan, field)[:len(old)] == old, (n, field)
+        assert sorted(localization._hook_id(a, l) for a in range(n)
+                      for l in range(n - a)) == list(range(len(plan.hooks)))
+        for a in range(n):
+            for l in range(n - a):
+                num, den = plan.hooks[localization._hook_id(a, l)]
+                assert (tuple(_forms_of(plan, num)), tuple(_forms_of(plan, den))
+                        ) == localization._box_forms(a, l), (n, a, l)
 
 
 def test_sampled_unions_are_exact_up_to_sign():
-    # every den of a leg divides the product W_U of its union, with no
-    # remainder, although the union keeps each form only up to sign: its
-    # keys lead with a positive coefficient, as _split's do.  U is the least
-    # such union, each form as often as in the partition that has it most,
-    # here counted box by box from _p2_factors: a smaller U can still pass
-    # the division at a point, where a content multiple such as (0, 2)
-    # stands in for (0, 1)
+    # every den of every leg k <= 12 divides the product W of the plan's
+    # union M, with no remainder, although M keeps each form only up to
+    # sign: its keys lead with a positive coefficient, as _split's do.  M is
+    # the least such union, each form as often as in the partition that has
+    # it most, here counted box by box from _p2_factors: a smaller M can
+    # still pass the division at a point, where a content multiple such as
+    # (0, 2) stands in for (0, 1)
+    plan = _plan(12)
+    M = _union_of(plan)
+    assert len(M) == len(plan.M)
+    assert all(i > 0 or (i == 0 and j > 0) for j, i in M)
+    least = Counter()
     for k in range(13):
-        _, U = localization._leg_hooks(k)
-        assert all(i > 0 or (i == 0 and j > 0) for j, i in U)
-        least = Counter()
         for lam in enumerate_partitions(k):
             least |= Counter(map(localization._fold,
                                  localization._p2_factors(lam)[1]))
-        assert U == least
-        for p, q in ((104729, 7919), (-1299709, 15485863)):
-            WU = prod((i * p + j * q) ** m for (j, i), m in U.items())
+    assert M == least
+    for p, q in ((104729, 7919), (-1299709, 15485863)):
+        W = prod((i * p + j * q) ** m for (j, i), m in M.items())
+        for k in range(13):
             for lam in enumerate_partitions(k):
                 _, den = localization._p2_factors(lam)
-                assert WU % prod(i * p + j * q for j, i in den) == 0, lam
+                assert W % prod(i * p + j * q for j, i in den) == 0, lam
 
 
 def _faulty_sampled(n, fault):
-    """hilb_chern_integral(n, "sampled") with the legs and the union M of
-    every _legs_at call replaced by fault(legs, M)."""
+    """hilb_chern_integral(n, "sampled") with the plan of every _legs_at
+    call replaced by fault(plan), plan with its fields named."""
     legs_at = localization._legs_at
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(localization, "_legs_at", lambda legs, M, p, q:
-                   legs_at(*fault(legs, M), p, q))
+        mp.setattr(localization, "_legs_at",
+                   lambda plan, p, q: legs_at(fault(Plan(*plan)), p, q))
         return hilb_chern_integral(n, "sampled")
 
 
-def test_sampled_sum_catches_a_term_over_the_whole(monkeypatch):
-    # with the den forms of one hook read as empty at each point, while the
-    # unions, cached first, keep them, every term with that hook is taken
-    # over W_U // (the other dens) instead of W_U // prod(den): it is F(lam)
-    # times that hook's den, and the values disagree; each of the 6 hooks
-    # of n = 3, in turn
-    hilb_chern_integral(3, "sampled")
-    box_forms = localization._box_forms
+def test_sampled_sum_catches_a_term_over_the_whole():
+    # with the den forms of one hook dropped from the plan's hook table,
+    # while M keeps them, every term with that hook is taken over
+    # W // (the other dens) instead of W // prod(den): it is F(lam) times
+    # that hook's den, so the first leg that has the hook, k = a + l + 1,
+    # disagrees with route C at the first point; each of the 6 hooks of
+    # n = 3, in turn
     hooks = [(a, l) for a in range(3) for l in range(3 - a)]
     assert len(hooks) == 6
-    for hook in hooks:
-        monkeypatch.setattr(localization, "_box_forms", lambda a, l: (
-            box_forms(a, l)[0], () if (a, l) == hook else box_forms(a, l)[1]))
-        with pytest.raises(ConsistencyError):
-            hilb_chern_integral(3, "sampled")
+    for a, l in hooks:
+        h = localization._hook_id(a, l)
+
+        def fault(plan, h=h):
+            table = list(plan.hooks)
+            table[h] = (table[h][0], ())
+            return plan._replace(hooks=tuple(table))
+        with pytest.raises(ConsistencyError) as err:
+            _faulty_sampled(3, fault)
+        assert str(err.value).startswith(
+            "leg A_%d disagrees with route C at t = " % (a + l + 1)), (a, l)
 
 
 def test_sampled_sum_catches_a_form_dropped_from_the_union():
-    # without one of its forms W need not be a multiple of the union of a
-    # leg, and a rounded W // W_U makes the values disagree: each of the
-    # 9 forms of the union at n = 3, folded up to sign, in turn
-    _, M = _sampled_legs(3)
+    # without a form W need not be a multiple of every den, and a rounded
+    # W // prod(den) makes a leg disagree with route C: each of the 9 forms
+    # of the union at n = 3, folded up to sign, dropped in turn, all its
+    # copies or one.  Dropping a content multiple 2t, 3t, 2(t-1) or 3(t-1),
+    # or one of the two copies of t or of t-1, is no fault: W is still a
+    # multiple of every den at every point (one of p, q, p-q is even and
+    # one of p, q, p-q, p+q is a multiple of 3), so the value is right
+    forms, _, M, _, _ = localization._plan(3)
     assert len(M) == 9
-    for f in M:
+    spare = {(0, 2), (0, 3), (-2, 2), (-3, 3)}
+    caught = 0
+    for dropped, (f, m) in enumerate(M):
+        for left in {0, m - 1}:
+            def fault(plan, dropped=dropped, left=left):
+                return plan._replace(M=tuple(
+                    (g, left if x == dropped else k)
+                    for x, (g, k) in enumerate(plan.M)))
+            if left or forms[f] in spare:
+                assert _faulty_sampled(3, fault) == INTEGRALS[3], (f, left)
+            else:
+                caught += 1
+                with pytest.raises(ConsistencyError):
+                    _faulty_sampled(3, fault)
+    assert caught == 5
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_box_forms_mutant_raises_in_sampled_mode(monkeypatch, seed):
+    # the mutant of test_box_forms_mutant_raises_in_symbolic_mode: hook
+    # (0, 2) is in (3,) alone, which enters the sum at n = 3 only as
+    # F((3,)) + G((3,)), a constant, so every point gives 136; route C
+    # certifies leg A_3 at the first point and names it
+    box_forms = localization._box_forms
+
+    def doubled(a, l):
+        num, den = box_forms(a, l)
+        if (a, l) == (0, 2):
+            num = ((2 * num[0][0], 2 * num[0][1]),) + num[1:]
+        return num, den
+    monkeypatch.setattr(localization, "_box_forms", doubled)
+    with pytest.raises(ConsistencyError) as err:
+        hilb_chern_integral(3, "sampled", seed=seed)
+    assert str(err.value).startswith("leg A_3 disagrees with route C at t = ")
+
+
+@pytest.mark.parametrize("old, new", [
+    pytest.param("2 * (q - 2 * p)", "2 * (q - 3 * p)", id="wrong-e"),
+    pytest.param("zip(ws, powers, reversed(r))", "zip(ws, powers, r)",
+                 id="r-not-reversed"),
+    pytest.param("x * factorial(k) * powers[k]",
+                 "x * factorial(k) * powers[k - 1]", id="wrong-power"),
+])
+def test_sampled_route_c_mutant_raises(old, new):
+    # route C at the point read wrong in the sampled certificate: E's
+    # factor, the order of the convolution, the power of q - p; every n
+    # from 2 to 8 raises (at n = 1, r = [1] reversed is itself)
+    for n in range(2, 9):
         with pytest.raises(ConsistencyError):
-            _faulty_sampled(3, lambda legs, M: (legs, M - Counter([f])))
+            _mutant(old, new).hilb_chern_integral(n, "sampled")
+
+
+def test_sampled_plan_is_point_free():
+    # after one call at n the plan is cached, and a call at another seed
+    # reads no box form, fold, hook or partition: only the plan
+    for n in (3, 8):
+        value = hilb_chern_integral(n, "sampled")
+
+        def refuse(*args):
+            raise AssertionError("read after the plan was built")
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (localization, partitions):
+                for name in ("_box_forms", "_fold", "hooks",
+                             "enumerate_partitions"):
+                    if hasattr(module, name):
+                        mp.setattr(module, name, refuse)
+            assert hilb_chern_integral(n, "sampled", seed=5) == value
+            assert hilb_chern_integral(n, "sampled", seed=6,
+                                       samples=5) == value
 
 
 def test_sampled_integrals():
@@ -641,8 +736,8 @@ def test_sampled_resamples_on_a_pole_of_a_folded_form(monkeypatch):
 
     monkeypatch.setattr(localization.random, "Random", FirstDrawIsZero)
     assert (0, -1) in localization._p2_factors((1,))[1]
-    _, U = localization._leg_hooks(1)
-    assert U[0, 1] == 1 and (0, -1) not in U
+    M = _union_of(_plan(2))
+    assert M[0, 1] == 1 and (0, -1) not in M
     assert hilb_chern_integral(2, "sampled") == 35
     assert len(draws) == 8   # the pole, then three good points
 
