@@ -70,7 +70,8 @@ not depend on the point is taken once per process and n, in a plan
 (_plan): the distinct forms, each hook's numerator and denominator form
 indices (_hook_id), each leg's partitions as tuples of hook indices, and
 M, the least multiset union of every partition's den forms, each kept up
-to sign.  At a point each form is valued once and each hook's products
+to sign, checked to hold each partition's as no point could tell a short
+one.  At a point each form is valued once and each hook's products
 are taken once, and every leg is summed over the one product W of M: a
 partition adds prod(num) * (W // prod(den)), an exact quotient since a
 form and its negation divide each other.  Route C certifies every leg at
@@ -380,11 +381,9 @@ def _hook_split(a, l):
     return tuple(map(_split, _box_forms(a, l)))
 
 
-@functools.cache
 def _c_weight(k, j):
     """sigma(j) (k-1)!/(k-j)!, sigma the divisor sum: the weight of
-    S_{k-j} (1-t)^(j-1) in route C's recurrence for S_k (_c_leg), taken
-    once per process and (k, j)."""
+    S_{k-j} (1-t)^(j-1) in route C's recurrence for S_k (_c_leg)."""
     return (sum(d for d in range(1, j + 1) if not j % d)
             * (factorial(k - 1) // factorial(k - j)))
 
@@ -454,8 +453,9 @@ def _plan(n):
     weights), _plan(n - 1) extended by the hooks with a + l = n - 1 and by
     leg n: the distinct forms; each hook's num and den form indices, by
     _hook_id; the union of every partition's den forms, each folded by
-    _fold, as (index, multiplicity) pairs; each partition's hook indices,
-    by k; _c_weight(k, j), 1 <= j <= k.  Cached, never mutated."""
+    _fold, as (index, multiplicity) pairs, ConsistencyError unless it holds
+    each partition's; each partition's hook indices, by k; _c_weight(k, j),
+    1 <= j <= k.  Cached, never mutated."""
     if not n:
         return (), (), (), (((),),), ()
     forms, table, M, legs, weights = _plan(n - 1)
@@ -467,16 +467,16 @@ def _plan(n):
                    for a in range(n))
     forms = list(index)
     folded = [[_fold(forms[f]) for f in den] for _, den in table]
-    union = {forms[f]: m for f, m in M}
     H = tuple(tuple(_hook_id(a, l) for a, l in hooks(lam))
               for lam in enumerate_partitions(n))
-    for hs in H:
-        count = {}
-        for h in hs:
-            for f in folded[h]:
-                m = count[f] = count.get(f, 0) + 1
-                if m > union.get(f, 0):
-                    union[f] = m
+    counts = [Counter({forms[f]: m for f, m in M})] + [
+        Counter(f for h in hs for f in folded[h]) for hs in H]
+    union = _union(counts)
+    # checked here, as no point can tell: at (p, q) a content multiple such
+    # as 2t stands in for t (one of p, q, p - q is even), so a union short
+    # of it still sums each leg exactly, and route C checks N_k / W
+    if any(union[f] < m for count in counts for f, m in count.items()):
+        raise ConsistencyError("the union M for n=%d misses a den form" % n)
     M = tuple(zip(ids(union), union.values()))
     return (tuple(index), table, M, legs + (H,),
             weights + (tuple(_c_weight(n, j) for j in range(1, n + 1)),))

@@ -36,13 +36,12 @@ INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 @pytest.fixture(autouse=True)
 def cold_legs():
-    # the legs A_k and S_k, route C's weights, the split forms of each hook
-    # and sampled mode's plans are cached per process: a leg packed under
-    # one test's replaced _width or factors must not reach another test,
-    # and a test that expects a leg to be summed must find the cache empty
+    # the legs A_k and S_k, the split forms of each hook and sampled mode's
+    # plans are cached per process: a leg packed under one test's replaced
+    # _width or factors must not reach another test, and a test that
+    # expects a leg to be summed must find the cache empty
     caches = (localization._a_leg, localization._c_leg,
-              localization._c_weight, localization._hook_split,
-              localization._plan)
+              localization._hook_split, localization._plan)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -607,31 +606,27 @@ def test_sampled_sum_catches_a_term_over_the_whole():
             "leg A_%d disagrees with route C at t = " % (a + l + 1)), (a, l)
 
 
-def test_sampled_sum_catches_a_form_dropped_from_the_union():
-    # without a form W need not be a multiple of every den, and a rounded
-    # W // prod(den) makes a leg disagree with route C: each of the 9 forms
-    # of the union at n = 3, folded up to sign, dropped in turn, all its
-    # copies or one.  Dropping a content multiple 2t, 3t, 2(t-1) or 3(t-1),
-    # or one of the two copies of t or of t-1, is no fault: W is still a
-    # multiple of every den at every point (one of p, q, p-q is even and
-    # one of p, q, p-q, p+q is a multiple of 3), so the value is right
+def test_sampled_sum_catches_a_form_dropped_from_the_union(monkeypatch):
+    # with one of its forms dropped from the union as _plan builds it, M
+    # no longer holds every den, and the plan raises before it is cached:
+    # each of the 9 forms of M at n = 3, folded up to sign, in turn, one
+    # copy and all of them.  A point could not tell the content multiples
+    # 2t, 3t, 2(t-1) and 3(t-1), nor one of the two copies of t or of t-1:
+    # W without it is still a multiple of every den at every point
     forms, _, M, _, _ = localization._plan(3)
     assert len(M) == 9
-    spare = {(0, 2), (0, 3), (-2, 2), (-3, 3)}
-    caught = 0
-    for dropped, (f, m) in enumerate(M):
-        for left in {0, m - 1}:
-            def fault(plan, dropped=dropped, left=left):
-                return plan._replace(M=tuple(
-                    (g, left if x == dropped else k)
-                    for x, (g, k) in enumerate(plan.M)))
-            if left or forms[f] in spare:
-                assert _faulty_sampled(3, fault) == INTEGRALS[3], (f, left)
-            else:
-                caught += 1
-                with pytest.raises(ConsistencyError):
-                    _faulty_sampled(3, fault)
-    assert caught == 5
+    assert sorted(m for _, m in M) == [1] * 7 + [2] * 2
+    union = localization._union
+    for f, m in M:
+        for drop in {1, m}:
+            localization._plan.cache_clear()
+            monkeypatch.setattr(localization, "_union", lambda counters: (
+                union(counters) - Counter({forms[f]: drop})))
+            with pytest.raises(ConsistencyError, match="misses a den form"):
+                hilb_chern_integral(3, "sampled")
+    monkeypatch.setattr(localization, "_union", union)
+    localization._plan.cache_clear()
+    assert hilb_chern_integral(3, "sampled") == INTEGRALS[3]
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
