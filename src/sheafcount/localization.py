@@ -37,66 +37,62 @@ and p1 drops out, so the sum factors by partition size:
     = sum over a+b+c = n of p(a) * A_b * B_c,
 
 with p(a) the number of partitions of a, A_k the sum of F over the
-partitions of k and B_k the sum of G over them.  The cost is one product
-per partition of size at most n plus O(n^2) combinations, not one per
-triple.  The third fixed point is the second with the torus weights
-swapped, and scaling both weights leaves a contribution alone (it has as
-many numerator as denominator forms), so at s2 = 1 the swap is t -> 1/t:
-G(lam)(t) = F(lam)(1/t) and B_k(t) = A_k(1/t).  By theory the result is a
-constant (the equivariant parameters drop out), which the symbolic mode
-verifies literally and the sampled mode verifies at random rational points.
+partitions of k and B_k the sum of G over them: one product per partition
+of size at most n plus O(n^2) combinations, not one per triple.  The third
+fixed point is the second with the torus weights swapped, and a
+contribution has as many numerator as denominator forms, so at s2 = 1 the
+swap is t -> 1/t: G(lam)(t) = F(lam)(1/t) and B_k(t) = A_k(1/t).  The
+result is a constant (the equivariant parameters drop out), which the
+symbolic mode verifies literally and the sampled mode at random points.
+
+Route C gives each leg in closed form by Carlsson and Okounkov's formula
+(arXiv:0801.2565): A_k = [x^k] prod (1-x^m)^E(t) = R_k / (1-t)^k, with
+E(t) = 2(2t-1)/(1-t) and deg R_k = k.  One recurrence, _c_at, gives
+r_k = k! d^k [x^k] prod (1-x^m)^(-e/d) in integers: S_k = k! R_k is r_k at
+d = 1 - t, e = 2 - 4t (_c_leg); at t = p/q, r_k at d = q - p,
+e = 2(q - 2p) is q^k S_k(p/q); and p(k) is r_k / k! at d = e = 1
+(_counts).  E(t) + E(1/t) = -6, so the sum of A_b B_c over b + c = m is
+[q^m] prod (1-q^k)^-6 whatever t is, and the sum is constant whatever the
+counts are: each leg's partition count is held to p(k) (_check_count).
 
 The symbolic mode sums in big integers: it divides no polynomial, adds no
 Fraction and expands no polynomial term by term.  A_k is the sum of the
 Contributions F(lam) over the partitions of k, each _cancel of its hooks'
 forms, split once per hook (arm, leg) and process (_hook_split):
-A_k = N_k / (c_k prod L_k), L_k the multiset union of their den forms,
-c_k the lcm of their scales' denominators and N_k an integer polynomial.
-Route C gives each leg in closed form by Carlsson and Okounkov's formula
-(arXiv:0801.2565): A_k = [x^k] prod (1-x^m)^E(t) = R_k / (1-t)^k, with
-E(t) = 2(2t-1)/(1-t) and deg R_k = k.  _a_leg certifies each leg against
-S_k = k! R_k (_c_leg) before caching it, k! N_k (1-t)^k = S_k c_k prod L_k
-coefficient by coefficient, and the sum is taken over route C's one form
-per leg: A_b = S_b / (b! (1-t)^b) and B_c(t) = A_c(1/t) =
-(-1)^c rev(S_c) / (c! (1-t)^c), rev reversing the c + 1 coefficients;
-1 - t is written -(t - 1), keeping _split's i > 0.
+A_k = N_k / (c_k prod L_k), L_k the multiset union of their den forms, c_k
+the lcm of their scales' denominators and N_k an integer polynomial.
+_a_leg certifies each leg, k! N_k (1-t)^k = S_k c_k prod L_k coefficient by
+coefficient, and the sum is taken over route C's one form per leg:
+A_b = S_b / (b! (1-t)^b) and B_c = (-1)^c rev(S_c) / (c! (1-t)^c), rev
+reversing the c + 1 coefficients; 1 - t is written -(t - 1), keeping
+_split's i > 0.
 
 Sampled mode sums in integers too, from the raw forms of the boxes, with
 none of the splitting, cancelling or packing above.  At t0 = p/q the forms
-of F(lam) evaluated at (p, q) give F(lam)(t0), and at (q, p) they give
-G(lam)(t0), so B_k is read off the same forms at the swapped point; both
-contribution routes and _per_triple_sum evaluate G themselves.  What does
-not depend on the point is taken once per process and n, in a plan
-(_plan): the distinct forms, each hook's numerator and denominator form
-indices (_hook_id), each leg's partitions as tuples of hook indices, and
-M, the least multiset union of every partition's den forms, each kept up
-to sign, checked to hold each partition's as no point could tell a short
-one.  At a point each form is valued once and each hook's products
-are taken once, and every leg is summed over the one product W of M: a
-partition adds prod(num) * (W // prod(den)), an exact quotient since a
-form and its negation divide each other.  Route C certifies every leg at
-every point, on both sides, in integers with no polynomial S_k:
-N_k k! (q-p)^k = r_k W, r_k = q^k S_k(p/q) by S_k's recurrence at (p, q).
-Both sides' integer numerators go through the same convolution, and one
-Fraction is taken per point, over W_A * W_B.
+of F(lam) valued at (p, q) give F(lam)(t0), and at (q, p) G(lam)(t0).  What
+does not depend on the point is taken once per process and n (_plan): the
+distinct forms, each hook's num and den form indices (_hook_id), each leg's
+partitions as tuples of hook indices, and M, the least multiset union of
+every partition's den forms up to sign, checked to hold each partition's,
+as no point could tell a short one.  At a point each form and each hook's
+products are valued once, and every leg is summed over the one product W of
+M: a partition adds prod(num) * (W // prod(den)), exact since a form and
+its negation divide each other.  Route C certifies every leg at every
+point, on both sides: N_k k! (q-p)^k = r_k W.  Both sides' integer
+numerators go through the same convolution, and one Fraction is taken per
+point, over W_A * W_B.
 
-Polynomials are summed by Kronecker substitution: every form is valued
-at one integer T = 2^B, so each product and sum is one big-integer
-operation, and the value is unpacked into its signed base-T digits.  B
-comes from a proven bound: the same code, run with each form replaced by
-|i| + |j|, bounds the l1 norm (||fg|| <= ||f|| ||g||), and a T whose half
-exceeds it makes the digits the coefficients.  _leg_poly takes a sum's
-union of denominators and lcm of scales once, outside the evaluator, so
-both passes share them, and each pass values every distinct form once.
-The convolution, sampled mode's, runs over D = n!^2 (1 - t)^n, with each
-p(a)'s (1 - t)^a in the numerator N.  The sum is constant exactly when
-N = c * D coefficient by coefficient, D expanded; this is checked
-literally before c is returned, and a sum that fails is reported as the
-quotient N / D checked, unreduced.
-
+Polynomials are summed by Kronecker substitution: every form is valued at
+one integer T = 2^B, so each product and sum is one big-integer operation,
+unpacked into its signed base-T digits.  B comes from a proven bound: the
+same code, run with each form replaced by |i| + |j|, bounds the l1 norm
+(||fg|| <= ||f|| ||g||), and a T whose half exceeds it makes the digits the
+coefficients.  The convolution runs over D = n!^2 (1 - t)^n, each p(a)'s
+(1 - t)^a in the numerator N; the sum is constant exactly when N = c * D
+coefficient by coefficient, which is checked literally before c is
+returned, a sum that fails reported as the quotient N / D, unreduced.
 _per_triple_sum packs the unfactored sum of contribution_from_characters
-over the triples like one leg and checks it by the same literal test: no
-rational function is added.
+over the triples like one leg and checks it by the same literal test.
 """
 
 import functools
@@ -109,8 +105,7 @@ from .errors import ConsistencyError
 from .partitions import (arm, boxes, check_partition, enumerate_partitions,
                          enumerate_triples, hooks, leg)
 
-# default seed for sampled mode; any fixed value works, reproducibility is
-# the only requirement
+# sampled mode's default seed: any fixed value makes runs reproducible
 DEFAULT_SEED = 1729
 
 _BOUND = 10**6
@@ -349,13 +344,11 @@ def _union(counters):
 def _leg_poly(contributions):
     """A sum of Contributions as (N, c, L), the sum = N / (c prod(L)): L the
     multiset union of their dens and c the lcm of their scales'
-    denominators, taken once per sum, outside the evaluator, so both passes
-    of _packed share them, and N an integer coefficient list, packed at the
-    narrowest width its own l1 bound allows and unpacked.  Under _at(bits)
-    a term's numerator is its value at T = 2**bits, prod(L - den) taken as
-    prod(L) // prod(den) exactly, each distinct form valued once; under
-    _norm the same code bounds its l1 norm, by ||f g|| <= ||f|| ||g|| and
-    ||i*t + j|| = |i| + |j|."""
+    denominators, taken once, outside the evaluator, so both passes of
+    _packed share them, and N an integer coefficient list.  Under _at(bits)
+    a term's numerator is prod(num) * (prod(L) // prod(den)) at T = 2**bits,
+    each distinct form valued once; under _norm the same code bounds its
+    l1 norm."""
     terms = [(x.scale, x.num, Counter(x.den)) for x in contributions]
     c = lcm(*(s.denominator for s, _, _ in terms))
     L = _union(den for _, _, den in terms)
@@ -375,34 +368,56 @@ def _leg_poly(contributions):
 
 @functools.cache
 def _hook_split(a, l):
-    """_split of the numerator and of the denominator forms of the hook
-    (a, l), ((cn, num), (cd, den)): taken once per process and hook, and
-    shared, so never mutated."""
+    """_split of the hook (a, l)'s num and den forms, ((cn, num), (cd, den)):
+    once per process and hook, shared, so never mutated."""
     return tuple(map(_split, _box_forms(a, l)))
 
 
-def _c_weight(k, j):
-    """sigma(j) (k-1)!/(k-j)!, sigma the divisor sum: the weight of
-    S_{k-j} (1-t)^(j-1) in route C's recurrence for S_k (_c_leg)."""
-    return (sum(d for d in range(1, j + 1) if not j % d)
-            * (factorial(k - 1) // factorial(k - j)))
+@functools.cache
+def _c_weights(n):
+    """_c_at's weights for k <= n, row k - 1 holding sigma(j) (k-1)!/(k-j)!
+    for j <= k, sigma the divisor sum: _c_weights(n - 1) and row n."""
+    if not n:
+        return ()
+    return _c_weights(n - 1) + (tuple(
+        sum(d for d in range(1, j + 1) if not j % d)
+        * (factorial(n - 1) // factorial(n - j)) for j in range(1, n + 1)),)
+
+
+def _c_at(n, d, e):
+    """[r_0, ..., r_n], r_k = k! d^k [x^k] prod (1-x^m)^(-e/d), in integers
+    by the one Euler-power recurrence, k f_k = (e/d) sum over j <= k of
+    sigma(j) f_{k-j} for f_k = r_k / (k! d^k)."""
+    powers, r = [1], [1]   # d^(j-1) and r_k
+    for ws in _c_weights(n):
+        r.append(e * sum(w * x * y for w, x, y in zip(ws, powers, r[::-1])))
+        powers.append(powers[-1] * d)
+    return r
 
 
 @functools.cache
 def _c_leg(k):
-    """S_k = k! R_k, route C's leg A_k = R_k / (1-t)^k, as k + 1 integer
-    coefficients, lowest first, by k R_k = (2 - 4t) sum over j <= k of
-    sigma(j) R_{k-j} (1-t)^(j-1) times k!/k, a multiple of (k-j)!, so
-    S_k = (2 - 4t) sum of _c_weight(k, j) S_{k-j} (1-t)^(j-1): taken once
-    per process and k, and shared, so never mutated."""
-    if not k:
-        return [1]
-    total = [0] * k
-    for j in range(1, k + 1):
-        total = [x + y for x, y in zip(total, _times_forms(
-            [_c_weight(k, j) * x for x in _c_leg(k - j)],
-            [(1, -1)] * (j - 1)))]
-    return _times_forms(total, [(2, -4)])
+    """S_k = k! R_k, route C's leg A_k = R_k / (1-t)^k, lowest coefficient
+    first: r_k of _c_at at d = 1 - t, e = 2 - 4t, unpacked from T = 2**B, B
+    one bit past r_k at d = 2, e = 6, their l1 norms, which bounds ||S_k||
+    as the weights are positive.  Cached and shared, so never mutated."""
+    bits = _c_at(k, 2, 6)[k].bit_length() + 1
+    T = 1 << bits
+    return _unpack(_c_at(k, 1 - T, 2 - 4 * T)[k], bits)
+
+
+@functools.cache
+def _counts(n):
+    """(p(0), ..., p(n)), p(k) = r_k // k! of _c_at at d = e = 1: the
+    partition counts both modes convolve, and _check_count checks."""
+    return (_counts(n - 1) if n else ()) + (_c_at(n, 1, 1)[n] // factorial(n),)
+
+
+def _check_count(k, summed):
+    """ConsistencyError naming p(k) unless leg A_k summed p(k) partitions."""
+    if summed != _counts(k)[k]:
+        raise ConsistencyError("p(%d) = %d disagrees with leg A_%d's partition"
+                               " count %d" % (k, _counts(k)[k], k, summed))
 
 
 @functools.cache
@@ -410,8 +425,8 @@ def _a_leg(k):
     """A_k = (N_k, c_k, L_k), _leg_poly over the Contributions F(lam) of
     the partitions lam of k, each _cancel of its hooks' _hook_split forms:
     summed once per process and k, shared, so never mutated, and certified
-    before it is cached, ConsistencyError naming k unless
-    k! N_k (1-t)^k = S_k c_k prod(L_k), S_k = _c_leg(k), both expanded."""
+    before it is cached by _check_count and by route C, ConsistencyError
+    naming k unless k! N_k (1-t)^k = S_k c_k prod(L_k), both expanded."""
     contributions = []
     for lam in enumerate_partitions(k):
         cn = cd = 1
@@ -423,6 +438,7 @@ def _a_leg(k):
             num += hnum
             den += hden
         contributions.append(_cancel(cn, num, cd, den))
+    _check_count(k, len(contributions))
     N, c, L = leg = _leg_poly(contributions)
     S, f = [(-1) ** k * x for x in _c_leg(k)], factorial(k)  # over f (t-1)^k
     if (_times_forms([f * x for x in N], [(-1, 1)] * k)
@@ -449,16 +465,15 @@ def _hook_id(a, l):
 
 @functools.cache
 def _plan(n):
-    """Sampled mode's point-free plan for n, (forms, hooks, M, legs,
-    weights), _plan(n - 1) extended by the hooks with a + l = n - 1 and by
-    leg n: the distinct forms; each hook's num and den form indices, by
-    _hook_id; the union of every partition's den forms, each folded by
-    _fold, as (index, multiplicity) pairs, ConsistencyError unless it holds
-    each partition's; each partition's hook indices, by k; _c_weight(k, j),
-    1 <= j <= k.  Cached, never mutated."""
-    if not n:
-        return (), (), (), (((),),), ()
-    forms, table, M, legs, weights = _plan(n - 1)
+    """Sampled mode's point-free plan for n, (forms, hooks, M, legs),
+    _plan(n - 1) extended by the hooks with a + l = n - 1 and by leg n: the
+    distinct forms; each hook's num and den form indices, by _hook_id; the
+    union of every partition's den forms, each folded by _fold, as (index,
+    multiplicity) pairs, ConsistencyError unless it holds each partition's;
+    each partition's hook indices, by k, leg n checked by _check_count."""
+    if n < 0:
+        return (), (), (), ()
+    forms, table, M, legs = _plan(n - 1)
     index = {f: x for x, f in enumerate(forms)}
 
     def ids(fs):
@@ -469,6 +484,7 @@ def _plan(n):
     folded = [[_fold(forms[f]) for f in den] for _, den in table]
     H = tuple(tuple(_hook_id(a, l) for a, l in hooks(lam))
               for lam in enumerate_partitions(n))
+    _check_count(n, len(H))
     counts = [Counter({forms[f]: m for f, m in M})] + [
         Counter(f for h in hs for f in folded[h]) for hs in H]
     union = _union(counts)
@@ -478,8 +494,7 @@ def _plan(n):
     if any(union[f] < m for count in counts for f, m in count.items()):
         raise ConsistencyError("the union M for n=%d misses a den form" % n)
     M = tuple(zip(ids(union), union.values()))
-    return (tuple(index), table, M, legs + (H,),
-            weights + (tuple(_c_weight(n, j) for j in range(1, n + 1)),))
+    return tuple(index), table, M, legs + (H,)
 
 
 def _legs_at(plan, p, q):
@@ -488,12 +503,10 @@ def _legs_at(plan, p, q):
     i*t0 + j is (i*p + j*q)/q there, and F(lam) has as many numerator as
     denominator forms, so the q's cancel.  A term is its hooks' numerators
     times W // (their dens), exact as M holds every den up to sign.  A
-    zero form (t0 is a pole) raises ZeroDivisionError.
-
-    Route C certifies each leg: A_k(t0) = r_k / (k! (q-p)^k) with
-    r_k = q^k S_k(p/q), by _c_leg's recurrence at (p, q), so
+    zero form (t0 is a pole) raises ZeroDivisionError.  Route C gives
+    A_k(t0) = r_k / (k! (q-p)^k), r = _c_at(n, q - p, 2(q - 2p)), and
     ConsistencyError names the first k with N_k k! (q-p)^k != r_k W."""
-    forms, table, M, legs, weights = plan
+    forms, table, M, legs = plan
     v = [i * p + j * q for j, i in forms]
     num, den = [], []
     for ns, ds in table:
@@ -517,16 +530,13 @@ def _legs_at(plan, p, q):
                 y *= den[h]
             total += x * (W // y)
         N.append(total)
-    d, e = q - p, 2 * (q - 2 * p)
-    powers, r = [1], [1]   # d^k and r_k
-    for ws in weights:
-        r.append(e * sum(w * x * y
-                         for w, x, y in zip(ws, powers, reversed(r))))
-        powers.append(powers[-1] * d)
-    for k, (x, y) in enumerate(zip(N, r)):
-        if x * factorial(k) * powers[k] != y * W:
+    d = q - p
+    scale = 1   # k! (q-p)^k
+    for k, (x, y) in enumerate(zip(N, _c_at(len(N) - 1, d, 2 * (q - 2 * p)))):
+        if x * scale != y * W:
             raise ConsistencyError("leg A_%d disagrees with route C at t = %s"
                                    % (k, Fraction(p, q)))
+        scale *= (k + 1) * d
     return N, W
 
 
@@ -568,35 +578,24 @@ def _per_triple_sum(n) -> Fraction:
                                        enumerate_triples(n))))
 
 
-@functools.cache
-def _count(k):
-    """p(k), the number of partitions of k: counted once per process."""
-    return len(enumerate_partitions(k))
-
-
 def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
                         samples: int = MIN_SAMPLES) -> Fraction:
     """Integral of the top Chern class over Hilb^n of the plane.
 
-    Both modes take the factored sum of the module docstring, each p(k)
-    counted once per process (_count).  symbolic mode certifies each leg
-    A_k, k <= n, against route C through the cache of _a_leg (a call after
-    one at n' sums only the legs with k > n'), packs the sum over route C's
-    legs and raises ConsistencyError unless N = c * D, which would mean a
-    bug.  sampled mode evaluates the sum at `samples` distinct random
-    rational points with numerators and denominators bounded by 10**6,
-    redrawing a point that is a pole of some F or G (every partition of
+    Both modes take the factored sum of the module docstring, its counts
+    from _counts, each checked where its leg is summed.  symbolic mode
+    certifies each leg A_k, k <= n, through the cache of _a_leg (a call
+    after one at n' sums only the legs with k > n') and checks N = c * D
+    over route C's legs.  sampled mode evaluates the sum at `samples`
+    distinct random rational points with numerators and denominators
+    bounded by 10**6, redrawing a pole of some F or G (every partition of
     size at most n is p2 or p3 of some triple, so these are the poles of
-    the per-triple sum), and requires exact agreement.  It takes the
-    point-free part of the sum once per process and n (_plan); at each
-    point _legs_at sums every leg in integers over one product W of den
-    forms, at (p, q) for A and at (q, p) for B, and certifies each leg
-    against route C there, raising ConsistencyError naming the leg; the
-    integer numerators are convolved and one Fraction is taken per point.
+    the per-triple sum), sums and certifies every leg there (_legs_at) and
+    requires exact agreement.  A ConsistencyError means a bug.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    counts = list(map(_count, range(n + 1)))
+    counts = _counts(n)
     if mode == "symbolic":
         # n!^2 (1-t)^n = (-1)^n n!^2 (t-1)^n times the terms p(a) A_b B_c:
         # p(a) (1-t)^a, (n!/b!) S_b and (n!/c!) (-1)^c rev(S_c)

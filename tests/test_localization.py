@@ -36,11 +36,13 @@ INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 @pytest.fixture(autouse=True)
 def cold_legs():
-    # the legs A_k and S_k, the split forms of each hook and sampled mode's
-    # plans are cached per process: a leg packed under one test's replaced
-    # _width or factors must not reach another test, and a test that
-    # expects a leg to be summed must find the cache empty
+    # the legs A_k and S_k, route C's weights and counts, the split forms of
+    # each hook and sampled mode's plans are cached per process: a leg
+    # packed under one test's replaced _width or factors must not reach
+    # another test, and a test that expects a leg to be summed must find
+    # the cache empty
     caches = (localization._a_leg, localization._c_leg,
+              localization._c_weights, localization._counts,
               localization._hook_split, localization._plan)
     for cached in caches:
         cached.cache_clear()
@@ -392,33 +394,86 @@ def _mutant(old, new):
     return module
 
 
-@pytest.mark.parametrize("make, first, leg", [
+# route C's one recurrence read wrong in _c_at, which S_k, the sampled
+# certificate and the counts p(k) all take: r read unreversed, d^(j-1) read
+# as d^(2j-2), sigma(j) as the number of divisors, and r_2 tripled, with
+# every r the recurrence takes from it.  Each raises in both modes for
+# every n from 2, through a leg's certificate or its partition count (at
+# n = 1 only r_1 = e is taken, which none of them changes)
+C_AT_MUTANTS = [
+    pytest.param("zip(ws, powers, r[::-1])", "zip(ws, powers, r)", 2, None,
+                 id="r-not-reversed"),
+    pytest.param("powers[-1] * d)", "powers[-1] * d * d)", 2, None,
+                 id="wrong-power"),
+    pytest.param("sum(d for d in", "sum(1 for d in", 2, None,
+                 id="wrong-sigma"),
+    pytest.param("r.append(e * ", "r.append((3 if len(r) == 2 else 1) * e * ",
+                 2, None, id="scaled-leg"),
+]
+
+
+@pytest.mark.parametrize("old, new, first, leg", [
     # B_c with rev(S_c) unreversed: at n = 1 it is -A_1, so the sum is
     # p(1) = 1, wrong but constant; every n >= 2 raises
-    pytest.param(lambda: _mutant("reversed(S)", "S"), 2, None,
-                 id="b-not-reversed"),
-    pytest.param(lambda: _mutant("(-1) ** k * w * x for x in reversed(S)",
-                                 "w * x for x in reversed(S)"), 1, None,
-                 id="b-unsigned"),
-    pytest.param(lambda: _mutant("m * x ** a for a, m", "m for a, m"), 1,
-                 None, id="no-power-of-1-t"),
-    # the recurrence's 2 - 4t = -(1-t) E(t) read as 2 - 3t
-    pytest.param(lambda: _mutant("(2, -4)", "(2, -3)"), 1, 1, id="wrong-e"),
-    # route C's S_2 tripled, and every leg the recurrence takes from it
-    pytest.param(lambda: _mutant("[(2, -4)])",
-                                 "[(2, -4)] if k != 2 else [(6, -12)])"),
-                 2, 2, id="scaled-leg"),
+    pytest.param("reversed(S)", "S", 2, None, id="b-not-reversed"),
+    pytest.param("(-1) ** k * w * x for x in reversed(S)",
+                 "w * x for x in reversed(S)", 1, None, id="b-unsigned"),
+    pytest.param("m * x ** a for a, m", "m for a, m", 1, None,
+                 id="no-power-of-1-t"),
+    # the e = 2 - 4t that _c_leg hands _c_at read as 2 - 3t
+    pytest.param("2 - 4 * T", "2 - 3 * T", 1, 1, id="wrong-e"),
+    *C_AT_MUTANTS,
 ])
-def test_route_c_mutant_raises(make, first, leg):
+def test_route_c_mutant_raises(old, new, first, leg):
     # each mutant raises for every n from the first it can reach, through
     # the literal N = c * D of the convolution, or through the certificate
     # of the first leg it gets wrong, named in the error
     for n in range(first, 9):
         with pytest.raises(ConsistencyError) as err:
-            make().hilb_chern_integral(n)
+            _mutant(old, new).hilb_chern_integral(n)
         if leg is not None:
             assert str(err.value).startswith(
                 "leg A_%d disagrees with route C: " % leg), n
+
+
+def test_c_at_counts_partitions():
+    # at d = e = 1, r_k / k! is [x^k] prod (1-x^m)^-1, the number of
+    # partitions of k, here against enumerate_partitions, which shares no
+    # code with the recurrence, and against a known value
+    for k in range(26):
+        assert (localization._c_at(k, 1, 1)[k]
+                == factorial(k) * len(enumerate_partitions(k))), k
+    assert localization._counts(100)[100] == 190569292
+
+
+def test_c_leg_first_values():
+    # S_k = k! R_k for k <= 3, from the recurrence by hand with d = 1 - t:
+    # S_1 = 2 - 4t, S_2 = S_1 (S_1 + 3d), S_3 = S_1 (S_2 + 6d S_1 + 8d^2)
+    assert [localization._c_leg(k) for k in range(4)] == [
+        [1], [2, -4], [10, -34, 28], [60, -292, 464, -240]]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+@pytest.mark.parametrize("old, new, k, count", [
+    pytest.param("_c_at(n, 1, 1)[n] // factorial(n)",
+                 "_c_at(n, 1, 1)[n] // factorial(n) + (n == 2)", 2, 3,
+                 id="p2-plus-one"),
+    # [x^k] prod (1-x^m)^-2 for p(k): 2 at k = 1
+    pytest.param("_c_at(n, 1, 1)", "_c_at(n, 1, 2)", 1, 2,
+                 id="exponent-minus-two"),
+])
+def test_wrong_count_raises(mode, old, new, k, count):
+    # E(t) + E(1/t) = -6 makes every p(a)'s partner sum constant in t, so a
+    # wrong count passes N = c * D and agrees at every point: with p(2) + 1
+    # and no count check, n = 2..5 give 36, 146, 517 and 1645.  The leg
+    # that enumerates the partitions of k holds its count to p(k), in both
+    # modes
+    for n in range(2, 9):
+        with pytest.raises(ConsistencyError) as err:
+            _mutant(old, new).hilb_chern_integral(n, mode)
+        assert str(err.value) == (
+            "p(%d) = %d disagrees with leg A_%d's partition count %d"
+            % (k, count, k, len(enumerate_partitions(k)))), n
 
 
 def test_integrals_match_series():
@@ -485,7 +540,7 @@ def _f_at(lam, t0):
 
 
 # the fields of sampled mode's plan, in the order _plan returns them
-Plan = namedtuple("Plan", "forms hooks M legs weights")
+Plan = namedtuple("Plan", "forms hooks M legs")
 
 
 def _plan(n):
@@ -536,7 +591,7 @@ def test_hook_ids_follow_the_fill_order():
         assert len(plan.hooks) == n * (n + 1) // 2, n
         if n:
             prev = _plan(n - 1)
-            for field in ("forms", "hooks", "legs", "weights"):
+            for field in ("forms", "hooks", "legs"):
                 old = getattr(prev, field)
                 assert getattr(plan, field)[:len(old)] == old, (n, field)
         assert sorted(localization._hook_id(a, l) for a in range(n)
@@ -613,7 +668,7 @@ def test_sampled_sum_catches_a_form_dropped_from_the_union(monkeypatch):
     # copy and all of them.  A point could not tell the content multiples
     # 2t, 3t, 2(t-1) and 3(t-1), nor one of the two copies of t or of t-1:
     # W without it is still a multiple of every den at every point
-    forms, _, M, _, _ = localization._plan(3)
+    forms, _, M, _ = localization._plan(3)
     assert len(M) == 9
     assert sorted(m for _, m in M) == [1] * 7 + [2] * 2
     union = localization._union
@@ -648,20 +703,20 @@ def test_box_forms_mutant_raises_in_sampled_mode(monkeypatch, seed):
     assert str(err.value).startswith("leg A_3 disagrees with route C at t = ")
 
 
-@pytest.mark.parametrize("old, new", [
-    pytest.param("2 * (q - 2 * p)", "2 * (q - 3 * p)", id="wrong-e"),
-    pytest.param("zip(ws, powers, reversed(r))", "zip(ws, powers, r)",
-                 id="r-not-reversed"),
-    pytest.param("x * factorial(k) * powers[k]",
-                 "x * factorial(k) * powers[k - 1]", id="wrong-power"),
+@pytest.mark.parametrize("old, new, first, leg", [
+    # the e = 2(q - 2p) that _legs_at hands _c_at read as 2(q - 3p)
+    pytest.param("2 * (q - 2 * p)", "2 * (q - 3 * p)", 1, 1, id="wrong-e"),
+    *C_AT_MUTANTS,
 ])
-def test_sampled_route_c_mutant_raises(old, new):
-    # route C at the point read wrong in the sampled certificate: E's
-    # factor, the order of the convolution, the power of q - p; every n
-    # from 2 to 8 raises (at n = 1, r = [1] reversed is itself)
-    for n in range(2, 9):
-        with pytest.raises(ConsistencyError):
+def test_sampled_route_c_mutant_raises(old, new, first, leg):
+    # sampled mode's own e mutant and the _c_at mutants, each from the
+    # first n it can reach; the certificate names the leg where given
+    for n in range(first, 9):
+        with pytest.raises(ConsistencyError) as err:
             _mutant(old, new).hilb_chern_integral(n, "sampled")
+        if leg is not None:
+            assert str(err.value).startswith(
+                "leg A_%d disagrees with route C at t = " % leg), n
 
 
 def test_sampled_plan_is_point_free():
