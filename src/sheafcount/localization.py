@@ -21,9 +21,9 @@ by t1^-1 and every p3 pair by t2^-1.  The p1 blocks of the two characters
 coincide and cancel: fixed_point_contribution never materializes them,
 while contribution_from_characters, the slower character-quotient route
 and an independent check, cancels them as multisets.  The two routes share
-only _contribution, which splits both lists of forms into an integer and
-primitive forms i*t + j with i > 0 (_split) and cancels the forms common
-to both (_cancel, the one cancel step).  The Contribution left,
+only _split, which writes a list of forms as an integer times primitive
+forms i*t + j with i > 0, and _cancel, the one cancel step, which cancels
+the forms common to num and den.  The Contribution left,
 scale * prod(num) / prod(den), is coprime and canonical by Gauss's lemma,
 linear forms over Q being irreducible: equal Contributions are equal
 functions, with no gcd taken.
@@ -56,16 +56,16 @@ e = 2(q - 2p) is q^k S_k(p/q); and p(k) is r_k / k! at d = e = 1
 counts are: each leg's partition count is held to p(k) (_check_count).
 
 The symbolic mode sums in big integers: it divides no polynomial, adds no
-Fraction and expands no polynomial term by term.  A_k is the sum of the
-Contributions F(lam) over the partitions of k, each _cancel of its hooks'
-forms, split once per hook (arm, leg) and process (_hook_split):
-A_k = N_k / (c_k prod L_k), L_k the multiset union of their den forms, c_k
-the lcm of their scales' denominators and N_k an integer polynomial.
-_a_leg certifies each leg, k! N_k (1-t)^k = S_k c_k prod L_k coefficient by
-coefficient, and the sum is taken over route C's one form per leg:
-A_b = S_b / (b! (1-t)^b) and B_c = (-1)^c rev(S_c) / (c! (1-t)^c), rev
-reversing the c + 1 coefficients; 1 - t is written -(t - 1), keeping
-_split's i > 0.
+Fraction and expands no polynomial term by term.  A_k sums the
+Contributions F(lam) over the partitions of k, the very ones p3 --verbose
+prints, each _cancel of _leg_split (the hooks' forms, split once per hook
+and process by _hook_split): A_k = N_k / (c_k prod L_k), L_k the multiset
+union of their den forms, c_k the lcm of their scales' denominators and
+N_k an integer polynomial.  _a_leg certifies each leg, k! N_k (1-t)^k =
+S_k c_k prod L_k coefficient by coefficient, and the sum is taken over
+route C's one form per leg: A_b = S_b / (b! (1-t)^b) and
+B_c = (-1)^c rev(S_c) / (c! (1-t)^c), rev reversing the c + 1
+coefficients; 1 - t is written -(t - 1), keeping _split's i > 0.
 
 Sampled mode sums in integers too, from the raw forms of the boxes, with
 none of the splitting, cancelling or packing above.  At t0 = p/q the forms
@@ -148,39 +148,18 @@ def obstruction_character(triple):
 
 
 def _box_forms(a, l):
-    """The numerator and denominator forms (j, i), meaning i*t + j, that a
-    box with arm a and leg l adds to F (see _p2_factors): the one recipe
-    behind both modes, since a box's forms depend on its hook alone."""
-    return (((-a, a - l - 2), (a + 1, l - a - 2)),
-            ((-a, a - l - 1), (a + 1, l - a - 1)))
-
-
-def _p2_factors(p):
-    """Numerator and denominator linear forms (j, i), meaning i*t + j, of
-    F(p), the direct closed product over the boxes of p as the partition at
-    the second fixed point, specialized at s1 = t, s2 = 1:
+    """The num and den forms (j, i), meaning i*t + j, that a box with arm
+    a and leg l adds to F(p), p at the second fixed point, s1 = t, s2 = 1:
 
       prod over p of ((a-l-2)t - a)((l-a-2)t + a+1)
                    / ((a-l-1)t - a)((l-a-1)t + a+1)
 
-    Both lists have two forms per box.  Every denominator form is a nonzero
-    polynomial: a-l-1 = 0 with a = 0 would need l = -1, and the other form
-    has constant term a+1 >= 1.
-    """
-    num = []
-    den = []
-    for a, l in hooks(p):
-        box_num, box_den = _box_forms(a, l)
-        num += box_num
-        den += box_den
-    return num, den
-
-
-def _p3_factors(p):
-    """The forms of G(p), the same product for p as the partition at the
-    third fixed point: s1 and s2 swap roles, so (j, i) becomes (i, j)."""
-    num, den = _p2_factors(p)
-    return [f[::-1] for f in num], [f[::-1] for f in den]
+    and, read as (i, j), to G(p), p at the third, s1 and s2 swapped.  No den
+    form vanishes: a-l-1 = 0 with a = 0 would need l = -1, and the other has
+    constant term a+1 >= 1.  The one per-hook recipe: sampled mode's _plan
+    reads it raw, and _hook_split splits it for every other caller."""
+    return (((-a, a - l - 2), (a + 1, l - a - 2)),
+            ((-a, a - l - 1), (a + 1, l - a - 1)))
 
 
 def _times_forms(coeffs, forms):
@@ -259,12 +238,12 @@ def _contribution(forms) -> Contribution:
 
 
 def fixed_point_contribution(triple) -> Contribution:
-    """Contribution of one fixed point to the localization sum: the product
-    F(p2) * G(p3) of the per-leg forms; p1 drops out."""
+    """Contribution of one fixed point to the localization sum, F(p2) G(p3):
+    _cancel of p2's F and p3's G _leg_split forms, joined; p1 drops out."""
     _, p2, p3 = _checked(triple)
-    num2, den2 = _p2_factors(p2)
-    num3, den3 = _p3_factors(p3)
-    return _contribution((num2 + num3, den2 + den3))
+    cn2, num2, cd2, den2 = _leg_split(p2, 0)
+    cn3, num3, cd3, den3 = _leg_split(p3, 1)
+    return _cancel(cn2 * cn3, num2 + num3, cd2 * cd3, den2 + den3)
 
 
 def _split(forms):
@@ -368,9 +347,26 @@ def _leg_poly(contributions):
 
 @functools.cache
 def _hook_split(a, l):
-    """_split of the hook (a, l)'s num and den forms, ((cn, num), (cd, den)):
-    once per process and hook, shared, so never mutated."""
-    return tuple(map(_split, _box_forms(a, l)))
+    """(F, G), each ((cn, num), (cd, den)): _split of the hook (a, l)'s num
+    and den forms, read as (i, j) for G; once per process and hook, shared,
+    so never mutated."""
+    F = _box_forms(a, l)
+    G = [[f[::-1] for f in forms] for forms in F]
+    return tuple(tuple(map(_split, forms)) for forms in (F, G))
+
+
+def _leg_split(p, side):
+    """(cn, num, cd, den) with F(p) (side 0) or G(p) (side 1) equal to
+    cn * prod(num) / (cd * prod(den)): p's hooks' _hook_split forms
+    multiplied out, the one builder of a fixed point's forms."""
+    cn, num, cd, den = 1, [], 1, []
+    for a, l in hooks(p):
+        (hn, hnum), (hd, hden) = _hook_split(a, l)[side]
+        cn *= hn
+        cd *= hd
+        num += hnum
+        den += hden
+    return cn, num, cd, den
 
 
 @functools.cache
@@ -423,21 +419,12 @@ def _check_count(k, summed):
 @functools.cache
 def _a_leg(k):
     """A_k = (N_k, c_k, L_k), _leg_poly over the Contributions F(lam) of
-    the partitions lam of k, each _cancel of its hooks' _hook_split forms:
+    the partitions lam of k, each _cancel of _leg_split(lam, 0), its F side:
     summed once per process and k, shared, so never mutated, and certified
     before it is cached by _check_count and by route C, ConsistencyError
     naming k unless k! N_k (1-t)^k = S_k c_k prod(L_k), both expanded."""
-    contributions = []
-    for lam in enumerate_partitions(k):
-        cn = cd = 1
-        num, den = [], []
-        for a, l in hooks(lam):
-            (hn, hnum), (hd, hden) = _hook_split(a, l)
-            cn *= hn
-            cd *= hd
-            num += hnum
-            den += hden
-        contributions.append(_cancel(cn, num, cd, den))
+    contributions = [_cancel(*_leg_split(lam, 0))
+                     for lam in enumerate_partitions(k)]
     _check_count(k, len(contributions))
     N, c, L = leg = _leg_poly(contributions)
     S, f = [(-1) ** k * x for x in _c_leg(k)], factorial(k)  # over f (t-1)^k
@@ -552,8 +539,8 @@ def contribution_from_characters(triple) -> Contribution:
     the obstruction character over the tangent character, each pair (i, j)
     read as the form (j, i), with the forms common to both (the whole p1
     block among them) cancelled.  Its weights come from the characters, not
-    from the per-leg forms of fixed_point_contribution, so the two routes
-    check each other and share only _contribution."""
+    from the per-hook forms of fixed_point_contribution, so the two routes
+    check each other and share only _split and _cancel."""
     return _contribution(([(j, i) for i, j in obstruction_character(triple)],
                           [(j, i) for i, j in tangent_character(triple)]))
 
@@ -593,8 +580,8 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     the per-triple sum), sums and certifies every leg there (_legs_at) and
     requires exact agreement.  A ConsistencyError means a bug.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError("n must be a nonnegative integer, got %r" % (n,))
     counts = _counts(n)
     if mode == "symbolic":
         # n!^2 (1-t)^n = (-1)^n n!^2 (t-1)^n times the terms p(a) A_b B_c:

@@ -97,12 +97,65 @@ def test_non_partitions_are_refused(fn):
 
 
 def test_contribution_routes_catch_swapped_legs(monkeypatch):
-    # with G replaced by F the direct product of ((), (), (1,)) is the p2
-    # box's, and check 3 names the first configuration where they differ
-    monkeypatch.setattr(localization, "_p3_factors", localization._p2_factors)
+    # with each hook's G side split replaced by its F side the direct
+    # product of ((), (), (1,)) is the p2 box's, and check 3 names the first
+    # configuration where they differ
+    split = localization._hook_split
+    monkeypatch.setattr(localization, "_hook_split",
+                        lambda a, l: (split(a, l)[0],) * 2)
     with pytest.raises(ConsistencyError) as err:
         checks.contribution_routes()
     assert str(err.value) == "contribution routes disagree at ((), (), (1,))"
+
+
+@pytest.mark.parametrize("side, triple", [
+    pytest.param(0, ((), (3,), ()), id="F-side"),
+    pytest.param(1, ((), (), (3,)), id="G-side"),
+])
+def test_contribution_routes_see_the_split_forms(monkeypatch, side, triple):
+    # the content of hook (0, 2)'s split numerator doubled on one side:
+    # fixed_point_contribution reads the split forms the symbolic sum adds,
+    # so check 3 names the one configuration with that hook on that side.
+    # The G side is a mutant neither mode sees: symbolic mode reads only F
+    # sides and route C's rev(S_c), sampled mode the raw _box_forms, and
+    # both still give 140, so check 3 is what certifies the G side that
+    # p3 --verbose prints
+    split = localization._hook_split
+
+    def doubled(a, l):
+        sides = list(split(a, l))
+        if (a, l) == (0, 2):
+            (cn, num), den = sides[side]
+            sides[side] = ((2 * cn, num), den)
+        return tuple(sides)
+    monkeypatch.setattr(localization, "_hook_split", doubled)
+    with pytest.raises(ConsistencyError) as err:
+        checks.contribution_routes()
+    assert str(err.value) == "contribution routes disagree at %r" % (triple,)
+    if side:
+        assert hilb_chern_integral(3) == 140
+        assert hilb_chern_integral(3, "sampled") == 140
+
+
+def _raw_forms(lam, side=0):
+    """(num, den) of F(lam) (side 0) or G(lam) (side 1) unsplit: _box_forms
+    over the hooks of lam, each form read as (i, j) for G."""
+    num, den = [], []
+    for a, l in partitions.hooks(lam):
+        box_num, box_den = localization._box_forms(a, l)
+        num += box_num
+        den += box_den
+    if side:
+        return [f[::-1] for f in num], [f[::-1] for f in den]
+    return num, den
+
+
+def _split_forms(lam, side):
+    """(num, den) of F(lam) (side 0) or G(lam) (side 1) as _leg_split gives
+    them, its integers cn and cd kept as the constant forms (cn, 0) and
+    (cd, 0)."""
+    cn, num, cd, den = localization._leg_split(lam, side)
+    return num + [(cn, 0)], den + [(cd, 0)]
 
 
 def _at_point(forms, t0):
@@ -198,18 +251,21 @@ def test_leg_sum_equals_rational_sum():
     # both P / (c prod(L)), with deg P < len(N) for the first and at most
     # |L| + 2k for the second (2k numerator forms, |L| - |den| more from the
     # common denominator).  Agreeing at len(N) + |L| + 2k + 1 points where
-    # no form vanishes, the two are one rational function.
-    for factors in (localization._p2_factors, localization._p3_factors):
+    # no form vanishes, the two are one rational function.  The terms are
+    # _leg_split's split forms, the reference their unsplit _box_forms.
+    for side in (0, 1):
         for k in range(6):
-            legs = [factors(lam) for lam in enumerate_partitions(k)]
+            partitions_k = enumerate_partitions(k)
+            legs = [_raw_forms(lam, side) for lam in partitions_k]
             num, scale, den = localization._leg_poly(
-                map(localization._contribution, legs))
+                localization._cancel(*localization._leg_split(lam, side))
+                for lam in partitions_k)
             need = len(num) + sum(den.values()) + 2 * k + 1
             for t0 in _sum_points(legs, need):
                 packed = (sum(c * t0 ** e for e, c in enumerate(num))
                           / (scale * prod(i * t0 + j for j, i in den.elements())))
                 want = sum(_at_point(f, t0) for f in legs)
-                assert packed == want, (factors, k, t0)
+                assert packed == want, (side, k, t0)
 
 
 def test_leg_bound_holds(monkeypatch):
@@ -225,9 +281,9 @@ def test_leg_bound_holds(monkeypatch):
         return real(bound, forms)
 
     monkeypatch.setattr(localization, "_width", spy)
-    for factors in (localization._p2_factors, localization._p3_factors):
+    for side in (0, 1):
         for k in range(7):
-            terms = [localization._contribution(factors(lam))
+            terms = [localization._cancel(*localization._leg_split(lam, side))
                      for lam in enumerate_partitions(k)]
             bounds.clear()
             N, scale, den = localization._leg_poly(terms)
@@ -240,9 +296,9 @@ def test_leg_bound_holds(monkeypatch):
                     total[e] += c
             while total and not total[-1]:
                 total.pop()
-            assert total == N, (factors, k)
+            assert total == N, (side, k)
             norm = sum(map(abs, total))
-            assert bounds and norm <= bounds[0], (factors, k, norm, bounds)
+            assert bounds and norm <= bounds[0], (side, k, norm, bounds)
 
 
 def test_narrowed_width_never_gives_a_wrong_value(monkeypatch):
@@ -282,12 +338,12 @@ def test_narrowed_width_error_text(monkeypatch):
 def test_third_point_is_second_at_inverse():
     # G(lam)(t) = F(lam)(1/t): swapping the torus weights swaps the second
     # and third fixed points, and with s2 = 1 that is t -> 1/t.  A pole of
-    # one side is a pole of the other.
+    # one side is a pole of the other.  Both sides are _leg_split's.
     points = [Fraction(p, q) for p in (-7, -3, 2, 5, 11) for q in (1, 3, 4)]
     for k in range(9):
         for lam in enumerate_partitions(k):
-            F = localization._p2_factors(lam)
-            G = localization._p3_factors(lam)
+            F = _split_forms(lam, 0)
+            G = _split_forms(lam, 1)
             good = 0
             for t0 in points:
                 try:
@@ -309,7 +365,7 @@ def test_reversed_c_leg_is_the_third_point_leg():
     # rev(S_k) / (k! (t-1)^k) exactly when k! N (t-1)^k = c rev(S_k) prod(L)
     for k in range(13):
         N, c, L = localization._leg_poly(
-            localization._contribution(localization._p3_factors(lam))
+            localization._cancel(*localization._leg_split(lam, 1))
             for lam in enumerate_partitions(k))
         S = localization._c_leg(k)
         assert len(S) == k + 1, k
@@ -333,8 +389,8 @@ def test_c_leg_ends_are_euler_powers():
 
 def test_a_leg_sums_the_printed_contributions():
     # A_k is the sum of the Contributions p3 --verbose prints for the
-    # triples ((), lam, ()), packed by the same _leg_poly: the leg built from
-    # each hook's split forms against the one split box by box
+    # triples ((), lam, ()), packed by the same _leg_poly: both read the F
+    # side of each hook's split forms through _leg_split
     for k in range(13):
         assert localization._a_leg(k) == localization._leg_poly(
             fixed_point_contribution(((), lam, ()))
@@ -354,8 +410,8 @@ def test_a_leg_catches_a_wrong_hook_split(monkeypatch):
     assert len(hook_list) == 6
     for hook in hook_list:
         def doubled(a, l, hook=hook):
-            (cn, num), den = split(a, l)
-            return ((2 * cn if (a, l) == hook else cn, num), den)
+            ((cn, num), den), G = split(a, l)
+            return ((2 * cn if (a, l) == hook else cn, num), den), G
         monkeypatch.setattr(localization, "_hook_split", doubled)
         localization._a_leg.cache_clear()
         k = sum(hook) + 1
@@ -608,7 +664,7 @@ def test_sampled_unions_are_exact_up_to_sign():
     # union M, with no remainder, although M keeps each form only up to
     # sign: its keys lead with a positive coefficient, as _split's do.  M is
     # the least such union, each form as often as in the partition that has
-    # it most, here counted box by box from _p2_factors: a smaller M can
+    # it most, here counted box by box from _box_forms: a smaller M can
     # still pass the division at a point, where a content multiple such as
     # (0, 2) stands in for (0, 1)
     plan = _plan(12)
@@ -618,14 +674,13 @@ def test_sampled_unions_are_exact_up_to_sign():
     least = Counter()
     for k in range(13):
         for lam in enumerate_partitions(k):
-            least |= Counter(map(localization._fold,
-                                 localization._p2_factors(lam)[1]))
+            least |= Counter(map(localization._fold, _raw_forms(lam)[1]))
     assert M == least
     for p, q in ((104729, 7919), (-1299709, 15485863)):
         W = prod((i * p + j * q) ** m for (j, i), m in M.items())
         for k in range(13):
             for lam in enumerate_partitions(k):
-                _, den = localization._p2_factors(lam)
+                _, den = _raw_forms(lam)
                 assert W % prod(i * p + j * q for j, i in den) == 0, lam
 
 
@@ -785,7 +840,7 @@ def test_sampled_resamples_on_a_pole_of_a_folded_form(monkeypatch):
             return self.rng.randint(lo, hi)
 
     monkeypatch.setattr(localization.random, "Random", FirstDrawIsZero)
-    assert (0, -1) in localization._p2_factors((1,))[1]
+    assert (0, -1) in localization._box_forms(0, 0)[1]
     M = _union_of(_plan(2))
     assert M[0, 1] == 1 and (0, -1) not in M
     assert hilb_chern_integral(2, "sampled") == 35
@@ -828,3 +883,12 @@ def test_point_count_table():
 def test_negative_n_rejected():
     with pytest.raises(ValueError):
         hilb_chern_integral(-1)
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+@pytest.mark.parametrize("n", [2.5, 2.0, "3", None, True])
+def test_non_integer_n_rejected(n, mode):
+    # refused up front: 2.5 would recurse through _counts without end, 2.0
+    # fail deep inside on a float index, and True pass as 1
+    with pytest.raises(ValueError, match="integer"):
+        hilb_chern_integral(n, mode)

@@ -1,5 +1,6 @@
-"""p3's slice of the parity corpus: each row of golden/p3_parity.json holds
-an argv, its exit code, the sha256 of its stdout and its stderr, and this
+"""p3's slice of the parity corpus, with the `check` battery, which reads
+the same localization code: each row of golden/p3_parity.json holds an
+argv, its exit code, the sha256 of its stdout and its stderr, and this
 test runs every row through cli.main in process.  Regenerate the corpus
 with
 
@@ -33,13 +34,16 @@ def _argvs():
         for mode in ([], ["--mode", "sampled"]):
             out += [["p3", "--n", str(n), "--verbose"] + mode + fmt
                     for fmt in FORMATS]
-    return out + [
+    out += [
         ["p3", "--n", "17"],
         ["p3", "--n", "17", "--mode", "sampled"],
         ["p3", "--n", "3", "--mode", "sampled", "--samples", "2"],
         ["p3", "--n", "3", "--mode", "sampled", "--samples", "51"],
         ["p3", "--n", "3", "--seed", "2"],
     ]
+    for n in range(5, 9):
+        out += [["p3", "--n", str(n), "--verbose"] + fmt for fmt in FORMATS]
+    return out + [["check"] + fmt for fmt in FORMATS]
 
 
 def _row(argv):
