@@ -171,7 +171,8 @@ def cmd_p3(args) -> int:
         if args.mode == "symbolic":
             for tr in triples:
                 print("# %r: %s" % (tr, fixed_point_contribution(tr)))
-    value = hilb_chern_integral(n, args.mode, seed=args.seed, samples=samples)
+    value = hilb_chern_integral(n, args.mode, seed=args.seed,
+                                samples=args.samples)
     _emit_value(value, args.format)
     return 0
 

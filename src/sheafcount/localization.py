@@ -71,16 +71,13 @@ Sampled mode sums in integers too, from the raw forms of the boxes, with
 none of the splitting, cancelling or packing above.  At t0 = p/q the forms
 of F(lam) valued at (p, q) give F(lam)(t0), and at (q, p) G(lam)(t0).  What
 does not depend on the point is taken once per process and n (_plan): the
-distinct forms, each hook's num and den form indices (_hook_id), each leg's
-partitions as tuples of hook indices, and M, the least multiset union of
-every partition's den forms up to sign, checked to hold each partition's,
-as no point could tell a short one.  At a point each form and each hook's
-products are valued once, and every leg is summed over the one product W of
-M: a partition adds prod(num) * (W // prod(den)), exact since a form and
-its negation divide each other.  Route C certifies every leg at every
-point, on both sides: N_k k! (q-p)^k = r_k W.  Both sides' integer
-numerators go through the same convolution, and one Fraction is taken per
-point, over W_A * W_B.
+distinct forms, each hook's num and den form indices (_hook_id) and each
+leg's partitions as tuples of hook indices.  At a point each form and each
+hook's products are valued once, and leg k is summed over W_k, the lcm of
+its partitions' dens there: a partition adds prod(num) * (W_k // prod(den)),
+exact by construction.  Route C certifies every leg at every point, on both
+sides, N_k k! (q-p)^k = r_k W_k, and the sum is taken over route C's legs
+by symbolic mode's _convolve: one Fraction per point, over n!^2 (q-p)^n.
 
 Polynomials are summed by Kronecker substitution: every form is valued at
 one integer T = 2^B, so each product and sum is one big-integer operation,
@@ -309,17 +306,6 @@ def _packed(numerator, scale, L):
     return _unpack(numerator(_at(bits)), bits), scale, L
 
 
-def _union(counters):
-    """The multiset union of the Counters: each key as often as in the one
-    that has it most."""
-    out = Counter()
-    for counter in counters:
-        for f, m in counter.items():
-            if m > out.get(f, 0):
-                out[f] = m
-    return out
-
-
 def _leg_poly(contributions):
     """A sum of Contributions as (N, c, L), the sum = N / (c prod(L)): L the
     multiset union of their dens and c the lcm of their scales'
@@ -330,7 +316,9 @@ def _leg_poly(contributions):
     l1 norm."""
     terms = [(x.scale, x.num, Counter(x.den)) for x in contributions]
     c = lcm(*(s.denominator for s, _, _ in terms))
-    L = _union(den for _, _, den in terms)
+    L = Counter()
+    for _, _, den in terms:
+        L |= den   # multiset union: each form as often as the most in a den
     distinct = set(L).union(*(num for _, num, _ in terms))
 
     def numerator(ev):
@@ -437,13 +425,6 @@ def _a_leg(k):
     return leg
 
 
-def _fold(form):
-    """form or its negation, whichever has a positive leading coefficient:
-    _split's sign rule, with no content divided."""
-    j, i = form
-    return form if i > 0 or (i == 0 and j > 0) else (-j, -i)
-
-
 def _hook_id(a, l):
     """The index of the hook (a, l) in _plan's hooks: (a+l)(a+l+1)/2 + a,
     so the hooks with a + l < n fill range(n(n+1)/2), by a + l, then a."""
@@ -452,48 +433,35 @@ def _hook_id(a, l):
 
 @functools.cache
 def _plan(n):
-    """Sampled mode's point-free plan for n, (forms, hooks, M, legs),
-    _plan(n - 1) extended by the hooks with a + l = n - 1 and by leg n: the
-    distinct forms; each hook's num and den form indices, by _hook_id; the
-    union of every partition's den forms, each folded by _fold, as (index,
-    multiplicity) pairs, ConsistencyError unless it holds each partition's;
-    each partition's hook indices, by k, leg n checked by _check_count."""
+    """Sampled mode's point-free plan for n, (forms, hooks, legs), _plan(n -
+    1) extended by the hooks with a + l = n - 1 and by leg n: the distinct
+    forms; each hook's num and den form indices, by _hook_id; each
+    partition's hook indices, by k, leg n checked by _check_count."""
     if n < 0:
-        return (), (), (), ()
-    forms, table, M, legs = _plan(n - 1)
+        return (), (), ()
+    forms, table, legs = _plan(n - 1)
     index = {f: x for x, f in enumerate(forms)}
 
     def ids(fs):
         return tuple(index.setdefault(f, len(index)) for f in fs)
     table += tuple(tuple(map(ids, _box_forms(a, n - 1 - a)))
                    for a in range(n))
-    forms = list(index)
-    folded = [[_fold(forms[f]) for f in den] for _, den in table]
     H = tuple(tuple(_hook_id(a, l) for a, l in hooks(lam))
               for lam in enumerate_partitions(n))
     _check_count(n, len(H))
-    counts = [Counter({forms[f]: m for f, m in M})] + [
-        Counter(f for h in hs for f in folded[h]) for hs in H]
-    union = _union(counts)
-    # checked here, as no point can tell: at (p, q) a content multiple such
-    # as 2t stands in for t (one of p, q, p - q is even), so a union short
-    # of it still sums each leg exactly, and route C checks N_k / W
-    if any(union[f] < m for count in counts for f, m in count.items()):
-        raise ConsistencyError("the union M for n=%d misses a den form" % n)
-    M = tuple(zip(ids(union), union.values()))
-    return tuple(index), table, M, legs + (H,)
+    return tuple(index), table, legs + (H,)
 
 
 def _legs_at(plan, p, q):
-    """([N_0, ..., N_n], W): the sum of F(lam) over the partitions of k at
-    t0 = p/q is N_k / W, W the product of the plan's M at (p, q).  Each form
-    i*t0 + j is (i*p + j*q)/q there, and F(lam) has as many numerator as
-    denominator forms, so the q's cancel.  A term is its hooks' numerators
-    times W // (their dens), exact as M holds every den up to sign.  A
-    zero form (t0 is a pole) raises ZeroDivisionError.  Route C gives
-    A_k(t0) = r_k / (k! (q-p)^k), r = _c_at(n, q - p, 2(q - 2p)), and
-    ConsistencyError names the first k with N_k k! (q-p)^k != r_k W."""
-    forms, table, M, legs = plan
+    """r = _c_at(n, q - p, 2(q - 2p)), route C's A_k(t0) = r_k / (k! (q-p)^k)
+    at t0 = p/q, once each leg k of the plan is certified against it there.
+    Each form i*t0 + j is (i*p + j*q)/q at t0, and F(lam) has as many
+    numerator as denominator forms, so the q's cancel: the sum of F(lam)
+    over the partitions of k is N_k / W_k, W_k the lcm of their dens, each
+    term its hooks' numerators times the exact W_k // (their dens).  A zero
+    form (t0 is a pole) raises ZeroDivisionError there, and
+    ConsistencyError names the first k with N_k k! (q-p)^k != r_k W_k."""
+    forms, table, legs = plan
     v = [i * p + j * q for j, i in forms]
     num, den = [], []
     for ns, ds in table:
@@ -504,34 +472,39 @@ def _legs_at(plan, p, q):
             y *= v[f]
         num.append(x)
         den.append(y)
-    W = 1
-    for f, m in M:
-        W *= v[f] ** m
-    N = []
-    for H in legs:
-        total = 0
+    d = q - p
+    r = _c_at(len(legs) - 1, d, 2 * (q - 2 * p))
+    scale = 1   # k! (q-p)^k
+    for k, H in enumerate(legs):
+        xs, ys = [], []   # prod(num) and prod(den) of each partition of k
         for hs in H:
             x = y = 1
             for h in hs:
                 x *= num[h]
                 y *= den[h]
+            xs.append(x)
+            ys.append(y)
+        W = lcm(*ys)
+        total = 0
+        for x, y in zip(xs, ys):
             total += x * (W // y)
-        N.append(total)
-    d = q - p
-    scale = 1   # k! (q-p)^k
-    for k, (x, y) in enumerate(zip(N, _c_at(len(N) - 1, d, 2 * (q - 2 * p)))):
-        if x * scale != y * W:
+        if total * scale != r[k] * W:
             raise ConsistencyError("leg A_%d disagrees with route C at t = %s"
                                    % (k, Fraction(p, q)))
         scale *= (k + 1) * d
-    return N, W
+    return r
 
 
-def _convolve(counts, A, B):
-    """Sum of counts[a] * A[b] * B[c] over a + b + c = n = len(counts) - 1."""
+def _convolve(counts, A, B, x):
+    """Sum of counts[a] x^a (n!/b!) A[b] (n!/c!) B[c] over a + b + c = n =
+    len(counts) - 1: the one sum formula of both modes."""
     n = len(counts) - 1
-    return sum(A[b] * sum(counts[n - b - c] * B[c] for c in range(n - b + 1))
-               for b in range(n + 1))
+    f = factorial(n)
+    col = [m * x ** a for a, m in enumerate(counts)]
+    wB = [f // factorial(c) * y for c, y in enumerate(B)]
+    return sum(f // factorial(b) * y
+               * sum(col[n - b - c] * wB[c] for c in range(n - b + 1))
+               for b, y in enumerate(A))
 
 
 def contribution_from_characters(triple) -> Contribution:
@@ -566,40 +539,43 @@ def _per_triple_sum(n) -> Fraction:
 
 
 def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
-                        samples: int = MIN_SAMPLES) -> Fraction:
+                        samples=None) -> Fraction:
     """Integral of the top Chern class over Hilb^n of the plane.
 
     Both modes take the factored sum of the module docstring, its counts
-    from _counts, each checked where its leg is summed.  symbolic mode
-    certifies each leg A_k, k <= n, through the cache of _a_leg (a call
-    after one at n' sums only the legs with k > n') and checks N = c * D
-    over route C's legs.  sampled mode evaluates the sum at `samples`
-    distinct random rational points with numerators and denominators
-    bounded by 10**6, redrawing a pole of some F or G (every partition of
-    size at most n is p2 or p3 of some triple, so these are the poles of
-    the per-triple sum), sums and certifies every leg there (_legs_at) and
-    requires exact agreement.  A ConsistencyError means a bug.
+    from _counts, each checked where its leg is summed, and both sum route
+    C's legs by _convolve.  symbolic mode, which takes no `samples` or
+    `seed`, certifies each leg A_k, k <= n, through the cache of _a_leg (a
+    call after one at n' sums only the legs with k > n') and checks N = c *
+    D.  sampled mode evaluates the sum at `samples` (an int, MIN_SAMPLES by
+    default) distinct random rational points with numerators and
+    denominators bounded by 10**6, redrawing a pole of some F or G (every
+    partition of size at most n is p2 or p3 of some triple, so these are
+    the poles of the per-triple sum), certifies every leg there (_legs_at)
+    and requires exact agreement.  A ConsistencyError means a bug.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("n must be a nonnegative integer, got %r" % (n,))
-    counts = _counts(n)
+    counts, f = _counts(n), factorial(n)
     if mode == "symbolic":
+        if samples is not None or seed is not None:
+            raise ValueError("samples and seed apply to sampled mode only")
         # n!^2 (1-t)^n = (-1)^n n!^2 (t-1)^n times the terms p(a) A_b B_c:
         # p(a) (1-t)^a, (n!/b!) S_b and (n!/c!) (-1)^c rev(S_c)
-        f, A, B = factorial(n), [], []
         for k in range(n + 1):
             _a_leg(k)   # certified against S_k before any sum is taken
-            S, w = _c_leg(k), f // factorial(k)
-            A.append([w * x for x in S])
-            B.append([(-1) ** k * w * x for x in reversed(S)])
+        A = [_c_leg(k) for k in range(n + 1)]
+        B = [[(-1) ** k * x for x in reversed(S)] for k, S in enumerate(A)]
 
         def numerator(ev):
-            x = ev([1, -1])
-            return _convolve([m * x ** a for a, m in enumerate(counts)],
-                             list(map(ev, A)), list(map(ev, B)))
+            return _convolve(counts, list(map(ev, A)), list(map(ev, B)),
+                             ev([1, -1]))
         return _constant(n, *_packed(numerator, (-1) ** n * f * f,
                                      Counter({(-1, 1): n})))
     if mode == "sampled":
+        samples = MIN_SAMPLES if samples is None else samples
+        if not isinstance(samples, int) or isinstance(samples, bool):
+            raise ValueError("samples must be an integer, got %r" % (samples,))
         if samples < MIN_SAMPLES:
             raise ValueError("sampled mode needs at least %d points"
                              % MIN_SAMPLES)
@@ -613,12 +589,13 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
                 continue
             seen.add(t0)
             p, q = t0.numerator, t0.denominator
-            try:
-                A, WA = _legs_at(plan, p, q)
-                B, WB = _legs_at(plan, q, p)
+            try:   # B_c(t0) = A_c(q/p), (-1)^c r_c / (c! (q-p)^c), r at (q, p)
+                A = _legs_at(plan, p, q)
+                B = [(-1) ** c * x for c, x in enumerate(_legs_at(plan, q, p))]
             except ZeroDivisionError:
                 continue  # t0 is a pole of some F or G: draw again
-            drawn.append((t0, Fraction(_convolve(counts, A, B), WA * WB)))
+            drawn.append((t0, Fraction(_convolve(counts, A, B, q - p),
+                                       f * f * (q - p) ** n)))
         if any(v != drawn[0][1] for _, v in drawn):
             raise ConsistencyError(
                 "sampled localization values disagree for n=%d: %s"

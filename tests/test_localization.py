@@ -472,8 +472,8 @@ C_AT_MUTANTS = [
     # B_c with rev(S_c) unreversed: at n = 1 it is -A_1, so the sum is
     # p(1) = 1, wrong but constant; every n >= 2 raises
     pytest.param("reversed(S)", "S", 2, None, id="b-not-reversed"),
-    pytest.param("(-1) ** k * w * x for x in reversed(S)",
-                 "w * x for x in reversed(S)", 1, None, id="b-unsigned"),
+    pytest.param("(-1) ** k * x for x in reversed(S)",
+                 "x for x in reversed(S)", 1, None, id="b-unsigned"),
     pytest.param("m * x ** a for a, m", "m for a, m", 1, None,
                  id="no-power-of-1-t"),
     # the e = 2 - 4t that _c_leg hands _c_at read as 2 - 3t
@@ -572,8 +572,7 @@ def test_non_constant_sum_raises(monkeypatch):
     # t; the symbolic B legs are route C's reversed and signed, the sampled
     # ones read F at the swapped point; every leg passes its certificate,
     # and N = c * D is checked anyway
-    mutant = _mutant("[(-1) ** k * w * x for x in reversed(S)]",
-                     "[w * x for x in S]")
+    mutant = _mutant("[(-1) ** k * x for x in reversed(S)]", "S")
     for n, text in NON_CONSTANT.items():
         with pytest.raises(ConsistencyError) as err:
             mutant.hilb_chern_integral(n)
@@ -596,7 +595,7 @@ def _f_at(lam, t0):
 
 
 # the fields of sampled mode's plan, in the order _plan returns them
-Plan = namedtuple("Plan", "forms hooks M legs")
+Plan = namedtuple("Plan", "forms hooks legs")
 
 
 def _plan(n):
@@ -609,19 +608,17 @@ def _forms_of(plan, indices):
     return [plan.forms[f] for f in indices]
 
 
-def _union_of(plan):
-    """plan.M as a Counter of its forms."""
-    return Counter({plan.forms[f]: m for f, m in plan.M})
-
-
 def test_sampled_legs_equal_term_sums():
-    # N_k / W against the sum of F(lam) term by term, at points with no pole
+    # route C's r_k / (k! (q-p)^k), returned once every leg is certified at
+    # t0 = p/q, against the sum of F(lam) term by term, at points with no pole
     n = 12
     plan = _plan(n)
     for t0 in (Fraction(104729, 7919), Fraction(-1299709, 15485863)):
-        N, W = localization._legs_at(plan, t0.numerator, t0.denominator)
+        p, q = t0.numerator, t0.denominator
+        r = localization._legs_at(plan, p, q)
+        assert len(r) == n + 1
         for k in range(n + 1):
-            assert Fraction(N[k], W) == sum(
+            assert Fraction(r[k], factorial(k) * (q - p) ** k) == sum(
                 _f_at(lam, t0) for lam in enumerate_partitions(k))
 
 
@@ -659,31 +656,6 @@ def test_hook_ids_follow_the_fill_order():
                         ) == localization._box_forms(a, l), (n, a, l)
 
 
-def test_sampled_unions_are_exact_up_to_sign():
-    # every den of every leg k <= 12 divides the product W of the plan's
-    # union M, with no remainder, although M keeps each form only up to
-    # sign: its keys lead with a positive coefficient, as _split's do.  M is
-    # the least such union, each form as often as in the partition that has
-    # it most, here counted box by box from _box_forms: a smaller M can
-    # still pass the division at a point, where a content multiple such as
-    # (0, 2) stands in for (0, 1)
-    plan = _plan(12)
-    M = _union_of(plan)
-    assert len(M) == len(plan.M)
-    assert all(i > 0 or (i == 0 and j > 0) for j, i in M)
-    least = Counter()
-    for k in range(13):
-        for lam in enumerate_partitions(k):
-            least |= Counter(map(localization._fold, _raw_forms(lam)[1]))
-    assert M == least
-    for p, q in ((104729, 7919), (-1299709, 15485863)):
-        W = prod((i * p + j * q) ** m for (j, i), m in M.items())
-        for k in range(13):
-            for lam in enumerate_partitions(k):
-                _, den = _raw_forms(lam)
-                assert W % prod(i * p + j * q for j, i in den) == 0, lam
-
-
 def _faulty_sampled(n, fault):
     """hilb_chern_integral(n, "sampled") with the plan of every _legs_at
     call replaced by fault(plan), plan with its fields named."""
@@ -696,11 +668,11 @@ def _faulty_sampled(n, fault):
 
 def test_sampled_sum_catches_a_term_over_the_whole():
     # with the den forms of one hook dropped from the plan's hook table,
-    # while M keeps them, every term with that hook is taken over
-    # W // (the other dens) instead of W // prod(den): it is F(lam) times
-    # that hook's den, so the first leg that has the hook, k = a + l + 1,
-    # disagrees with route C at the first point; each of the 6 hooks of
-    # n = 3, in turn
+    # every term with that hook is taken over W_k // (the other dens), W_k
+    # the lcm of the dens so read, instead of W_k // prod(den): it is F(lam)
+    # times that hook's den, so the first leg that has the hook,
+    # k = a + l + 1, disagrees with route C at the first point; each of the
+    # 6 hooks of n = 3, in turn
     hooks = [(a, l) for a in range(3) for l in range(3 - a)]
     assert len(hooks) == 6
     for a, l in hooks:
@@ -714,29 +686,6 @@ def test_sampled_sum_catches_a_term_over_the_whole():
             _faulty_sampled(3, fault)
         assert str(err.value).startswith(
             "leg A_%d disagrees with route C at t = " % (a + l + 1)), (a, l)
-
-
-def test_sampled_sum_catches_a_form_dropped_from_the_union(monkeypatch):
-    # with one of its forms dropped from the union as _plan builds it, M
-    # no longer holds every den, and the plan raises before it is cached:
-    # each of the 9 forms of M at n = 3, folded up to sign, in turn, one
-    # copy and all of them.  A point could not tell the content multiples
-    # 2t, 3t, 2(t-1) and 3(t-1), nor one of the two copies of t or of t-1:
-    # W without it is still a multiple of every den at every point
-    forms, _, M, _ = localization._plan(3)
-    assert len(M) == 9
-    assert sorted(m for _, m in M) == [1] * 7 + [2] * 2
-    union = localization._union
-    for f, m in M:
-        for drop in {1, m}:
-            localization._plan.cache_clear()
-            monkeypatch.setattr(localization, "_union", lambda counters: (
-                union(counters) - Counter({forms[f]: drop})))
-            with pytest.raises(ConsistencyError, match="misses a den form"):
-                hilb_chern_integral(3, "sampled")
-    monkeypatch.setattr(localization, "_union", union)
-    localization._plan.cache_clear()
-    assert hilb_chern_integral(3, "sampled") == INTEGRALS[3]
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
@@ -761,11 +710,18 @@ def test_box_forms_mutant_raises_in_sampled_mode(monkeypatch, seed):
 @pytest.mark.parametrize("old, new, first, leg", [
     # the e = 2(q - 2p) that _legs_at hands _c_at read as 2(q - 3p)
     pytest.param("2 * (q - 2 * p)", "2 * (q - 3 * p)", 1, 1, id="wrong-e"),
+    # B_c at the point without its sign (-1)^c, and the shared convolution
+    # without the powers of q - p: each sum is no longer constant
+    pytest.param("(-1) ** c * x for c, x in enumerate",
+                 "x for c, x in enumerate", 1, None, id="b-unsigned"),
+    pytest.param("m * x ** a for a, m", "m for a, m", 1, None,
+                 id="no-power-of-1-t"),
     *C_AT_MUTANTS,
 ])
 def test_sampled_route_c_mutant_raises(old, new, first, leg):
-    # sampled mode's own e mutant and the _c_at mutants, each from the
-    # first n it can reach; the certificate names the leg where given
+    # sampled mode's own e and sign mutants, the convolution's and the
+    # _c_at mutants, each from the first n it can reach; the certificate
+    # names the leg where given
     for n in range(first, 9):
         with pytest.raises(ConsistencyError) as err:
             _mutant(old, new).hilb_chern_integral(n, "sampled")
@@ -774,9 +730,30 @@ def test_sampled_route_c_mutant_raises(old, new, first, leg):
                 "leg A_%d disagrees with route C at t = " % leg), n
 
 
+def test_sampled_leg_over_a_short_lcm_raises():
+    # W_k taken without the den of (k,), the first partition of k, at one
+    # leg k in turn: (k,) and (1^k) are the partitions whose dens the lcm
+    # needs, so that term's W_k // prod(den) is inexact, and leg A_k
+    # disagrees with route C at the first point of n = k and n = 8, while
+    # n = k - 1, which does not sum leg k, holds.  The den of (2, 1) divides
+    # the lcm of the dens of (3,) and (1, 1, 1): left out of W_3, it leaves
+    # W_3 as it was, and n = 3 holds
+    old = "W = lcm(*ys)"
+    for k in range(1, 9):
+        mutant = _mutant(old, "W = lcm(*(ys[1:] if k == %d else ys))" % k)
+        assert mutant.hilb_chern_integral(k - 1, "sampled") == INTEGRALS[k - 1]
+        for n in (k, 8):
+            with pytest.raises(ConsistencyError) as err:
+                mutant.hilb_chern_integral(n, "sampled")
+            assert str(err.value).startswith(
+                "leg A_%d disagrees with route C at t = " % k), (k, n)
+    mutant = _mutant(old, "W = lcm(*(ys[:1] + ys[2:] if k == 3 else ys))")
+    assert mutant.hilb_chern_integral(3, "sampled") == 140
+
+
 def test_sampled_plan_is_point_free():
     # after one call at n the plan is cached, and a call at another seed
-    # reads no box form, fold, hook or partition: only the plan
+    # reads no box form, hook or partition: only the plan
     for n in (3, 8):
         value = hilb_chern_integral(n, "sampled")
 
@@ -784,8 +761,7 @@ def test_sampled_plan_is_point_free():
             raise AssertionError("read after the plan was built")
         with pytest.MonkeyPatch.context() as mp:
             for module in (localization, partitions):
-                for name in ("_box_forms", "_fold", "hooks",
-                             "enumerate_partitions"):
+                for name in ("_box_forms", "hooks", "enumerate_partitions"):
                     if hasattr(module, name):
                         mp.setattr(module, name, refuse)
             assert hilb_chern_integral(n, "sampled", seed=5) == value
@@ -822,10 +798,10 @@ def test_sampled_resamples_on_pole(monkeypatch):
     assert len(draws) == 8   # the pole, then three good points
 
 
-def test_sampled_resamples_on_a_pole_of_a_folded_form(monkeypatch):
+def test_sampled_resamples_on_a_pole_of_minus_t(monkeypatch):
     # the first point drawn is t = 0/1, where the den form (0, -1) of the
-    # box of (1,), which is -t, vanishes; the union holds it only as its
-    # folded key (0, 1), so the draw must be skipped, not summed or raised
+    # box of (1,), which is -t, vanishes: its leg's lcm W_1 is 0 there, so
+    # the draw must be skipped, not summed or raised
     real = localization.random.Random
     draws = []
 
@@ -841,8 +817,6 @@ def test_sampled_resamples_on_a_pole_of_a_folded_form(monkeypatch):
 
     monkeypatch.setattr(localization.random, "Random", FirstDrawIsZero)
     assert (0, -1) in localization._box_forms(0, 0)[1]
-    M = _union_of(_plan(2))
-    assert M[0, 1] == 1 and (0, -1) not in M
     assert hilb_chern_integral(2, "sampled") == 35
     assert len(draws) == 8   # the pole, then three good points
 
@@ -861,6 +835,31 @@ def test_sampled_more_points():
 def test_sampled_needs_three_points():
     with pytest.raises(ValueError):
         hilb_chern_integral(3, "sampled", samples=2)
+
+
+@pytest.mark.parametrize("mode, kwargs, error", [
+    ("sampled", {}, None),
+    ("sampled", {"samples": None, "seed": None}, None),
+    ("sampled", {"samples": 4, "seed": "x"}, None),
+    ("sampled", {"samples": "3"}, "samples must be an integer"),
+    ("sampled", {"samples": 3.5}, "samples must be an integer"),
+    ("sampled", {"samples": 3.0}, "samples must be an integer"),
+    ("sampled", {"samples": True}, "samples must be an integer"),
+    ("sampled", {"samples": -5}, "at least 3 points"),
+    ("symbolic", {}, None),
+    ("symbolic", {"samples": None, "seed": None}, None),
+    ("symbolic", {"samples": 3}, "sampled mode only"),
+    ("symbolic", {"seed": 1}, "sampled mode only"),
+    ("symbolic", {"samples": -5, "seed": "x"}, "sampled mode only"),
+])
+def test_samples_and_seed_are_checked(mode, kwargs, error):
+    # sampled mode takes an int samples, MIN_SAMPLES when None; symbolic
+    # mode takes neither samples nor seed
+    if error is None:
+        assert hilb_chern_integral(3, mode, **kwargs) == 140
+    else:
+        with pytest.raises(ValueError, match=error):
+            hilb_chern_integral(3, mode, **kwargs)
 
 
 def test_bad_mode_rejected():

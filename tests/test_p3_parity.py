@@ -28,6 +28,7 @@ def _argvs():
     out = []
     for n in range(13):
         for mode in ([], ["--mode", "sampled"],
+                     ["--mode", "sampled", "--seed", "1"],
                      ["--mode", "sampled", "--seed", "2"]):
             out += [["p3", "--n", str(n)] + mode + fmt for fmt in FORMATS]
     for n in range(5):
@@ -37,6 +38,7 @@ def _argvs():
     out += [
         ["p3", "--n", "17"],
         ["p3", "--n", "17", "--mode", "sampled"],
+        ["p3", "--n", "12", "--mode", "sampled", "--samples", "50"],
         ["p3", "--n", "3", "--mode", "sampled", "--samples", "2"],
         ["p3", "--n", "3", "--mode", "sampled", "--samples", "51"],
         ["p3", "--n", "3", "--seed", "2"],
