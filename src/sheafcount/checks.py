@@ -1,4 +1,4 @@
-"""The ten release checks, written once.
+"""The nine release checks, written once.
 
 `sheafcount check` runs them all and exits 2 if any fails; the acceptance
 tests run each one as its own test and enforce its time budget.  A check
@@ -70,20 +70,6 @@ def _random_entries(rng, ell: int, count: int, top: int) -> dict:
     return entries
 
 
-def point_values() -> str:
-    values = [hilb_chern_integral(n) for n in range(9)]
-    series = goettsche_series(7, 8)
-    _expect(values[:4] == [1, 7, 35, 140],
-            "n <= 3: %s != 1, 7, 35, 140" % ", ".join(map(str, values[:4])))
-    for n, got in enumerate(values):
-        want = series.coefficient(n)
-        _expect(got == want, "n=%d: %s != [q^n] prod (1-q^m)^-7 = %s"
-                % (n, got, want))
-    return ("symbolic p3 integrals 1, 7, 35, 140 for n <= 3 and "
-            "[q^n] prod (1-q^m)^-7 for n <= 8, which follows from each "
-            "leg's route-C identity (the formula of arXiv:0801.2565)")
-
-
 def sum_constancy() -> str:
     for n in range(9):
         total = _per_triple_sum(n)    # raises unless constant in t
@@ -95,7 +81,7 @@ def sum_constancy() -> str:
         # raises unless three random rational points give the same value
         hilb_chern_integral(n, "sampled", samples=3)
     return ("per-triple sums of weight quotients constant and equal to the "
-            "integral for n = 0..8, "
+            "integral for n = 0..8, each held to [q^n] prod (1-q^m)^-7, "
             "sampled n = 4 is 490, sampled agreement at 3 points for n = 5..7")
 
 
@@ -276,7 +262,6 @@ def bound_validation() -> str:
 
 
 CHECKS = (
-    Check("point values", 1.0, point_values),
     Check("sum constancy", 5.0, sum_constancy),
     Check("contribution routes", 2.0, contribution_routes),
     Check("character cardinalities", None, character_cardinalities),

@@ -54,6 +54,9 @@ e = 2(q - 2p) is q^k S_k(p/q); and p(k) is r_k / k! at d = e = 1
 (_counts).  E(t) + E(1/t) = -6, so the sum of A_b B_c over b + c = m is
 [q^m] prod (1-q^k)^-6 whatever t is, and the sum is constant whatever the
 counts are: each leg's partition count is held to p(k) (_check_count).
+Nor can N = c * D see a wrong weight in the sum's assembly, so either
+mode holds the value it returns to [q^n] prod (1-q^m)^-7 (qseries'
+_euler_pow, sharing no code with _convolve, _constant or _c_at).
 
 The symbolic mode sums in big integers: it divides no polynomial, adds no
 Fraction and expands no polynomial term by term.  A_k sums the
@@ -101,6 +104,7 @@ from math import factorial, gcd, lcm, prod
 from .errors import ConsistencyError
 from .partitions import (arm, boxes, check_partition, enumerate_partitions,
                          enumerate_triples, hooks, leg)
+from .qseries import _euler_pow
 
 # sampled mode's default seed: any fixed value makes runs reproducible
 DEFAULT_SEED = 1729
@@ -552,7 +556,9 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     denominators bounded by 10**6, redrawing a pole of some F or G (every
     partition of size at most n is p2 or p3 of some triple, so these are
     the poles of the per-triple sum), certifies every leg there (_legs_at)
-    and requires exact agreement.  A ConsistencyError means a bug.
+    and requires exact agreement.  Either value is returned only if it is
+    [q^n] prod (1-q^m)^-7 (_euler_pow), ConsistencyError naming n and both
+    values if not.  A ConsistencyError means a bug.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("n must be a nonnegative integer, got %r" % (n,))
@@ -570,9 +576,9 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
         def numerator(ev):
             return _convolve(counts, list(map(ev, A)), list(map(ev, B)),
                              ev([1, -1]))
-        return _constant(n, *_packed(numerator, (-1) ** n * f * f,
-                                     Counter({(-1, 1): n})))
-    if mode == "sampled":
+        value = _constant(n, *_packed(numerator, (-1) ** n * f * f,
+                                      Counter({(-1, 1): n})))
+    elif mode == "sampled":
         samples = MIN_SAMPLES if samples is None else samples
         if not isinstance(samples, int) or isinstance(samples, bool):
             raise ValueError("samples must be an integer, got %r" % (samples,))
@@ -600,8 +606,15 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
             raise ConsistencyError(
                 "sampled localization values disagree for n=%d: %s"
                 % (n, drawn))
-        return drawn[0][1]
-    raise ValueError("mode must be 'symbolic' or 'sampled', got %r" % (mode,))
+        value = drawn[0][1]
+    else:
+        raise ValueError("mode must be 'symbolic' or 'sampled', got %r"
+                         % (mode,))
+    want = _euler_pow(-7, n)[n]
+    if value != want:
+        raise ConsistencyError("the integral for n=%d is %s, not [q^n] prod "
+                               "(1-q^m)^-7 = %d" % (n, value, want))
+    return value
 
 
 def p3_point_count(s: int, d: int) -> int:

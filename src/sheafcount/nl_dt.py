@@ -134,8 +134,8 @@ def hilb_index(v: MukaiVector) -> int:
     """Number of points n with the fiberwise moduli deformation equivalent
     to Hilb^n: n = h - r*omega - r^2.
 
-    Check 8 compares it with half of moduli_dim and with the order at
-    which dt_from_nl sums.
+    The index-formulas check compares it with half of moduli_dim and with
+    the order at which dt_from_nl sums.
     """
     return v.h - v.r * v.omega - v.r * v.r
 

@@ -211,7 +211,7 @@ def _euler_pow(k: int, terms: int):
     if cached is not None and len(cached) > terms:
         _euler_pow_cache[k] = cached
         return cached[: terms + 1]
-    want = max(terms, 2 * len(cached) if cached else 32)
+    want = max(terms, 2 * len(cached)) if cached else terms
     out = [0] * (want + 1)
     out[0] = 1
     if k:

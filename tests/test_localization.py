@@ -16,7 +16,7 @@ from math import factorial, prod
 
 import pytest
 
-from sheafcount import checks, localization, partitions
+from sheafcount import checks, cli, localization, partitions, qseries
 from sheafcount.errors import ConsistencyError
 from sheafcount.localization import (
     _times_forms,
@@ -98,8 +98,8 @@ def test_non_partitions_are_refused(fn):
 
 def test_contribution_routes_catch_swapped_legs(monkeypatch):
     # with each hook's G side split replaced by its F side the direct
-    # product of ((), (), (1,)) is the p2 box's, and check 3 names the first
-    # configuration where they differ
+    # product of ((), (), (1,)) is the p2 box's, and the contribution-routes
+    # check names the first configuration where they differ
     split = localization._hook_split
     monkeypatch.setattr(localization, "_hook_split",
                         lambda a, l: (split(a, l)[0],) * 2)
@@ -115,11 +115,12 @@ def test_contribution_routes_catch_swapped_legs(monkeypatch):
 def test_contribution_routes_see_the_split_forms(monkeypatch, side, triple):
     # the content of hook (0, 2)'s split numerator doubled on one side:
     # fixed_point_contribution reads the split forms the symbolic sum adds,
-    # so check 3 names the one configuration with that hook on that side.
+    # so the contribution-routes check names the one configuration with
+    # that hook on that side.
     # The G side is a mutant neither mode sees: symbolic mode reads only F
     # sides and route C's rev(S_c), sampled mode the raw _box_forms, and
-    # both still give 140, so check 3 is what certifies the G side that
-    # p3 --verbose prints
+    # both still give 140, so the contribution-routes check is what
+    # certifies the G side that p3 --verbose prints
     split = localization._hook_split
 
     def doubled(a, l):
@@ -531,6 +532,68 @@ def test_wrong_count_raises(mode, old, new, k, count):
             "p(%d) = %d disagrees with leg A_%d's partition count %d"
             % (k, count, k, len(enumerate_partitions(k)))), n
 
+
+def _euler_mismatch(n, got):
+    """The error text of a value got for n, not [q^n] prod (1-q^m)^-7."""
+    return ("the integral for n=%d is %s, not [q^n] prod (1-q^m)^-7 = %d"
+            % (n, got, INTEGRALS[n]))
+
+
+# the sums of the _convolve mutant below for n = 1..8: each is constant in t
+# and the same at every point, so only the comparison with the Euler
+# product sees them
+CONVOLVE_DOUBLED = [8, 41, 167, 588, 1862, 5440, 14897, 38677]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+def test_convolve_mutant_raises(mode):
+    # the count column doubled at a = 1 in the one sum formula of both modes
+    mutant = _mutant("col = [m * x ** a", "col = [(1 + (a == 1)) * m * x ** a")
+    for n, got in enumerate(CONVOLVE_DOUBLED, 1):
+        with pytest.raises(ConsistencyError) as err:
+            mutant.hilb_chern_integral(n, mode)
+        assert str(err.value) == _euler_mismatch(n, got)
+
+
+def test_constant_mutant_raises():
+    # the constant read off N = c * D returned as c + 1; sampled mode takes
+    # no constant from a polynomial, so only symbolic mode reaches it
+    mutant = _mutant("return Fraction(N[-1], D[-1]) if N",
+                     "return Fraction(N[-1], D[-1]) + 1 if N")
+    for n in range(1, 9):
+        with pytest.raises(ConsistencyError) as err:
+            mutant.hilb_chern_integral(n)
+        assert str(err.value) == _euler_mismatch(n, INTEGRALS[n] + 1)
+
+
+def _wrong_euler_coefficient(monkeypatch):
+    # [q^5] prod (1-q^m)^-7 one too large, planted in qseries' cache, which
+    # serves every later _euler_pow(-7, m) with m <= 10
+    co = list(INTEGRALS)
+    co[5] += 1
+    monkeypatch.setattr(qseries, "_euler_pow_cache", {-7: co})
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+def test_wrong_euler_coefficient_raises(monkeypatch, mode):
+    _wrong_euler_coefficient(monkeypatch)
+    assert hilb_chern_integral(4, mode) == 490
+    with pytest.raises(ConsistencyError) as err:
+        hilb_chern_integral(5, mode)
+    assert str(err.value) == (
+        "the integral for n=5 is 1547, not [q^n] prod (1-q^m)^-7 = 1548")
+    assert hilb_chern_integral(6, mode) == 4522
+
+
+def test_euler_mismatch_exits_two(monkeypatch, capsys):
+    # through the CLI: one stderr line, exit 2 and nothing on stdout
+    _wrong_euler_coefficient(monkeypatch)
+    for mode in ("symbolic", "sampled"):
+        assert cli.main(["p3", "--n", "5", "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("consistency failure: the integral for n=5 is 1547, "
+                       "not [q^n] prod (1-q^m)^-7 = 1548\n")
 
 def test_integrals_match_series():
     series = goettsche_series(7, 10)

@@ -364,7 +364,7 @@ def test_dt_ell_mismatch():
 def test_dt_cold_call_fills_euler_cache_once(monkeypatch):
     # d = 0 rows in ascending h need chi(Hilb^31), (^41) and (^42), and the
     # k term (^42): read in table order, the first lookup fills the cache to
-    # order 32 and the next refills it at 66; read from the top, one fill
+    # order 31 and the next refills it at 64; read from the top, one fill
     calls = []
     fill = qseries._euler_coeffs
     monkeypatch.setattr(qseries, "_euler_pow_cache", {})
@@ -736,7 +736,7 @@ def test_z_closed_equals_direct_other_euler_number():
 def test_z_exponents_in_their_class(monkeypatch):
     # both routes shifted by q^(1/2ell) still agree, on grid 1/2ell, but no
     # exponent of Z_d lies in d^2/2ell + Z any more: only the T half of
-    # modularity in check 6 can tell
+    # modularity in the closed = direct check can tell
     def shifted(route):
         def fn(spec, terms):
             step = F(1, 2 * spec.ell)

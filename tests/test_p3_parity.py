@@ -1,8 +1,8 @@
-"""p3's slice of the parity corpus, with the `check` battery, which reads
-the same localization code: each row of golden/p3_parity.json holds an
-argv, its exit code, the sha256 of its stdout and its stderr, and this
-test runs every row through cli.main in process.  Regenerate the corpus
-with
+"""The parity corpus: p3's slice, goettsche's, and the `check` battery,
+which reads the same localization code.  Each row of golden/p3_parity.json
+holds an argv, its exit code, the sha256 of its stdout and its stderr, and
+this test runs every row through cli.main in process.  Regenerate the
+corpus with
 
   PYTHONPATH=src python tests/test_p3_parity.py
 
@@ -45,6 +45,9 @@ def _argvs():
     ]
     for n in range(5, 9):
         out += [["p3", "--n", str(n), "--verbose"] + fmt for fmt in FORMATS]
+    for e in (-24, -7, -1, 0, 1, 7, 24):
+        out += [["goettsche", "--euler", str(e), "--terms", "30"] + fmt
+                for fmt in FORMATS]
     return out + [["check"] + fmt for fmt in FORMATS]
 
 

@@ -122,7 +122,7 @@ def test_euler_pow_cache_drops_least_recently_used(monkeypatch):
 
 def test_eta_identity_catches_wrong_euler_product(monkeypatch):
     # G_e * G_-e = 1 holds for any base product; the closed forms of
-    # check 5 catch one coefficient off by one at q^100
+    # the eta-identity check catch one coefficient off by one at q^100
     real = qseries._euler_coeffs
 
     def off_by_one(terms):
