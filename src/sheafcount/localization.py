@@ -65,8 +65,8 @@ prints, each _cancel of _leg_split (the hooks' forms, split once per hook
 and process by _hook_split): A_k = N_k / (c_k prod L_k), L_k the multiset
 union of their den forms, c_k the lcm of their scales' denominators and
 N_k an integer polynomial.  _a_leg certifies each leg, k! N_k (1-t)^k =
-S_k c_k prod L_k coefficient by coefficient, and the sum is taken over
-route C's one form per leg: A_b = S_b / (b! (1-t)^b) and
+S_k c_k prod L_k, as one integer identity (below), and the sum is taken
+over route C's one form per leg: A_b = S_b / (b! (1-t)^b) and
 B_c = (-1)^c rev(S_c) / (c! (1-t)^c), rev reversing the c + 1
 coefficients; 1 - t is written -(t - 1), keeping _split's i > 0.
 
@@ -87,12 +87,19 @@ one integer T = 2^B, so each product and sum is one big-integer operation,
 unpacked into its signed base-T digits.  B comes from a proven bound: the
 same code, run with each form replaced by |i| + |j|, bounds the l1 norm
 (||fg|| <= ||f|| ||g||), and a T whose half exceeds it makes the digits the
-coefficients.  The convolution runs over D = n!^2 (1 - t)^n, each p(a)'s
-(1 - t)^a in the numerator N; the sum is constant exactly when N = c * D
-coefficient by coefficient, which is checked literally before c is
-returned, a sum that fails reported as the quotient N / D, unreduced.
-_per_triple_sum packs the unfactored sum of contribution_from_characters
-over the triples like one leg and checks it by the same literal test.
+coefficients.  A leg is summed by a balanced merge over its partitions
+(_leg_poly), each node putting its halves over the union of their dens,
+so no polynomial is divided and each level costs about one full-size
+product.  Its certificate is not expanded: both sides are valued at a T
+whose half exceeds the sum of their l1 bounds, so the integer polynomial
+that is their difference, whose coefficients lie strictly between -T/2
+and T/2, is zero exactly when its value at T is.  The convolution runs
+over D = n!^2 (1 - t)^n, each p(a)'s (1 - t)^a in the numerator N; the sum
+is constant exactly when N = c * D coefficient by coefficient, which is
+checked literally before c is returned, a sum that fails reported as the
+quotient N / D, unreduced.  _per_triple_sum sums the unfactored
+contribution_from_characters over the triples by the same merge as one
+leg and checks it by the same literal test.
 """
 
 import functools
@@ -214,22 +221,32 @@ class Contribution(namedtuple("Contribution", "scale num den")):
         return _quotient_str(_times_forms([cn], self.num), cd, self.den)
 
 
+def _differences(x, y):
+    """(x - y, y - x) as multisets, sorted tuples, for sorted sequences of
+    forms x and y: one merge of the two, each form of y taking one equal
+    copy out of x if one is left there."""
+    xs, ys = [], []
+    i = j = 0
+    while i < len(x) and j < len(y):
+        if x[i] == y[j]:
+            i += 1
+            j += 1
+        elif x[i] < y[j]:
+            xs.append(x[i])
+            i += 1
+        else:
+            ys.append(y[j])
+            j += 1
+    return (*xs, *x[i:]), (*ys, *y[j:])
+
+
 def _cancel(cn, num, cd, den) -> Contribution:
     """cn * prod(num) / (cd * prod(den)) as a Contribution, cn and cd
-    integers and num and den lists of forms split by _split: the forms
-    common to both cancelled as multisets, the one cancel step of the
-    package."""
-    # multiset differences: each den form takes one copy of itself out of
-    # num if one is left there, and stays in den otherwise
-    left = Counter(num)
-    kept = []
-    for f in den:
-        if left.get(f):
-            left[f] -= 1
-        else:
-            kept.append(f)
-    return Contribution(Fraction(cn, cd), tuple(sorted(left.elements())),
-                        tuple(sorted(kept)))
+    integers and num and den lists of forms split by _split: both sorted and
+    the forms common to them cancelled as multisets by one _differences, the
+    one cancel step of the package."""
+    return Contribution(Fraction(cn, cd), *_differences(sorted(num),
+                                                        sorted(den)))
 
 
 def _contribution(forms) -> Contribution:
@@ -310,31 +327,52 @@ def _packed(numerator, scale, L):
     return _unpack(numerator(_at(bits)), bits), scale, L
 
 
+def _tree(dens, lo, hi):
+    """(L, node), _leg_poly's point-free merge tree over the sorted den
+    tuples dens[lo:hi], lo < hi: L their multiset union, a sorted tuple, and
+    node the index lo for one den, else (left, L - L1, right, L - L2), the
+    halves' nodes each with the forms its own union L1 or L2 is short of."""
+    if hi - lo == 1:
+        return dens[lo], lo
+    mid = (lo + hi) // 2
+    L1, left = _tree(dens, lo, mid)
+    L2, right = _tree(dens, mid, hi)
+    short2, short1 = _differences(L1, L2)  # L - L2 = L1 - L2, L - L1 = L2 - L1
+    return tuple(sorted(L1 + short1)), (left, short1, right, short2)
+
+
 def _leg_poly(contributions):
     """A sum of Contributions as (N, c, L), the sum = N / (c prod(L)): L the
     multiset union of their dens and c the lcm of their scales'
-    denominators, taken once, outside the evaluator, so both passes of
-    _packed share them, and N an integer coefficient list.  Under _at(bits)
-    a term's numerator is prod(num) * (prod(L) // prod(den)) at T = 2**bits,
-    each distinct form valued once; under _norm the same code bounds its
-    l1 norm."""
-    terms = [(x.scale, x.num, Counter(x.den)) for x in contributions]
-    c = lcm(*(s.denominator for s, _, _ in terms))
-    L = Counter()
-    for _, _, den in terms:
-        L |= den   # multiset union: each form as often as the most in a den
-    distinct = set(L).union(*(num for _, num, _ in terms))
+    denominators, and N an integer coefficient list; ([], 1, Counter()) for
+    no Contributions.  N is summed by a balanced merge over _tree, built
+    once, so both passes of _packed walk it: a leaf's numerator is its
+    scale times c, times prod(num), and a node's is N1 prod(L - L1) + N2
+    prod(L - L2), N1 / prod(L1) and N2 / prod(L2) its halves' sums.  Under
+    _at(bits) each distinct form is valued once at T = 2**bits and no
+    polynomial is divided; under _norm the same code bounds the l1 norm."""
+    terms = list(contributions)
+    if not terms:   # _tree splits no empty range
+        return [], 1, Counter()
+    c = lcm(*(x.scale.denominator for x in terms))
+    L, tree = _tree([x.den for x in terms], 0, len(terms))
+    distinct = set(L).union(*(x.num for x in terms))
 
     def numerator(ev):
         value = {f: ev(f) for f in distinct}
 
         def at(forms):
-            return prod(value[f] ** m for f, m in forms.items())
-        whole = at(L)
-        return sum(ev((s.numerator * (c // s.denominator),))
-                   * prod(map(value.__getitem__, num)) * (whole // at(den))
-                   for s, num, den in terms)
-    return _packed(numerator, c, L)
+            return prod(map(value.__getitem__, forms))
+
+        def walk(node):
+            if isinstance(node, int):
+                s = terms[node].scale
+                return (ev((s.numerator * (c // s.denominator),))
+                        * at(terms[node].num))
+            left, short1, right, short2 = node
+            return walk(left) * at(short1) + walk(right) * at(short2)
+        return walk(tree)
+    return _packed(numerator, c, Counter(L))
 
 
 @functools.cache
@@ -414,14 +452,24 @@ def _a_leg(k):
     the partitions lam of k, each _cancel of _leg_split(lam, 0), its F side:
     summed once per process and k, shared, so never mutated, and certified
     before it is cached by _check_count and by route C, ConsistencyError
-    naming k unless k! N_k (1-t)^k = S_k c_k prod(L_k), both expanded."""
+    naming k unless k! N_k (1-t)^k = S_k c_k prod(L_k): both sides valued at
+    T = 2**bits, T/2 above the sum of their l1 bounds k! ||N_k|| 2^k and
+    c_k ||S_k|| prod(|i| + |j|), and compared as integers, not expanded."""
     contributions = [_cancel(*_leg_split(lam, 0))
                      for lam in enumerate_partitions(k)]
     _check_count(k, len(contributions))
     N, c, L = leg = _leg_poly(contributions)
     S, f = [(-1) ** k * x for x in _c_leg(k)], factorial(k)  # over f (t-1)^k
-    if (_times_forms([f * x for x in N], [(-1, 1)] * k)
-            != _times_forms([c * x for x in S], L.elements())):
+
+    def sides(ev):   # f N (t-1)^k and c S prod(L) under ev
+        return (f * ev(N) * ev((-1, 1)) ** k,
+                c * ev(S) * prod(ev(g) ** m for g, m in L.items()))
+    # under _norm their sum bounds the l1 norm of the integer polynomial
+    # f N (t-1)^k - c S prod(L), so at T = 2**bits, T/2 above that bound, it
+    # is the zero polynomial exactly when its value at T is 0
+    bits = sum(sides(_norm)).bit_length() + 1
+    left, right = sides(_at(bits))
+    if left != right:
         raise ConsistencyError(
             "leg A_%d disagrees with route C: %s, not %s"
             % (k, _quotient_str(N, c, list(L.elements())),

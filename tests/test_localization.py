@@ -12,7 +12,7 @@ import random
 import types
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -269,6 +269,34 @@ def test_leg_sum_equals_rational_sum():
                 assert packed == want, (side, k, t0)
 
 
+def _flat_leg(terms):
+    """(N, c, L) of a sum of Contributions the flat way, the reference for
+    _leg_poly's merge: L the multiset union of their dens, c the lcm of
+    their scales' denominators, and N the sum of each term's scale times c
+    times its num forms and the forms of L its den lacks, expanded by
+    _times_forms, trailing zeros dropped."""
+    L = Counter()
+    for x in terms:
+        L |= Counter(x.den)
+    c = lcm(*(x.scale.denominator for x in terms))
+    N = []
+    for x in terms:
+        term = _times_forms([c // x.scale.denominator * x.scale.numerator],
+                            [*x.num, *(L - Counter(x.den)).elements()])
+        N += [0] * (len(term) - len(N))
+        for e, y in enumerate(term):
+            N[e] += y
+    while N and not N[-1]:
+        N.pop()
+    return N, c, L
+
+
+def _leg_terms(k, side=0):
+    """The Contributions leg k sums on the F (0) or G (1) side."""
+    return [localization._cancel(*localization._leg_split(lam, side))
+            for lam in enumerate_partitions(k)]
+
+
 def test_leg_bound_holds(monkeypatch):
     # N_k expanded term by term, each term's forms multiplied out with
     # _times_forms over the leg's denominator, is the unpacked N_k, and its
@@ -284,22 +312,107 @@ def test_leg_bound_holds(monkeypatch):
     monkeypatch.setattr(localization, "_width", spy)
     for side in (0, 1):
         for k in range(7):
-            terms = [localization._cancel(*localization._leg_split(lam, side))
-                     for lam in enumerate_partitions(k)]
+            terms = _leg_terms(k, side)
             bounds.clear()
             N, scale, den = localization._leg_poly(terms)
-            total = [0] * (sum(den.values()) + 2 * k + 1)
-            for x in terms:
-                term = _times_forms(
-                    [scale // x.scale.denominator * x.scale.numerator],
-                    [*x.num, *(den - Counter(x.den)).elements()])
-                for e, c in enumerate(term):
-                    total[e] += c
-            while total and not total[-1]:
-                total.pop()
+            total = _flat_leg(terms)[0]
             assert total == N, (side, k)
             norm = sum(map(abs, total))
             assert bounds and norm <= bounds[0], (side, k, norm, bounds)
+
+
+def test_merged_leg_equals_the_flat_sum():
+    # the balanced merge returns what the flat sum over the whole union
+    # does, (N, c, L) alike: on every leg k <= 12, both sides; on the
+    # per-triple terms of the sum-constancy check for n <= 5; on a single
+    # term; and on no term at all, which the tree never splits
+    for side in (0, 1):
+        for k in range(13):
+            terms = _leg_terms(k, side)
+            assert localization._leg_poly(terms) == _flat_leg(terms), (side, k)
+    for n in range(6):
+        terms = [contribution_from_characters(tr)
+                 for tr in enumerate_triples(n)]
+        assert localization._leg_poly(terms) == _flat_leg(terms), n
+    one = [fixed_point_contribution(((1,), (2, 1), (1, 1)))]
+    assert one[0].den
+    assert localization._leg_poly(one) == _flat_leg(one)
+    assert localization._leg_poly([]) == ([], 1, Counter())
+
+
+def test_cancel_is_the_multiset_difference():
+    # the one merge of the sorted form lists leaves what the multiset
+    # differences leave, each sorted
+    rng = random.Random(11)
+    for _ in range(300):
+        num = [_random_form(rng) for _ in range(rng.randint(0, 6))]
+        den = [_random_form(rng) for _ in range(rng.randint(0, 6))]
+        c = localization._cancel(2, num, 3, den)
+        assert c.scale == Fraction(2, 3)
+        assert c.num == tuple(sorted((Counter(num) - Counter(den)).elements()))
+        assert c.den == tuple(sorted((Counter(den) - Counter(num)).elements()))
+
+
+# a merge whose node drops the product over L - L2, the forms the second
+# half's union lacks, and its mirror, which drops the one over L - L1
+MERGE_MUTANTS = [
+    pytest.param("walk(right) * at(short2)", "walk(right)", 3,
+                 id="drops-L-minus-L2"),
+    pytest.param("walk(left) * at(short1)", "walk(left)", 2,
+                 id="drops-L-minus-L1"),
+]
+
+
+@pytest.mark.parametrize("old, new, first", MERGE_MUTANTS)
+def test_merge_mutant_raises(old, new, first):
+    # a leg of one partition has no node, so neither mutant reaches it; from
+    # the first leg whose sum a mutant changes, route C's certificate names
+    # every leg.  Leg 2 sums F((2,)), which has no den, then F((1, 1)),
+    # whose den (t - 1)^2 is the whole union: L - L2 is empty there, and
+    # only the mirror is caught at k = 2.  The sum-constancy check, through
+    # the same merge, raises for every n >= 2 too
+    mutant = _mutant(old, new)
+    for k in range(first):
+        assert mutant._a_leg(k) == localization._a_leg(k), k
+    for k in range(first, 13):
+        with pytest.raises(ConsistencyError) as err:
+            mutant._a_leg(k)
+        assert str(err.value).startswith(
+            "leg A_%d disagrees with route C: " % k), k
+    for n in range(2, 6):
+        with pytest.raises(ConsistencyError) as err:
+            mutant._per_triple_sum(n)
+        assert str(err.value).startswith(
+            "localization sum for n=%d is not constant: " % n), n
+
+
+def _expanded_verdict(k, N, c, L):
+    """The expanded certificate _a_leg took before it packed both sides:
+    k! N (t-1)^k and c S_k prod(L), S_k signed over (t-1)^k, multiplied out
+    by _times_forms and compared coefficient by coefficient."""
+    S = [(-1) ** k * x for x in localization._c_leg(k)]
+    return (_times_forms([factorial(k) * x for x in N], [(-1, 1)] * k)
+            == _times_forms([c * x for x in S], L.elements()))
+
+
+def test_packed_certificate_agrees_with_the_expanded_one(monkeypatch):
+    # for every leg k <= 12, the packed certificate and the expanded one
+    # accept the true leg, and both reject it with N[0] + 1
+    leg_poly = localization._leg_poly
+    for k in range(13):
+        N, c, L = leg_poly(_leg_terms(k))
+        for wrong in (0, 1):
+            leg = ([N[0] + wrong, *N[1:]], c, L)
+            monkeypatch.setattr(localization, "_leg_poly",
+                                lambda terms, leg=leg: leg)
+            localization._a_leg.cache_clear()
+            try:
+                localization._a_leg(k)
+                packed = True
+            except ConsistencyError:
+                packed = False
+            assert packed == _expanded_verdict(k, *leg) == (not wrong), \
+                (k, wrong)
 
 
 def test_narrowed_width_never_gives_a_wrong_value(monkeypatch):
@@ -365,9 +478,7 @@ def test_reversed_c_leg_is_the_third_point_leg():
     # = rev(S_k) / (k! (t-1)^k): as rational functions N / (c prod(L)) =
     # rev(S_k) / (k! (t-1)^k) exactly when k! N (t-1)^k = c rev(S_k) prod(L)
     for k in range(13):
-        N, c, L = localization._leg_poly(
-            localization._cancel(*localization._leg_split(lam, 1))
-            for lam in enumerate_partitions(k))
+        N, c, L = localization._leg_poly(_leg_terms(k, 1))
         S = localization._c_leg(k)
         assert len(S) == k + 1, k
         assert (_times_forms([factorial(k) * x for x in N], [(-1, 1)] * k)
