@@ -112,8 +112,9 @@ def character_cardinalities() -> str:
 def eta_identity() -> str:
     _expect(goettsche_series(24, 1).coefficient(1) == 24,
             "chi(Hilb^1) of a K3 surface is not 24")
-    # PuiseuxSeries.__mul__ on Fractions shares no code with the integer
-    # lists behind goettsche_series, so this checks their inversion
+    # PuiseuxSeries.__mul__ does its own integer convolution, over one
+    # denominator per operand, and shares no code with _list_mul and
+    # _list_inv behind goettsche_series, so this checks their inversion
     for e in (-7, 0, 1, 7, 12, 24):
         _expect(goettsche_series(e, 30) * goettsche_series(-e, 30)
                 == PuiseuxSeries(1, {0: 1}, 30),

@@ -56,7 +56,7 @@ e = 2(q - 2p) is q^k S_k(p/q); and p(k) is r_k / k! at d = e = 1
 counts are: each leg's partition count is held to p(k) (_check_count).
 Nor can N = c * D see a wrong weight in the sum's assembly, so either
 mode holds the value it returns to [q^n] prod (1-q^m)^-7 (qseries'
-_euler_pow, sharing no code with _convolve, _constant or _c_at).
+_euler_pow_at, sharing no code with _convolve, _constant or _c_at).
 
 The symbolic mode sums in big integers: it divides no polynomial, adds no
 Fraction and expands no polynomial term by term.  A_k sums the
@@ -111,7 +111,7 @@ from math import factorial, gcd, lcm, prod
 from .errors import ConsistencyError
 from .partitions import (arm, boxes, check_partition, enumerate_partitions,
                          enumerate_triples, hooks, leg)
-from .qseries import _euler_pow
+from .qseries import _euler_pow_at
 
 # sampled mode's default seed: any fixed value makes runs reproducible
 DEFAULT_SEED = 1729
@@ -605,7 +605,7 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     partition of size at most n is p2 or p3 of some triple, so these are
     the poles of the per-triple sum), certifies every leg there (_legs_at)
     and requires exact agreement.  Either value is returned only if it is
-    [q^n] prod (1-q^m)^-7 (_euler_pow), ConsistencyError naming n and both
+    [q^n] prod (1-q^m)^-7 (_euler_pow_at), ConsistencyError naming n and both
     values if not.  A ConsistencyError means a bug.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -658,7 +658,7 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     else:
         raise ValueError("mode must be 'symbolic' or 'sampled', got %r"
                          % (mode,))
-    want = _euler_pow(-7, n)[n]
+    want = _euler_pow_at(-7, n)
     if value != want:
         raise ConsistencyError("the integral for n=%d is %s, not [q^n] prod "
                                "(1-q^m)^-7 = %d" % (n, value, want))

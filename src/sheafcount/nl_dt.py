@@ -38,9 +38,10 @@ Conventions that every formula below relies on:
 import re
 from fractions import Fraction
 from itertools import count
+from math import lcm
 
 from .errors import ConsistencyError, NLValidationError
-from .qseries import PuiseuxSeries, goettsche_series, hilb_euler
+from .qseries import PuiseuxSeries, _euler_pow_at, goettsche_series
 
 __all__ = [
     "MukaiVector", "HilbertPolyK3", "NLTable", "FibrationSpec",
@@ -377,20 +378,27 @@ def dt_from_nl(spec: FibrationSpec, P: HilbertPolyK3) -> Fraction:
               - (k * chi(Hilb^(r^2 + 1 - r*c)) if d = 0) ],
     with chi taken for the spec's fiber Euler number and chi(Hilb^(m<0)) = 0.
     The factor 1/2 undoes the tabulated side being a double cover or a
-    disjoint double, as described in the module docstring.  Runtime is
-    linear in the table support.
+    disjoint double, as described in the module docstring.  The sum is
+    taken in integers: each weight times D, the lcm of the weights'
+    denominators, times the integer chi, and the result is that sum over
+    2D, one Fraction.  Runtime is linear in the table support.
     """
     if P.ell != spec.ell:
         raise ValueError("polynomial ell %d does not match spec ell %d"
                          % (P.ell, spec.ell))
-    # highest order first, so the first lookup fills the Euler-number cache
+    # highest order first, so the first read fills the Euler-number cache
     # to the top order at once instead of once per doubling
-    terms = sorted(_dt_terms(spec, P), reverse=True)
-    return sum((v * hilb_euler(m, spec.euler) for m, v in terms), Fraction(0)) / 2
+    terms = sorted(((m, v) for m, v in _dt_terms(spec, P) if m >= 0),
+                   reverse=True)
+    den = lcm(*(v.denominator for _, v in terms))
+    return Fraction(sum(v.numerator * (den // v.denominator)
+                        * _euler_pow_at(-spec.euler, m) for m, v in terms),
+                    2 * den)
 
 
 def _dt_terms(spec: FibrationSpec, P: HilbertPolyK3):
-    # (m, weight) for each chi(Hilb^m) term of dt_from_nl's halved sum
+    # (m, weight) for each chi(Hilb^m) term of dt_from_nl's halved sum; a
+    # weight is a Fraction, or the int -k
     r, c, d = P.r, P.c, P.d
     terms = [(r * r + h - r * c, v)
              for (h, dd), v in spec.nl.entries.items() if dd == d]

@@ -4,7 +4,10 @@ A PuiseuxSeries stores finitely many exact rational coefficients at
 exponents in (1/grid) * Z together with a truncation bound: coefficients at
 exponents strictly above the bound are unknown, not zero.  All arithmetic
 propagates the tightest truncation the inputs justify, so a wrong tail can
-never appear silently.  Mixed grids refine automatically to the lcm.
+never appear silently.  Mixed grids refine automatically to the lcm.  A
+product puts each operand over the lcm of its coefficients' denominators
+and convolves the integer numerators, so it builds one Fraction per product
+coefficient and none per term.
 
 The module also provides the standard product consumed downstream: the
 generating function of Hilbert-scheme Euler numbers for a surface with
@@ -135,13 +138,23 @@ class PuiseuxSeries:
         la = min(a.coeffs) if a.coeffs else a.trunc
         lb = min(b.coeffs) if b.coeffs else b.trunc
         trunc = min(a.trunc + lb, b.trunc + la)
+        # each operand as integer numerators over the lcm of its
+        # denominators: the convolution below multiplies and adds integers
+        # only, and each product coefficient is one Fraction over da * db.
+        # It is written out here, apart from the integer lists of the Euler
+        # products, so that G_e * G_-e = 1 checks those lists.
+        da, na = _numerators(a.coeffs)
+        db, nb = _numerators(b.coeffs)
         out = {}
-        for i, ca in a.coeffs.items():
-            for j, cb in b.coeffs.items():
+        for i, x in na:
+            for j, y in nb:
                 k = i + j
-                if k <= trunc:
-                    out[k] = out.get(k, 0) + ca * cb
-        return PuiseuxSeries(a.grid, out, trunc)
+                if k > trunc:
+                    break   # nb is in ascending order of exponent
+                out[k] = out.get(k, 0) + x * y
+        den = da * db
+        return PuiseuxSeries(
+            a.grid, {k: Fraction(v, den) for k, v in out.items() if v}, trunc)
 
     def shift(self, exponent):
         """Multiply by q^exponent, refining the grid as needed."""
@@ -161,6 +174,14 @@ class PuiseuxSeries:
     def __repr__(self):
         return "PuiseuxSeries(grid=%d, %r, trunc=%d)" % (
             self.grid, self.coeffs, self.trunc)
+
+
+def _numerators(coeffs):
+    # (D, [(exponent, v * D) in ascending order of exponent]) with D the lcm
+    # of the denominators of the values v, so that every v * D is an int
+    den = lcm(*(v.denominator for v in coeffs.values()))
+    return den, [(k, v.numerator * (den // v.denominator))
+                 for k, v in sorted(coeffs.items())]
 
 
 # -- Euler products -----------------------------------------------------
@@ -207,10 +228,22 @@ _euler_pow_cache: dict = {}   # k -> coefficients, least recently used first
 
 def _euler_pow(k: int, terms: int):
     """Coefficient list of prod_{n>=1} (1-q^n)^k to order q^terms."""
+    return _euler_pow_cached(k, terms)[: terms + 1]
+
+
+def _euler_pow_at(k: int, m: int) -> int:
+    """[q^m] prod_{n>=1} (1-q^n)^k, read without copying the cached list."""
+    return _euler_pow_cached(k, m)[m]
+
+
+def _euler_pow_cached(k: int, terms: int):
+    # the cached coefficient list of prod (1-q^n)^k, at least to order
+    # q^terms, marked most recently used; a short list is refilled to at
+    # least twice its length
     cached = _euler_pow_cache.pop(k, None)
     if cached is not None and len(cached) > terms:
         _euler_pow_cache[k] = cached
-        return cached[: terms + 1]
+        return cached
     want = max(terms, 2 * len(cached)) if cached else terms
     out = [0] * (want + 1)
     out[0] = 1
@@ -223,7 +256,7 @@ def _euler_pow(k: int, terms: int):
     _euler_pow_cache[k] = out
     if len(_euler_pow_cache) > _EULER_POW_KEYS:
         del _euler_pow_cache[next(iter(_euler_pow_cache))]
-    return out[: terms + 1]
+    return out
 
 
 def goettsche_series(e: int, terms: int) -> PuiseuxSeries:
@@ -248,4 +281,4 @@ def hilb_euler(m: int, e: int = 24) -> Fraction:
     """
     if m < 0:
         return Fraction(0)
-    return Fraction(_euler_pow(-e, m)[m])
+    return Fraction(_euler_pow_at(-e, m))

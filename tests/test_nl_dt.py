@@ -35,7 +35,7 @@ from sheafcount.nl_dt import (
     z_series_direct,
 )
 from sheafcount import checks, qseries
-from sheafcount.qseries import PuiseuxSeries
+from sheafcount.qseries import PuiseuxSeries, hilb_euler
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "sheafcount" / "fixtures"
 
@@ -375,6 +375,36 @@ def test_dt_cold_call_fills_euler_cache_once(monkeypatch):
     value = dt_from_nl(spec, HilbertPolyK3(1, 2, 0, -40))
     assert value == 405240815018402675369320
     assert calls == [42]
+
+
+def test_dt_matches_fraction_sum_random():
+    # dt_from_nl sums in integers over the lcm of the weights' denominators;
+    # here the same halved sum term by term in Fractions of hilb_euler, with
+    # the -k term at d = 0; c up to 8 puts rows at m < 0, whose chi is 0
+    rng = random.Random(4417)
+    below = 0
+    for _ in range(40):
+        ell = rng.choice([2, 4, 6])
+        euler = rng.choice([24, 12, -7])
+        k = rng.choice([-3, -1, 1, 2])
+        entries = {(rng.randint(-15, 1), rng.randrange(2)):
+                   F(rng.randint(-10**6, 10**6), rng.choice([1, 7, 999, 1000]))
+                   for _ in range(rng.randint(0, 12))}
+        spec = FibrationSpec(ell=ell, k=k, euler=euler,
+                             nl=NLTable(ell, entries))
+        for r in (1, 2):
+            for d in (0, 1):
+                for c in range(-6, 9):
+                    rows = [(r * r + h - r * c, v)
+                            for (h, dd), v in entries.items() if dd == d]
+                    if d == 0:
+                        rows.append((r * r + 1 - r * c, -k))
+                    below += any(m < 0 for m, _ in rows)
+                    want = sum((v * hilb_euler(m, euler) for m, v in rows),
+                               F(0)) / 2
+                    got = dt_from_nl(spec, HilbertPolyK3(r, ell, d, c))
+                    assert type(got) is F and got == want
+    assert below > 100
 
 
 def test_symmetry_pair_values():

@@ -2,8 +2,11 @@
 
 Product coefficients are rechecked against a term-by-term binomial-series
 expansion written here in the test, which shares no code with the module's
-repeated-convolution route.  Truncation bookkeeping gets its own tests
-because a silently wrong tail is the failure mode that matters."""
+repeated-convolution route.  Series products, which the module convolves in
+integers over one denominator per operand, are rechecked against a
+term-by-term Fraction product written here too, on random series.  Truncation bookkeeping
+gets its own tests because a silently wrong tail is the failure mode that
+matters."""
 
 import math
 import random
@@ -44,6 +47,24 @@ def binomial_euler_pow(e, top):
                 j += 1
         co = new
     return co
+
+
+def fraction_product(a, b):
+    # (grid, coeffs, trunc) of a * b, term by term in Fractions on the lcm
+    # grid; the coefficient at k is known while every split k = i + j keeps
+    # i and j at or below their own truncations
+    grid = math.lcm(a.grid, b.grid)
+    fa, fb = grid // a.grid, grid // b.grid
+    lo_a = min(a.coeffs, default=a.trunc) * fa
+    lo_b = min(b.coeffs, default=b.trunc) * fb
+    trunc = min(a.trunc * fa + lo_b, b.trunc * fb + lo_a)
+    out = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            k = i * fa + j * fb
+            if k <= trunc:
+                out[k] = out.get(k, Fraction(0)) + x * y
+    return grid, {k: v for k, v in out.items() if v}, trunc
 
 
 def test_goettsche_frozen_prefix():
@@ -205,6 +226,17 @@ def test_multiplication_truncation_rule():
     p = a * b
     assert p.trunc == 5                   # min(10 + (-1), 3 + 2)
     assert p.coefficient(1) == 1 and p.coefficient(2) == 4
+    # mixed grids and coprime denominators: the product is over 7 * 999
+    a = PuiseuxSeries(1, {0: Fraction(1, 7), 1: Fraction(3, 7)}, 5)
+    b = PuiseuxSeries(2, {-2: Fraction(1, 999), 2: Fraction(5, 999)}, 6)
+    p = a * b
+    assert p.grid == 2 and p.trunc == 6   # min(10 - 2, 6 + 0)
+    assert p.coeffs == {-2: Fraction(1, 6993), 0: Fraction(3, 6993),
+                        2: Fraction(5, 6993), 4: Fraction(15, 6993)}
+    # an empty factor's lowest exponent is its truncation
+    empty = PuiseuxSeries(3, {}, 4)
+    p = empty * b
+    assert p.coeffs == {} and p.grid == 6 and p.trunc == 2   # min(8 - 6, 18 + 8)
 
 
 def test_multiplication_by_scalar():
@@ -223,6 +255,11 @@ def test_sums_and_products_that_cancel_store_no_zero():
     assert zero.coeffs == {} and not zero and zero.trunc == 8
     p = PuiseuxSeries(1, {0: 1, 1: 1}, 6) * PuiseuxSeries(1, {0: 1, 1: -1}, 6)
     assert p.coeffs == {0: 1, 2: -1} and p.trunc == 6
+    # (1/7 + q/999)(1/7 - q/999): the q terms cancel over 7 * 999
+    plus = PuiseuxSeries(1, {0: Fraction(1, 7), 1: Fraction(1, 999)}, 3)
+    minus = PuiseuxSeries(1, {0: Fraction(1, 7), 1: Fraction(-1, 999)}, 3)
+    assert (plus * minus).coeffs == {0: Fraction(1, 49),
+                                     2: Fraction(-1, 998001)}
 
 
 def test_shift_refines_grid():
@@ -240,12 +277,17 @@ def test_ring_identities_random():
     def rand_series():
         grid = rng.choice([1, 2, 3])
         trunc = rng.randint(2, 8)
-        coeffs = {rng.randint(-3, trunc): Fraction(rng.randint(-5, 5))
+        coeffs = {rng.randint(-3, trunc): Fraction(rng.randint(-5, 5),
+                                                   rng.choice([1, 7, 999]))
                   for _ in range(rng.randint(0, 4))}
         coeffs = {k: v for k, v in coeffs.items() if k <= trunc}
         return PuiseuxSeries(grid, coeffs, trunc)
     for _ in range(300):
         a, b, c = rand_series(), rand_series(), rand_series()
+        # against the term-by-term product, on mixed grids with coprime
+        # denominators, negative exponents and empty factors
+        p = a * b.shift(-1)
+        assert (p.grid, p.coeffs, p.trunc) == fraction_product(a, b.shift(-1))
         assert a + b == b + a
         assert a * b == b * a
         assert (a + b) + c == a + (b + c)
