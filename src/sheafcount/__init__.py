@@ -26,7 +26,6 @@ from .localization import (
     contribution_from_characters,
     hilb_chern_integral,
     obstruction_character,
-    p3_point_count,
     tangent_character,
 )
 from .nl_dt import (
@@ -66,7 +65,7 @@ __all__ = [
     "ConsistencyError", "NLValidationError",
     "DEFAULT_SEED", "fixed_point_contribution",
     "contribution_from_characters", "hilb_chern_integral",
-    "obstruction_character", "p3_point_count", "tangent_character",
+    "obstruction_character", "tangent_character",
     "FibrationSpec", "HilbertPolyK3", "MukaiVector", "NLTable",
     "dt_from_nl", "dt_symmetry_pair", "hilb_index", "moduli_dim",
     "nl_dump", "nl_load", "nl_load_path", "nl_loads",

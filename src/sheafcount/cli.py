@@ -28,12 +28,12 @@ from .localization import (
     MIN_SAMPLES,
     fixed_point_contribution,
     hilb_chern_integral,
-    p3_point_count,
 )
 from .nl_dt import (
     FibrationSpec,
     HilbertPolyK3,
     _dt_terms,
+    _rows,
     dt_from_nl,
     nl_dump,
     nl_load_path,
@@ -150,9 +150,16 @@ def cmd_p3(args) -> int:
             raise ValueError("give either --n or the pair --s/--d, not both")
         n = args.n
     else:
-        if args.s is None or args.d is None:
+        # --s/--d spell n alone: the integrand is the plane's whatever s is
+        s, d = args.s, args.d
+        if s is None or d is None:
             raise ValueError("give either --n or both --s and --d")
-        n = p3_point_count(args.s, args.d)
+        if s < 0 or d < 0:
+            raise ValueError("degrees must be nonnegative: s=%d, d=%d" % (s, d))
+        n = s * (s + 3) // 2 - d + 1
+        if n < 0:
+            raise ValueError("no configuration: s=%d, d=%d give n=%d < 0"
+                             % (s, d, n))
     if n < 0:
         raise ValueError("the number of points must be nonnegative")
     if n > P3_MAX_N:
@@ -221,7 +228,8 @@ def cmd_dt(args) -> int:
     spec = nl_load_path(args.nl)
     _require_euler(spec.euler)
     P = HilbertPolyK3(args.r, spec.ell, args.d, args.c)
-    _require_order(max((m for m, _ in _dt_terms(spec, P)), default=0),
+    rows = _rows(spec, args.d)
+    _require_order(max((m for m, _ in _dt_terms(spec, P, rows)), default=0),
                    "the Hilbert-scheme order r^2 + h - r*c")
     _emit_value(dt_from_nl(spec, P), args.format)
     return 0

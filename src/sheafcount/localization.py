@@ -664,17 +664,3 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
                                "(1-q^m)^-7 = %d" % (n, value, want))
     return value
 
-
-def p3_point_count(s: int, d: int) -> int:
-    """n = s(s+3)/2 - d + 1: p3's second spelling of the number of points.
-
-    s and d enter the count only through n; whatever s is, the integrand
-    is the plane's at s = 1.  Negative s or d, and a pair that gives
-    n < 0, are rejected.
-    """
-    if s < 0 or d < 0:
-        raise ValueError("degrees must be nonnegative: s=%d, d=%d" % (s, d))
-    n = s * (s + 3) // 2 - d + 1
-    if n < 0:
-        raise ValueError("no configuration: s=%d, d=%d give n=%d < 0" % (s, d, n))
-    return n

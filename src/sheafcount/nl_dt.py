@@ -386,22 +386,30 @@ def dt_from_nl(spec: FibrationSpec, P: HilbertPolyK3) -> Fraction:
     if P.ell != spec.ell:
         raise ValueError("polynomial ell %d does not match spec ell %d"
                          % (P.ell, spec.ell))
-    # highest order first, so the first read fills the Euler-number cache
-    # to the top order at once instead of once per doubling
-    terms = sorted(((m, v) for m, v in _dt_terms(spec, P) if m >= 0),
-                   reverse=True)
+    return _dt_sum(spec, _dt_terms(spec, P, _rows(spec, P.d)))
+
+
+def _dt_sum(spec: FibrationSpec, terms) -> Fraction:
+    # dt_from_nl's halved sum over its (m, weight) terms; highest order
+    # first, so the first read fills the Euler-number cache to the top
+    # order at once instead of once per doubling
+    terms = sorted(((m, v) for m, v in terms if m >= 0), reverse=True)
     den = lcm(*(v.denominator for _, v in terms))
     return Fraction(sum(v.numerator * (den // v.denominator)
                         * _euler_pow_at(-spec.euler, m) for m, v in terms),
                     2 * den)
 
 
-def _dt_terms(spec: FibrationSpec, P: HilbertPolyK3):
-    # (m, weight) for each chi(Hilb^m) term of dt_from_nl's halved sum; a
-    # weight is a Fraction, or the int -k
+def _rows(spec: FibrationSpec, d: int):
+    # (h, value) for the table's entries of degree d
+    return [(h, v) for (h, dd), v in spec.nl.entries.items() if dd == d]
+
+
+def _dt_terms(spec: FibrationSpec, P: HilbertPolyK3, rows):
+    # (m, weight) for each chi(Hilb^m) term of dt_from_nl's halved sum, rows
+    # being _rows(spec, P.d); a weight is a Fraction, or the int -k
     r, c, d = P.r, P.c, P.d
-    terms = [(r * r + h - r * c, v)
-             for (h, dd), v in spec.nl.entries.items() if dd == d]
+    terms = [(r * r + h - r * c, v) for h, v in rows]
     if d == 0 and spec.k:
         terms.append((r * r + 1 - r * c, -spec.k))
     return terms
@@ -457,10 +465,12 @@ def z_series_closed(spec: FibrationSpec, terms: int, d=None):
     spec's fiber Euler number e (for e = 24, G_e / (2q) is 1 / (2*eta^24)),
     truncated at q^terms.  With d omitted, returns the dict of all
     components indexed by d in [0, ell).  The factor G_e / (2q) is built
-    once per call, whatever the number of components.
+    once per call, on the 1/(2*ell) grid, whatever the number of components.
     """
     _require_terms(terms)
-    hilb = goettsche_series(spec.euler, terms + 1).shift(-1) * Fraction(1, 2)
+    # on phi's grid, so that no product refines it again
+    hilb = (goettsche_series(spec.euler, terms + 1).shift(-1)
+            * Fraction(1, 2)).with_grid(2 * spec.ell)
     if d is None:
         return {dd: _z_component(spec, terms, dd, hilb)
                 for dd in range(spec.ell)}
@@ -480,9 +490,10 @@ def z_series_direct(spec: FibrationSpec, terms: int, d=None):
     """Generating series assembled cell by cell from dt_from_nl, rank 1.
 
     Component d is q^(1 + d^2/2ell) * sum over c of DT(d, c) * q^(-c),
-    with each DT value computed independently of the closed form;
-    agreement with z_series_closed is the module's central consistency
-    property.
+    with each DT value computed independently of the closed form, by
+    dt_from_nl's sum over the rows of degree d, which are read once per
+    component; agreement with z_series_closed is the module's central
+    consistency property.
     """
     _require_terms(terms)
     if d is None:
@@ -495,12 +506,13 @@ def z_series_direct(spec: FibrationSpec, terms: int, d=None):
     # exponent of the c term is 1 + d^2/2ell - c; keep exponents <= terms
     c_lo_num = grid + d * d - trunc
     c_lo = -((-c_lo_num) // grid)
-    highs = [1 + h for (h, dd) in spec.nl.entries if dd == d]
+    rows = _rows(spec, d)
+    highs = [1 + h for h, _ in rows]
     if d == 0 and spec.k:
         highs.append(2)
     coeffs = {}
     for c in range(c_lo, max(highs) + 1 if highs else c_lo):
-        v = dt_from_nl(spec, HilbertPolyK3(1, ell, d, c))
+        v = _dt_sum(spec, _dt_terms(spec, HilbertPolyK3(1, ell, d, c), rows))
         if v:
             coeffs[grid + d * d - grid * c] = v
     return PuiseuxSeries(grid, coeffs, trunc)

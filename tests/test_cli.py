@@ -46,6 +46,9 @@ def test_p3_values(capsys):
         (["p3", "--n", "0"], "1"),
         (["p3", "--n", "1"], "7"),
         (["p3", "--n", "2"], "35"),
+        # --s/--d spell n = s(s+3)/2 - d + 1
+        (["p3", "--s", "2", "--d", "0"], "4522"),
+        (["p3", "--s", "0", "--d", "1"], "1"),
         (["p3", "--s", "1", "--d", "1"], "35"),
         (["p3", "--s", "1", "--d", "2"], "7"),
     ]:
@@ -154,15 +157,16 @@ def test_p3_at_cap_runs(capsys):
 
 
 def test_p3_domain_error(capsys):
-    code, _, err = run(capsys, ["p3", "--s", "0", "--d", "2"])
-    assert code == 1 and "error" in err
+    code, out, err = run(capsys, ["p3", "--s", "0", "--d", "2"])
+    assert code == 1 and out == ""
+    assert err == "error: no configuration: s=0, d=2 give n=-1 < 0\n"
 
 
 @pytest.mark.parametrize("s, d", [("-5", "0"), ("1", "-5")])
 def test_p3_negative_degrees_refused(capsys, s, d):
     code, out, err = run(capsys, ["p3", "--s", s, "--d", d])
     assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and "s=%s, d=%s" % (s, d) in err
+    assert err == "error: degrees must be nonnegative: s=%s, d=%s\n" % (s, d)
 
 
 # -- usage errors and help ----------------------------------------------

@@ -24,7 +24,6 @@ from sheafcount.localization import (
     fixed_point_contribution,
     hilb_chern_integral,
     obstruction_character,
-    p3_point_count,
     tangent_character,
 )
 from sheafcount.partitions import enumerate_partitions, enumerate_triples
@@ -677,6 +676,38 @@ def test_constant_mutant_raises():
         assert str(err.value) == _euler_mismatch(n, INTEGRALS[n] + 1)
 
 
+# route census rows: a mutant of the one split step or of the one cancel
+# step of route A's forms, with what each mode does at n = 0..8.  Sampled
+# mode values the raw box forms at points and takes neither step, so it
+# prints the right value; symbolic mode raises from the first leg the
+# mutant changes, that leg's route C certificate
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+@pytest.mark.parametrize("old, new, first, error", [
+    # _split's sign rule dropped: a form whose leading coefficient is
+    # negative keeps it, and the content's sign is lost; A_1's forms have
+    # none, so n = 1 prints 7
+    pytest.param("g = gcd(i, j) if i > 0 or (i == 0 and j > 0) else "
+                 "-gcd(i, j)", "g = gcd(i, j)", 2,
+                 "leg A_2 disagrees with route C: (-12*t^3 + 16*t^2 - 7*t "
+                 "+ 1)/(t^2 - 2*t + 1), not (14*t^2 - 17*t + 5)/(t^2 - 2*t "
+                 "+ 1)", id="split-unsigned"),
+    # _cancel keeping a den form twice: the first den form of each
+    # contribution is taken twice before the common forms cancel
+    pytest.param("sorted(den)))", "sorted(den + den[:1])))", 1,
+                 "leg A_1 disagrees with route C: (4*t - 2)/(t^2 - t), not "
+                 "(4*t - 2)/(t - 1)", id="cancel-den-twice"),
+])
+def test_census_split_and_cancel_mutants(mode, old, new, first, error):
+    mutant = _mutant(old, new)
+    for n in range(9):
+        if mode == "symbolic" and n >= first:
+            with pytest.raises(ConsistencyError) as err:
+                mutant.hilb_chern_integral(n, mode)
+            assert str(err.value) == error, n
+        else:
+            assert mutant.hilb_chern_integral(n, mode) == INTEGRALS[n], n
+
+
 def _wrong_euler_coefficient(monkeypatch):
     # [q^5] prod (1-q^m)^-7 one too large, planted in qseries' cache, which
     # serves every later _euler_pow(-7, m) with m <= 10
@@ -1039,18 +1070,6 @@ def test_samples_and_seed_are_checked(mode, kwargs, error):
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         hilb_chern_integral(2, "numeric")
-
-
-def test_point_count_table():
-    assert p3_point_count(2, 0) == 6
-    assert p3_point_count(0, 1) == 0
-    assert p3_point_count(1, 1) == 2
-    assert p3_point_count(1, 2) == 1
-    with pytest.raises(ValueError):
-        p3_point_count(0, 2)
-    for s, d in ((-5, 0), (1, -5)):
-        with pytest.raises(ValueError, match="s=%d, d=%d" % (s, d)):
-            p3_point_count(s, d)
 
 
 def test_negative_n_rejected():

@@ -1,6 +1,7 @@
 """The parity corpus: p3's slice, goettsche's, the `check` battery, which
-reads the same localization code, and the table slice: phi, z and dt over
-the bundled tables.  Each row of golden/p3_parity.json holds an argv, its
+reads the same localization code, the table slice: phi, z, dt, nl-validate
+and nl-extend over the bundled tables, and refusals, usage errors among
+them.  Each row of golden/p3_parity.json holds an argv, its
 exit code, the sha256 of its stdout and its stderr, and this test runs every
 row through cli.main in process, from the repository root, so that the
 table paths in the argvs, and the messages naming them, read the same from
@@ -50,6 +51,16 @@ def _argvs():
     ]
     for n in range(5, 9):
         out += [["p3", "--n", str(n), "--verbose"] + fmt for fmt in FORMATS]
+    # --s/--d, the CLI's spelling of n = s(s+3)/2 - d + 1, and its refusals
+    for s in range(4):
+        out += [["p3", "--s", str(s), "--d", str(d)]
+                for d in range(s * (s + 3) // 2 + 2)]
+    out += [["p3", "--s", "2", "--d", "0", "--format", "structured"],
+            ["p3", "--s", "2", "--d", "0", "--mode", "sampled"]]
+    out += [["p3"] + argv for argv in (
+        ["--s", "-1", "--d", "0"], ["--s", "1", "--d", "-1"],
+        ["--s", "0", "--d", "2"], ["--s", "1"],
+        ["--n", "1", "--s", "1", "--d", "1"], ["--s", "5", "--d", "0"])]
     for e in (-24, -7, -1, 0, 1, 7, 24):
         out += [["goettsche", "--euler", str(e), "--terms", "30"] + fmt
                 for fmt in FORMATS]
@@ -58,9 +69,10 @@ def _argvs():
 
 
 def _table_argvs():
-    # phi and z per component and whole, z --check, and dt at ranks 1..3
-    # over cells with chi(Hilb^m) at m < 0, at m >= 0, and with the
-    # d = 0 term -k (mixed_shift has k = 2); then the order-cap refusals
+    # phi and z per component and whole, z --check, dt at ranks 1..3 over
+    # cells with chi(Hilb^m) at m < 0, at m >= 0, and with the d = 0 term
+    # -k (mixed_shift has k = 2), nl-validate and nl-extend; then the
+    # refusals of the caps and of a missing table, and usage errors
     out = []
     for path in sorted((ROOT / FIXTURES).glob("*.json")):
         nl = ["--nl", "%s/%s" % (FIXTURES, path.name)]
@@ -80,10 +92,24 @@ def _table_argvs():
                         for c in (-4, 0, 1, 2, 5)]
                 out.append(["dt"] + nl + cell + ["--c", "-1", "--format",
                                                  "structured"])
+        # nl-validate, and nl-extend to stdout in CI's window
+        out += [["nl-validate", nl[1]] + fmt for fmt in FORMATS]
+        out.append(["nl-extend", nl[1], "--h-lo", "-20", "--d-min",
+                    str(-2 * ell), "--d-max", str(3 * ell - 1)])
     two = ["--nl", FIXTURES + "/two_copies.json"]
     return out + [["z"] + two + ["--terms", "1001"],
                   ["z"] + two + ["--terms", "1001", "--check"],
-                  ["dt"] + two + ["--d", "0", "--c", "-999"]]
+                  ["dt"] + two + ["--d", "0", "--c", "-999"],
+                  ["nl-extend", FIXTURES + "/symmetry_window.json", "--h-lo",
+                   "-10", "--d-min", "0", "--d-max", str(10**12)],
+                  ["goettsche", "--euler", "1001", "--terms", "5"],
+                  ["nl-validate", FIXTURES + "/no_such_table.json"],
+                  # usage errors: command, flag, required option, int, choice
+                  ["frobnicate"],
+                  ["p3", "--n", "1", "--frobnicate"],
+                  ["goettsche"],
+                  ["p3", "--n", "x"],
+                  ["p3", "--n", "1", "--mode", "fast"]]
 
 
 def _row(argv):
@@ -91,7 +117,10 @@ def _row(argv):
     stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # a usage error
+            code = exc.code
     return {"argv": argv, "code": code,
             "stdout_sha256": hashlib.sha256(
                 out.getvalue().encode("utf-8")).hexdigest(),
