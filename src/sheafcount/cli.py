@@ -266,39 +266,6 @@ def cmd_nl_extend(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    """Run the release checks of `checks.CHECKS`; exit 2 if any fails.
-
-    A failing check does not stop the rest.  Text output is one `ok:` or
-    `FAIL:` line per check and a summary line; structured output is one
-    JSON object per check with its name, outcome and detail.  Neither
-    carries timings, so the same invocation prints the same bytes.
-    """
-    import json
-
-    from .checks import CHECKS  # here, so the other subcommands skip its import
-
-    failures = 0
-    for check in CHECKS:
-        try:
-            detail, ok = check.fn(), True
-        except Exception as exc:  # a failed check must not stop the rest
-            detail, ok = str(exc), False
-            failures += 1
-        if args.format == "structured":
-            print(json.dumps({"name": check.name, "ok": ok, "detail": detail}))
-        elif ok:
-            print("ok: %s" % check.name)
-        else:
-            print("FAIL: %s (%s)" % (check.name, detail))
-    if args.format == "text":
-        if failures:
-            print("%d of %d checks failed" % (failures, len(CHECKS)))
-        else:
-            print("all %d checks passed" % len(CHECKS))
-    return 2 if failures else 0
-
-
 # -- wiring --------------------------------------------------------------
 
 # Each option is one row (flag, kind, default, help).  kind is int or str
@@ -365,7 +332,6 @@ _COMMANDS = {
         ("--d-max", int, _REQUIRED, "highest degree of the window"),
         ("-o/--out", str, None,
          "write the extended document here instead of stdout"))),
-    "check": ("run the deterministic self-test battery", (_FORMAT,)),
 }
 
 

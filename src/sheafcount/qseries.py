@@ -138,6 +138,8 @@ class PuiseuxSeries:
         la = min(a.coeffs) if a.coeffs else a.trunc
         lb = min(b.coeffs) if b.coeffs else b.trunc
         trunc = min(a.trunc + lb, b.trunc + la)
+        if not a.coeffs or not b.coeffs:
+            return PuiseuxSeries(a.grid, {}, trunc)
         # each operand as integer numerators over the lcm of its
         # denominators: the convolution below multiplies and adds integers
         # only, and each product coefficient is one Fraction over da * db.

@@ -15,13 +15,12 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from sheafcount import checks, cli
+from sheafcount import cli
 from sheafcount.errors import ConsistencyError
 from sheafcount.qseries import goettsche_series
 
@@ -187,14 +186,6 @@ def test_no_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 1
-
-
-def test_check_takes_no_seed(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "--seed", "17"])
-    err = capsys.readouterr().err
-    assert exc.value.code == 1
-    assert len(err.splitlines()) == 1 and "--seed" in err
 
 
 _HAS_DIGIT_CAP = hasattr(sys, "get_int_max_str_digits")
@@ -718,23 +709,21 @@ def test_cli_start_leaves_out_slow_modules():
             "'json', 'locale'}")
     table = fixture("two_copies")
     structured = ["--format", "structured"]
-    for module, argv, loads, out in (
-            ("sheafcount.cli", ["p3", "--n", "3"], [], "140\n"),
-            ("sheafcount.cli", ["p3", "--n", "3"] + structured, [],
+    for argv, loads, out in (
+            (["p3", "--n", "3"], [], "140\n"),
+            (["p3", "--n", "3"] + structured, [], '{"value": "140"}\n'),
+            (["p3", "--n", "3", "--mode", "sampled"] + structured, [],
              '{"value": "140"}\n'),
-            ("sheafcount.cli", ["p3", "--n", "3", "--mode", "sampled"]
-             + structured, [], '{"value": "140"}\n'),
-            ("sheafcount.cli", ["dt", "--nl", table, "--d", "0", "--c", "0"]
-             + structured, ["json"], '{"value": "324"}\n'),
-            ("sheafcount.cli", ["nl-validate", table] + structured, ["json"],
-             json.dumps({"value": "ok", "entries": 1, "ell": 2, "k": 0}) + "\n"),
-            ("sheafcount.checks", None, [], "")):
-        run_main = "code = sheafcount.cli.main(%r)" % argv if argv else "code = 0"
-        code = ("import sys; before = set(sys.modules); import %s; "
+            (["dt", "--nl", table, "--d", "0", "--c", "0"] + structured,
+             ["json"], '{"value": "324"}\n'),
+            (["nl-validate", table] + structured, ["json"],
+             json.dumps({"value": "ok", "entries": 1, "ell": 2, "k": 0}) + "\n")):
+        code = ("import sys; before = set(sys.modules); import sheafcount.cli; "
                 "added = lambda: sorted(%s & (set(sys.modules) - before)); "
-                "print(added(), file=sys.stderr); %s; "
+                "print(added(), file=sys.stderr); "
+                "code = sheafcount.cli.main(%r); "
                 "print(added(), file=sys.stderr); sys.exit(code)"
-                % (module, slow, run_main))
+                % (slow, argv))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
@@ -893,12 +882,10 @@ def _argvs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_argvs())
 def test_argv_fuzz_ends_cleanly(argv):
-    # by return or SystemExit; in a scratch directory, since -o writes a
-    # file, and with the check battery (about 1 s a run) stubbed out
+    # by return or SystemExit; in a scratch directory, since -o writes a file
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(cli, "cmd_check", lambda args: 0):
+    with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             Path("t.json").write_bytes(Path(fixture("two_copies")).read_bytes())
@@ -1009,44 +996,6 @@ def test_structured_prints_one_json_object_per_result(capsys, argv):
     assert all(isinstance(json.loads(ln), dict) for ln in results)
 
 
-# -- self-test battery ---------------------------------------------------
-
-def test_check_passes(capsys):
-    code, out, _ = run(capsys, ["check"])
-    total = len(checks.CHECKS)
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[-1] == "all %d checks passed" % total
-    assert sum(1 for ln in lines if ln.startswith("ok: ")) == total
-    assert not any(ln.startswith("FAIL") for ln in lines)
-
-
-def test_check_structured(capsys):
-    code, out, _ = run(capsys, ["check", "--format", "structured"])
-    docs = [json.loads(ln) for ln in out.splitlines()]
-    assert code == 0 and len(docs) == len(checks.CHECKS)
-    assert all(doc["ok"] is True and doc["detail"] for doc in docs)
-
-
-def test_check_failure_runs_the_rest(capsys, monkeypatch):
-    # stub checks: the formatting under test does not need the real battery
-    def broken():
-        raise ConsistencyError("planted disagreement")
-    stubs = (checks.Check("first", None, lambda: "one"),
-             checks.Check("second", None, broken),
-             checks.Check("third", None, lambda: "three"))
-    monkeypatch.setattr(checks, "CHECKS", stubs)
-    code, out, _ = run(capsys, ["check"])
-    assert code == 2
-    assert out.splitlines() == ["ok: first",
-                                "FAIL: second (planted disagreement)",
-                                "ok: third", "1 of 3 checks failed"]
-    code, out, _ = run(capsys, ["check", "--format", "structured"])
-    assert code == 2
-    assert [json.loads(ln)["ok"] for ln in out.splitlines()] == \
-        [True, False, True]
-
-
 # -- determinism ---------------------------------------------------------
 
 def test_byte_identical_reruns(capsys):
@@ -1057,7 +1006,6 @@ def test_byte_identical_reruns(capsys):
         ["z", "--nl", fixture("mixed_shift"), "--terms", "4"],
         ["nl-extend", fixture("symmetry_window"), "--h-lo", "0",
          "--d-min", "0", "--d-max", "9"],
-        ["check", "--format", "structured"],
     ]
     for argv in invocations:
         _, first, _ = run(capsys, argv)

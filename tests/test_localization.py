@@ -16,7 +16,7 @@ from math import factorial, lcm, prod
 
 import pytest
 
-from sheafcount import checks, cli, localization, partitions, qseries
+from sheafcount import cli, localization, partitions, qseries
 from sheafcount.errors import ConsistencyError
 from sheafcount.localization import (
     _times_forms,
@@ -93,48 +93,6 @@ def test_non_partitions_are_refused(fn):
             triple[k] = bad
             with pytest.raises(ValueError):
                 fn(tuple(triple))
-
-
-def test_contribution_routes_catch_swapped_legs(monkeypatch):
-    # with each hook's G side split replaced by its F side the direct
-    # product of ((), (), (1,)) is the p2 box's, and the contribution-routes
-    # check names the first configuration where they differ
-    split = localization._hook_split
-    monkeypatch.setattr(localization, "_hook_split",
-                        lambda a, l: (split(a, l)[0],) * 2)
-    with pytest.raises(ConsistencyError) as err:
-        checks.contribution_routes()
-    assert str(err.value) == "contribution routes disagree at ((), (), (1,))"
-
-
-@pytest.mark.parametrize("side, triple", [
-    pytest.param(0, ((), (3,), ()), id="F-side"),
-    pytest.param(1, ((), (), (3,)), id="G-side"),
-])
-def test_contribution_routes_see_the_split_forms(monkeypatch, side, triple):
-    # the content of hook (0, 2)'s split numerator doubled on one side:
-    # fixed_point_contribution reads the split forms the symbolic sum adds,
-    # so the contribution-routes check names the one configuration with
-    # that hook on that side.
-    # The G side is a mutant neither mode sees: symbolic mode reads only F
-    # sides and route C's rev(S_c), sampled mode the raw _box_forms, and
-    # both still give 140, so the contribution-routes check is what
-    # certifies the G side that p3 --verbose prints
-    split = localization._hook_split
-
-    def doubled(a, l):
-        sides = list(split(a, l))
-        if (a, l) == (0, 2):
-            (cn, num), den = sides[side]
-            sides[side] = ((2 * cn, num), den)
-        return tuple(sides)
-    monkeypatch.setattr(localization, "_hook_split", doubled)
-    with pytest.raises(ConsistencyError) as err:
-        checks.contribution_routes()
-    assert str(err.value) == "contribution routes disagree at %r" % (triple,)
-    if side:
-        assert hilb_chern_integral(3) == 140
-        assert hilb_chern_integral(3, "sampled") == 140
 
 
 def _raw_forms(lam, side=0):
@@ -220,17 +178,6 @@ def test_characters_are_sorted_tuples():
 def test_symbolic_integrals():
     for n in range(6):
         assert hilb_chern_integral(n) == INTEGRALS[n]
-
-
-def test_per_triple_sum_catches_a_wrong_obstruction(monkeypatch):
-    # with the obstruction equal to the tangent character every weight
-    # quotient is 1, so the sum at n = 1 counts the 3 fixed points, not 7
-    monkeypatch.setattr(localization, "obstruction_character",
-                        tangent_character)
-    assert localization._per_triple_sum(1) == 3
-    with pytest.raises(ConsistencyError) as err:
-        checks.sum_constancy()
-    assert str(err.value) == "n=1: per-triple sum 3 != 7"
 
 
 def _sum_points(legs, need):
@@ -704,6 +651,62 @@ def test_census_split_and_cancel_mutants(mode, old, new, first, error):
             with pytest.raises(ConsistencyError) as err:
                 mutant.hilb_chern_integral(n, mode)
             assert str(err.value) == error, n
+        else:
+            assert mutant.hilb_chern_integral(n, mode) == INTEGRALS[n], n
+
+
+# more census rows: for each mode, None if every n = 0..8 prints the right
+# value, else (first, error), the first n that raises and the start of its
+# message, {n} read as n; from first on, every n raises
+_SAMPLED_A1 = (1, "leg A_1 disagrees with route C at t = 185499/463901")
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+@pytest.mark.parametrize("old, new, symbolic, sampled", [
+    # _unpack's half one too large, digits in [-T/2 - 1, T/2 - 1): every
+    # leg still passes its route C certificate, but the symbolic sum fails
+    # N = c * D at every n; sampled mode unpacks nothing
+    pytest.param("half = 1 << (bits - 1)", "half = (1 << (bits - 1)) + 1",
+                 (0, "localization sum for n={n} is not constant: "), None,
+                 id="unpack-half-plus-one"),
+    # one too small, digits in [-T/2 + 1, T/2 + 1): the width keeps every
+    # coefficient strictly inside (-T/2, T/2), so no digit is misread
+    pytest.param("half = 1 << (bits - 1)", "half = (1 << (bits - 1)) - 1",
+                 None, None, id="unpack-half-minus-one"),
+    # the hooks (1, 0) and (0, 1) swapped in sampled mode's plan: leg A_2
+    # sums the partitions (2) and (1, 1), whose hooks the swap exchanges,
+    # so only leg A_3 sees it; symbolic mode reads no hook index
+    pytest.param("return (a + l) * (a + l + 1) // 2 + a",
+                 "return (a + l) * (a + l + 1) // 2 + (l if a + l == 1 "
+                 "else a)", None,
+                 (3, "leg A_3 disagrees with route C at t = 185499/463901"),
+                 id="hook-id-swapped"),
+    # each of _box_forms' four forms with its constant term + 1: both modes
+    # read them, and leg A_1's certificate raises from n = 1, symbolic
+    # mode's as polynomials, sampled mode's at the first point
+    pytest.param("(((-a, a - l - 2),", "(((-a + 1, a - l - 2),",
+                 (1, "leg A_1 disagrees with route C: (4*t^2 - 4*t + 1)/"
+                  "(t^2 - t), not (4*t - 2)/(t - 1)"), _SAMPLED_A1,
+                 id="box-num-first"),
+    pytest.param("(a + 1, l - a - 2)),", "(a + 2, l - a - 2)),",
+                 (1, "leg A_1 disagrees with route C: 4, not (4*t - 2)/"
+                  "(t - 1)"), _SAMPLED_A1, id="box-num-second"),
+    pytest.param("((-a, a - l - 1),", "((-a + 1, a - l - 1),",
+                 (1, "leg A_1 disagrees with route C: (4*t^2 - 2*t)/(t^2 - "
+                  "2*t + 1), not (4*t - 2)/(t - 1)"), _SAMPLED_A1,
+                 id="box-den-first"),
+    pytest.param("(a + 1, l - a - 1)))", "(a + 2, l - a - 1)))",
+                 (1, "leg A_1 disagrees with route C: (4*t - 2)/(t - 2), "
+                  "not (4*t - 2)/(t - 1)"), _SAMPLED_A1, id="box-den-second"),
+])
+def test_census_mutants(mode, old, new, symbolic, sampled):
+    mutant = _mutant(old, new)
+    first, error = {"symbolic": symbolic, "sampled": sampled}[mode] or (9, "")
+    for n in range(9):
+        if n >= first:
+            with pytest.raises(ConsistencyError) as err:
+                mutant.hilb_chern_integral(n, mode)
+            assert str(err.value).startswith(error.format(n=n)), n
         else:
             assert mutant.hilb_chern_integral(n, mode) == INTEGRALS[n], n
 

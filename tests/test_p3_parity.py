@@ -1,7 +1,8 @@
-"""The parity corpus: p3's slice, goettsche's, the `check` battery, which
-reads the same localization code, the table slice: phi, z, dt, nl-validate
-and nl-extend over the bundled tables, and refusals, usage errors among
-them.  Each row of golden/p3_parity.json holds an argv, its
+"""The parity corpus: p3's slice, goettsche's, the table slice: phi, z,
+dt, nl-validate and nl-extend over the bundled tables, and refusals, usage
+errors among them, and those of a table past the ell cap and of malformed
+and invalid documents, committed beside the corpus in golden/.  Each row
+of golden/p3_parity.json holds an argv, its
 exit code, the sha256 of its stdout and its stderr, and this test runs every
 row through cli.main in process, from the repository root, so that the
 table paths in the argvs, and the messages naming them, read the same from
@@ -26,6 +27,7 @@ from sheafcount import cli
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "golden" / "p3_parity.json"
 FIXTURES = "src/sheafcount/fixtures"
+GOLDEN = "tests/golden"
 
 FORMATS = ([], ["--format", "structured"])
 
@@ -64,7 +66,6 @@ def _argvs():
     for e in (-24, -7, -1, 0, 1, 7, 24):
         out += [["goettsche", "--euler", str(e), "--terms", "30"] + fmt
                 for fmt in FORMATS]
-    out += [["check"] + fmt for fmt in FORMATS]
     return out + _table_argvs()
 
 
@@ -109,7 +110,19 @@ def _table_argvs():
                   ["p3", "--n", "1", "--frobnicate"],
                   ["goettsche"],
                   ["p3", "--n", "x"],
-                  ["p3", "--n", "1", "--mode", "fast"]]
+                  ["p3", "--n", "1", "--mode", "fast"]] + _document_argvs()
+
+
+def _document_argvs():
+    # z past Z_MAX_ELL without --d, and the same table's one component;
+    # nl-validate on a malformed document and on invalid ones
+    wide = ["z", "--nl", GOLDEN + "/z_ell1001.json", "--terms", "4"]
+    out = [wide, wide + ["--d", "0"]]
+    for name in ("bad_json", "float_value", "bound_violation",
+                 "duplicate_row", "unknown_key", "non_integer_h"):
+        out += [["nl-validate", "%s/nl_%s.json" % (GOLDEN, name)] + fmt
+                for fmt in FORMATS]
+    return out
 
 
 def _row(argv):
