@@ -48,15 +48,16 @@ symbolic mode verifies literally and the sampled mode at random points.
 Route C gives each leg in closed form by Carlsson and Okounkov's formula
 (arXiv:0801.2565): A_k = [x^k] prod (1-x^m)^E(t) = R_k / (1-t)^k, with
 E(t) = 2(2t-1)/(1-t) and deg R_k = k.  One recurrence, _c_at, gives
-r_k = k! d^k [x^k] prod (1-x^m)^(-e/d) in integers: S_k = k! R_k is r_k at
-d = 1 - t, e = 2 - 4t (_c_leg); at t = p/q, r_k at d = q - p,
-e = 2(q - 2p) is q^k S_k(p/q); and p(k) is r_k / k! at d = e = 1
-(_counts).  E(t) + E(1/t) = -6, so the sum of A_b B_c over b + c = m is
-[q^m] prod (1-q^k)^-6 whatever t is, and the sum is constant whatever the
-counts are: each leg's partition count is held to p(k) (_check_count).
-Nor can N = c * D see a wrong weight in the sum's assembly, so either
-mode holds the value it returns to [q^n] prod (1-q^m)^-7 (qseries'
-_euler_pow_at, sharing no code with _convolve, _constant or _c_at).
+r_k = k! d^k [x^k] prod (1-x^m)^(-e/d) in integers, homogeneous of degree
+k in (d, e): S_k = k! R_k is r_k at d = 1 - t, e = 2 - 4t, never expanded
+but valued at each caller's own point (_c_legs), q^k S_k(p/q) at t = p/q;
+and p(k) is r_k / k! at d = e = 1 (_counts).  E(t) + E(1/t) = -6, so the
+sum of A_b B_c over b + c = m is [q^m] prod (1-q^k)^-6 whatever t is, and
+the sum is constant whatever the counts are: each leg's partition count is
+held to p(k) (_check_count).  Nor can N = c * D see a wrong weight in the
+sum's assembly, so either mode holds the value it returns to
+[q^n] prod (1-q^m)^-7 (qseries' _euler_pow_at, sharing no code with
+_convolve, _constant or _c_at).
 
 The symbolic mode sums in big integers: it divides no polynomial, adds no
 Fraction and expands no polynomial term by term.  A_k sums the
@@ -67,8 +68,8 @@ union of their den forms, c_k the lcm of their scales' denominators and
 N_k an integer polynomial.  _a_leg certifies each leg, k! N_k (1-t)^k =
 S_k c_k prod L_k, as one integer identity (below), and the sum is taken
 over route C's one form per leg: A_b = S_b / (b! (1-t)^b) and
-B_c = (-1)^c rev(S_c) / (c! (1-t)^c), rev reversing the c + 1
-coefficients; 1 - t is written -(t - 1), keeping _split's i > 0.
+B_c = (-1)^c rev(S_c) / (c! (1-t)^c), r_c with each form (j, i) of d and
+e read as (-i, -j); 1 - t is written -(t - 1), keeping _split's i > 0.
 
 Sampled mode sums in integers too, from the raw forms of the boxes, with
 none of the splitting, cancelling or packing above.  At t0 = p/q the forms
@@ -421,15 +422,11 @@ def _c_at(n, d, e):
     return r
 
 
-@functools.cache
-def _c_leg(k):
-    """S_k = k! R_k, route C's leg A_k = R_k / (1-t)^k, lowest coefficient
-    first: r_k of _c_at at d = 1 - t, e = 2 - 4t, unpacked from T = 2**B, B
-    one bit past r_k at d = 2, e = 6, their l1 norms, which bounds ||S_k||
-    as the weights are positive.  Cached and shared, so never mutated."""
-    bits = _c_at(k, 2, 6)[k].bit_length() + 1
-    T = 1 << bits
-    return _unpack(_c_at(k, 1 - T, 2 - 4 * T)[k], bits)
+def _c_legs(n, ev):
+    """[S_0, ..., S_n] under ev, S_k = k! R_k: _c_at at d = 1 - t, e = 2 -
+    4t, the one place these forms are written.  Under _norm, r_k at the l1
+    norms of d and e bounds ||S_k||, the weights being positive."""
+    return _c_at(n, ev((1, -1)), ev((2, -4)))
 
 
 @functools.cache
@@ -459,17 +456,18 @@ def _a_leg(k):
                      for lam in enumerate_partitions(k)]
     _check_count(k, len(contributions))
     N, c, L = leg = _leg_poly(contributions)
-    S, f = [(-1) ** k * x for x in _c_leg(k)], factorial(k)  # over f (t-1)^k
+    f = factorial(k)
 
-    def sides(ev):   # f N (t-1)^k and c S prod(L) under ev
-        return (f * ev(N) * ev((-1, 1)) ** k,
-                c * ev(S) * prod(ev(g) ** m for g, m in L.items()))
+    def sides(ev):   # f N (1-t)^k and c S_k prod(L) under ev
+        return (f * ev(N) * ev((1, -1)) ** k,
+                c * _c_legs(k, ev)[k] * prod(ev(g) ** m for g, m in L.items()))
     # under _norm their sum bounds the l1 norm of the integer polynomial
-    # f N (t-1)^k - c S prod(L), so at T = 2**bits, T/2 above that bound, it
-    # is the zero polynomial exactly when its value at T is 0
+    # f N (1-t)^k - c S_k prod(L), so at T = 2**bits, T/2 above that bound,
+    # it is the zero polynomial exactly when its value at T is 0
     bits = sum(sides(_norm)).bit_length() + 1
     left, right = sides(_at(bits))
-    if left != right:
+    if left != right:   # S_k over f (t-1)^k, expanded for the message alone
+        S = _unpack((-1) ** k * _c_legs(k, _at(bits))[k], bits)
         raise ConsistencyError(
             "leg A_%d disagrees with route C: %s, not %s"
             % (k, _quotient_str(N, c, list(L.elements())),
@@ -505,8 +503,8 @@ def _plan(n):
 
 
 def _legs_at(plan, p, q):
-    """r = _c_at(n, q - p, 2(q - 2p)), route C's A_k(t0) = r_k / (k! (q-p)^k)
-    at t0 = p/q, once each leg k of the plan is certified against it there.
+    """r = _c_legs(n) at (p, q), route C's A_k(t0) = r_k / (k! (q-p)^k) at
+    t0 = p/q, once each leg k of the plan is certified against it there.
     Each form i*t0 + j is (i*p + j*q)/q at t0, and F(lam) has as many
     numerator as denominator forms, so the q's cancel: the sum of F(lam)
     over the partitions of k is N_k / W_k, W_k the lcm of their dens, each
@@ -525,7 +523,7 @@ def _legs_at(plan, p, q):
         num.append(x)
         den.append(y)
     d = q - p
-    r = _c_at(len(legs) - 1, d, 2 * (q - 2 * p))
+    r = _c_legs(len(legs) - 1, lambda f: f[1] * p + f[0] * q)
     scale = 1   # k! (q-p)^k
     for k, H in enumerate(legs):
         xs, ys = [], []   # prod(num) and prod(den) of each partition of k
@@ -615,14 +613,14 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
         if samples is not None or seed is not None:
             raise ValueError("samples and seed apply to sampled mode only")
         # n!^2 (1-t)^n = (-1)^n n!^2 (t-1)^n times the terms p(a) A_b B_c:
-        # p(a) (1-t)^a, (n!/b!) S_b and (n!/c!) (-1)^c rev(S_c)
+        # p(a) (1-t)^a, (n!/b!) S_b and (n!/c!) (-1)^c rev(S_c), the last
+        # S_c with each form (j, i) read as (-i, -j)
         for k in range(n + 1):
             _a_leg(k)   # certified against S_k before any sum is taken
-        A = [_c_leg(k) for k in range(n + 1)]
-        B = [[(-1) ** k * x for x in reversed(S)] for k, S in enumerate(A)]
 
         def numerator(ev):
-            return _convolve(counts, list(map(ev, A)), list(map(ev, B)),
+            return _convolve(counts, _c_legs(n, ev),
+                             _c_legs(n, lambda f: ev((-f[1], -f[0]))),
                              ev([1, -1]))
         value = _constant(n, *_packed(numerator, (-1) ** n * f * f,
                                       Counter({(-1, 1): n})))

@@ -35,14 +35,14 @@ INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 @pytest.fixture(autouse=True)
 def cold_legs():
-    # the legs A_k and S_k, route C's weights and counts, the split forms of
-    # each hook and sampled mode's plans are cached per process: a leg
-    # packed under one test's replaced _width or factors must not reach
-    # another test, and a test that expects a leg to be summed must find
-    # the cache empty
-    caches = (localization._a_leg, localization._c_leg,
-              localization._c_weights, localization._counts,
-              localization._hook_split, localization._plan)
+    # the legs A_k, route C's weights and counts, the split forms of each
+    # hook and sampled mode's plans are cached per process: a leg packed
+    # under one test's replaced _width or factors must not reach another
+    # test, and a test that expects a leg to be summed must find the cache
+    # empty
+    caches = (localization._a_leg, localization._c_weights,
+              localization._counts, localization._hook_split,
+              localization._plan)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -332,11 +332,28 @@ def test_merge_mutant_raises(old, new, first):
             "localization sum for n=%d is not constant: " % n), n
 
 
+def _route_c_leg(k):
+    """S_k's integer coefficients, lowest first, expanded by this file's own
+    code: route C valued at t = 0, ..., k through _c_legs, S_k having degree
+    k, and interpolated by Newton's divided differences in Fractions."""
+    c = [Fraction(localization._c_legs(k, lambda f: f[0] + f[1] * t)[k])
+         for t in range(k + 1)]
+    for j in range(1, k + 1):
+        for i in range(k, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / j
+    S = [c[k]]   # Horner on the Newton form, c_i times prod (t - x), x < i
+    for i in range(k - 1, -1, -1):
+        S = [a - i * b for a, b in zip([0] + S, S + [0])]
+        S[0] += c[i]
+    assert all(x.denominator == 1 for x in S), k
+    return [int(x) for x in S]
+
+
 def _expanded_verdict(k, N, c, L):
     """The expanded certificate _a_leg took before it packed both sides:
     k! N (t-1)^k and c S_k prod(L), S_k signed over (t-1)^k, multiplied out
     by _times_forms and compared coefficient by coefficient."""
-    S = [(-1) ** k * x for x in localization._c_leg(k)]
+    S = [(-1) ** k * x for x in _route_c_leg(k)]
     return (_times_forms([factorial(k) * x for x in N], [(-1, 1)] * k)
             == _times_forms([c * x for x in S], L.elements()))
 
@@ -425,7 +442,7 @@ def test_reversed_c_leg_is_the_third_point_leg():
     # rev(S_k) / (k! (t-1)^k) exactly when k! N (t-1)^k = c rev(S_k) prod(L)
     for k in range(13):
         N, c, L = localization._leg_poly(_leg_terms(k, 1))
-        S = localization._c_leg(k)
+        S = _route_c_leg(k)
         assert len(S) == k + 1, k
         assert (_times_forms([factorial(k) * x for x in N], [(-1, 1)] * k)
                 == _times_forms([c * x for x in reversed(S)], L.elements())), k
@@ -434,14 +451,16 @@ def test_reversed_c_leg_is_the_third_point_leg():
 def test_c_leg_ends_are_euler_powers():
     # A_k = R_k / (1-t)^k = [x^k] prod (1-x^m)^E(t), E(t) = 2(2t-1)/(1-t):
     # at t = 0, E = -2 and A_k = R_k(0); as t -> oo, E -> -4 and A_k tends to
-    # (-1)^k times the leading coefficient of R_k.  Both ends are read off
-    # S_k = k! R_k against the q-series Euler powers, which share no code
-    # with the recurrence
+    # (-1)^k times the leading coefficient of R_k.  Both ends of
+    # S_k = k! R_k are read by evaluation, S_k(0) = r_k(1, 2) and, r_k being
+    # homogeneous of degree k, (-1)^k lead(S_k) = r_k(1, 4), against the
+    # q-series Euler powers, which share no code with the recurrence
     at_zero, at_infinity = goettsche_series(2, 16), goettsche_series(4, 16)
+    zero = localization._c_legs(16, lambda f: f[0])
+    infinity = localization._c_legs(16, lambda f: -f[1])
     for k in range(17):
-        S = localization._c_leg(k)
-        assert Fraction(S[0], factorial(k)) == at_zero.coefficient(k), k
-        assert (Fraction((-1) ** k * S[k], factorial(k))
+        assert Fraction(zero[k], factorial(k)) == at_zero.coefficient(k), k
+        assert (Fraction(infinity[k], factorial(k))
                 == at_infinity.coefficient(k)), k
 
 
@@ -508,12 +527,12 @@ def _mutant(old, new):
     return module
 
 
-# route C's one recurrence read wrong in _c_at, which S_k, the sampled
-# certificate and the counts p(k) all take: r read unreversed, d^(j-1) read
-# as d^(2j-2), sigma(j) as the number of divisors, and r_2 tripled, with
-# every r the recurrence takes from it.  Each raises in both modes for
-# every n from 2, through a leg's certificate or its partition count (at
-# n = 1 only r_1 = e is taken, which none of them changes)
+# route C's one recurrence read wrong in _c_at, which S_k in both modes and
+# the counts p(k) all take: r read unreversed, d^(j-1) read as d^(2j-2),
+# sigma(j) as the number of divisors, and r_2 tripled, with every r the
+# recurrence takes from it.  Each raises in both modes for every n from 2,
+# through a leg's certificate or its partition count (at n = 1 only
+# r_1 = e is taken, which none of them changes)
 C_AT_MUTANTS = [
     pytest.param("zip(ws, powers, r[::-1])", "zip(ws, powers, r)", 2, None,
                  id="r-not-reversed"),
@@ -525,17 +544,24 @@ C_AT_MUTANTS = [
                  2, None, id="scaled-leg"),
 ]
 
+# the one spelling of route C's e = 2 - 4t, in _c_legs, read as 2 - 3t:
+# both modes take it, and leg A_1's certificate raises for every n from 1
+WRONG_E = pytest.param("ev((2, -4))", "ev((2, -3))", 1, 1, id="wrong-e")
+
 
 @pytest.mark.parametrize("old, new, first, leg", [
-    # B_c with rev(S_c) unreversed: at n = 1 it is -A_1, so the sum is
-    # p(1) = 1, wrong but constant; every n >= 2 raises
-    pytest.param("reversed(S)", "S", 2, None, id="b-not-reversed"),
-    pytest.param("(-1) ** k * x for x in reversed(S)",
-                 "x for x in reversed(S)", 1, None, id="b-unsigned"),
+    # B_c's forms (j, i) read as (-j, -i), not (-i, -j): the swap dropped,
+    # B_c is (-1)^c S_c unreversed, at n = 1 -A_1, so the sum is p(1) = 1,
+    # wrong but constant, which the Euler product alone sees; every n >= 2
+    # fails N = c * D
+    pytest.param("ev((-f[1], -f[0]))", "ev((-f[0], -f[1]))", 1, None,
+                 id="b-not-reversed"),
+    # read as (i, j): rev(S_c) without its sign (-1)^c
+    pytest.param("ev((-f[1], -f[0]))", "ev((f[1], f[0]))", 1, None,
+                 id="b-unsigned"),
     pytest.param("m * x ** a for a, m", "m for a, m", 1, None,
                  id="no-power-of-1-t"),
-    # the e = 2 - 4t that _c_leg hands _c_at read as 2 - 3t
-    pytest.param("2 - 4 * T", "2 - 3 * T", 1, 1, id="wrong-e"),
+    WRONG_E,
     *C_AT_MUTANTS,
 ])
 def test_route_c_mutant_raises(old, new, first, leg):
@@ -562,9 +588,14 @@ def test_c_at_counts_partitions():
 
 def test_c_leg_first_values():
     # S_k = k! R_k for k <= 3, from the recurrence by hand with d = 1 - t:
-    # S_1 = 2 - 4t, S_2 = S_1 (S_1 + 3d), S_3 = S_1 (S_2 + 6d S_1 + 8d^2)
-    assert [localization._c_leg(k) for k in range(4)] == [
-        [1], [2, -4], [10, -34, 28], [60, -292, 464, -240]]
+    # S_1 = 2 - 4t, S_2 = S_1 (S_1 + 3d), S_3 = S_1 (S_2 + 6d S_1 + 8d^2).
+    # _c_legs at d and e valued at t is a polynomial of degree k in t, so
+    # agreeing at the k + 1 points t = 0, ..., k it is S_k
+    hand = [[1], [2, -4], [10, -34, 28], [60, -292, 464, -240]]
+    for k, S in enumerate(hand):
+        for t in range(k + 1):
+            assert (localization._c_legs(k, lambda f: f[0] + f[1] * t)[k]
+                    == sum(x * t ** e for e, x in enumerate(S))), (k, t)
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
@@ -663,16 +694,27 @@ _SAMPLED_A1 = (1, "leg A_1 disagrees with route C at t = 185499/463901")
 
 @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
 @pytest.mark.parametrize("old, new, symbolic, sampled", [
-    # _unpack's half one too large, digits in [-T/2 - 1, T/2 - 1): every
-    # leg still passes its route C certificate, but the symbolic sum fails
-    # N = c * D at every n; sampled mode unpacks nothing
+    # _unpack's half one too large, digits in [-T/2 - 1, T/2 - 1): route A
+    # unpacks its leg sums, route C is only valued, so leg A_0's
+    # certificate raises at every n; sampled mode unpacks nothing
     pytest.param("half = 1 << (bits - 1)", "half = (1 << (bits - 1)) + 1",
-                 (0, "localization sum for n={n} is not constant: "), None,
+                 (0, "leg A_0 disagrees with route C: "), None,
                  id="unpack-half-plus-one"),
     # one too small, digits in [-T/2 + 1, T/2 + 1): the width keeps every
     # coefficient strictly inside (-T/2, T/2), so no digit is misread
     pytest.param("half = 1 << (bits - 1)", "half = (1 << (bits - 1)) - 1",
                  None, None, id="unpack-half-minus-one"),
+    # _width one bit short, T/2 at most the bound, not above it: leg A_0,
+    # N = 1 at bound 1 and T = 2, is misread; sampled mode packs nothing
+    pytest.param("j, _ in forms)).bit_length() + 1",
+                 "j, _ in forms)).bit_length()",
+                 (0, "leg A_0 disagrees with route C: "), None,
+                 id="width-no-plus-one"),
+    # _width from half the l1 bound: leg A_0's bound 1 halved is still 1
+    # as the width reads it, leg A_1's digits are misread
+    pytest.param("max(bound, 1,", "max(bound // 2, 1,",
+                 (1, "leg A_1 disagrees with route C: "), None,
+                 id="width-bound-halved"),
     # the hooks (1, 0) and (0, 1) swapped in sampled mode's plan: leg A_2
     # sums the partitions (2) and (1, 1), whose hooks the swap exchanges,
     # so only leg A_3 sees it; symbolic mode reads no hook index
@@ -759,11 +801,9 @@ def test_integrals_in_any_order():
     random.Random(16).shuffle(shuffled)
     for order in (range(13), range(12, -1, -1), shuffled):
         localization._a_leg.cache_clear()
-        localization._c_leg.cache_clear()
         for n in order:
             assert hilb_chern_integral(n) == series.coefficient(n), n
     assert localization._a_leg.cache_info().currsize == 13
-    assert localization._c_leg.cache_info().currsize == 13
 
 
 # the non-constant sums with G replaced by F, as _constant prints them: the
@@ -777,10 +817,11 @@ NON_CONSTANT = {
 
 def test_non_constant_sum_raises(monkeypatch):
     # with B_k = A_k (G replaced by F) the factored sum is not constant in
-    # t; the symbolic B legs are route C's reversed and signed, the sampled
-    # ones read F at the swapped point; every leg passes its certificate,
-    # and N = c * D is checked anyway
-    mutant = _mutant("[(-1) ** k * x for x in reversed(S)]", "S")
+    # t; the symbolic B legs are route C's with each form (j, i) read as
+    # (-i, -j), the sampled ones read F at the swapped point; every leg
+    # passes its certificate, and N = c * D is checked anyway
+    mutant = _mutant("_c_legs(n, lambda f: ev((-f[1], -f[0])))",
+                     "_c_legs(n, ev)")
     for n, text in NON_CONSTANT.items():
         with pytest.raises(ConsistencyError) as err:
             mutant.hilb_chern_integral(n)
@@ -916,8 +957,7 @@ def test_box_forms_mutant_raises_in_sampled_mode(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("old, new, first, leg", [
-    # the e = 2(q - 2p) that _legs_at hands _c_at read as 2(q - 3p)
-    pytest.param("2 * (q - 2 * p)", "2 * (q - 3 * p)", 1, 1, id="wrong-e"),
+    WRONG_E,
     # B_c at the point without its sign (-1)^c, and the shared convolution
     # without the powers of q - p: each sum is no longer constant
     pytest.param("(-1) ** c * x for c, x in enumerate",
@@ -927,9 +967,9 @@ def test_box_forms_mutant_raises_in_sampled_mode(monkeypatch, seed):
     *C_AT_MUTANTS,
 ])
 def test_sampled_route_c_mutant_raises(old, new, first, leg):
-    # sampled mode's own e and sign mutants, the convolution's and the
-    # _c_at mutants, each from the first n it can reach; the certificate
-    # names the leg where given
+    # route C's e mutant, sampled mode's own sign mutant, the convolution's
+    # and the _c_at mutants, each from the first n it can reach; the
+    # certificate names the leg where given
     for n in range(first, 9):
         with pytest.raises(ConsistencyError) as err:
             _mutant(old, new).hilb_chern_integral(n, "sampled")
