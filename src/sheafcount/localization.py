@@ -42,8 +42,8 @@ of size at most n plus O(n^2) combinations, not one per triple.  The third
 fixed point is the second with the torus weights swapped, and a
 contribution has as many numerator as denominator forms, so at s2 = 1 the
 swap is t -> 1/t: G(lam)(t) = F(lam)(1/t) and B_k(t) = A_k(1/t).  The
-result is a constant (the equivariant parameters drop out), which the
-symbolic mode verifies literally and the sampled mode at random points.
+result is a constant (the equivariant parameters drop out), which one
+packed sum over route C's legs verifies literally in either mode.
 
 Route C gives each leg in closed form by Carlsson and Okounkov's formula
 (arXiv:0801.2565): A_k = [x^k] prod (1-x^m)^E(t) = R_k / (1-t)^k, with
@@ -55,33 +55,34 @@ and p(k) is r_k / k! at d = e = 1 (_counts).  E(t) + E(1/t) = -6, so the
 sum of A_b B_c over b + c = m is [q^m] prod (1-q^k)^-6 whatever t is, and
 the sum is constant whatever the counts are: each leg's partition count is
 held to p(k) (_check_count).  Nor can N = c * D see a wrong weight in the
-sum's assembly, so either mode holds the value it returns to
-[q^n] prod (1-q^m)^-7 (qseries' _euler_pow_at, sharing no code with
-_convolve, _constant or _c_at).
+sum's assembly, so the value is held to [q^n] prod (1-q^m)^-7 (qseries'
+_euler_pow_at, sharing no code with _convolve, _constant or _c_at).
 
-The symbolic mode sums in big integers: it divides no polynomial, adds no
-Fraction and expands no polynomial term by term.  A_k sums the
-Contributions F(lam) over the partitions of k, the very ones p3 --verbose
-prints, each _cancel of _leg_split (the hooks' forms, split once per hook
-and process by _hook_split): A_k = N_k / (c_k prod L_k), L_k the multiset
-union of their den forms, c_k the lcm of their scales' denominators and
-N_k an integer polynomial.  _a_leg certifies each leg, k! N_k (1-t)^k =
-S_k c_k prod L_k, as one integer identity (below), and the sum is taken
-over route C's one form per leg: A_b = S_b / (b! (1-t)^b) and
-B_c = (-1)^c rev(S_c) / (c! (1-t)^c), r_c with each form (j, i) of d and
-e read as (-i, -j); 1 - t is written -(t - 1), keeping _split's i > 0.
+The symbolic mode certifies route A in big integers: it divides no
+polynomial, adds no Fraction and expands no polynomial term by term.  A_k
+sums the Contributions F(lam) over the partitions of k, the very ones p3
+--verbose prints, each _cancel of _leg_split (the hooks' forms, split once
+per hook and process by _hook_split): A_k = N_k / (c_k prod L_k), L_k the
+multiset union of their den forms, c_k the lcm of their scales'
+denominators and N_k an integer polynomial.  _a_leg certifies each leg,
+k! N_k (1-t)^k = S_k c_k prod L_k, as one integer identity (below).  In
+either mode the sum is taken over route C's one form per leg:
+A_b = S_b / (b! (1-t)^b) and B_c = (-1)^c rev(S_c) / (c! (1-t)^c), r_c
+with each form (j, i) of d and e read as (-i, -j); 1 - t is written
+-(t - 1), keeping _split's i > 0.
 
-Sampled mode sums in integers too, from the raw forms of the boxes, with
-none of the splitting, cancelling or packing above.  At t0 = p/q the forms
-of F(lam) valued at (p, q) give F(lam)(t0), and at (q, p) G(lam)(t0).  What
-does not depend on the point is taken once per process and n (_plan): the
-distinct forms, each hook's num and den form indices (_hook_id) and each
-leg's partitions as tuples of hook indices.  At a point each form and each
-hook's products are valued once, and leg k is summed over W_k, the lcm of
-its partitions' dens there: a partition adds prod(num) * (W_k // prod(den)),
-exact by construction.  Route C certifies every leg at every point, on both
-sides, N_k k! (q-p)^k = r_k W_k, and the sum is taken over route C's legs
-by symbolic mode's _convolve: one Fraction per point, over n!^2 (q-p)^n.
+Sampled mode certifies route A at points instead, in integers too, from the
+raw forms of the boxes, with none of the splitting, cancelling or packing
+above.  At t0 = p/q the forms of F(lam) valued at (p, q) give F(lam)(t0),
+and at (q, p) G(lam)(t0).  What does not depend on the point is taken once
+per process and n (_plan): the distinct forms, each hook's num and den form
+indices (_hook_id) and each leg's partitions as tuples of hook indices.  At
+a point each form and each hook's products are valued once, and leg k is
+summed over W_k, the lcm of its partitions' dens there: a partition adds
+prod(num) * (W_k // prod(den)), exact by construction.  Route C certifies
+every leg at every point, at t0 and at 1/t0, where B_k(t0) = A_k(1/t0) is
+read: N_k k! (q-p)^k = r_k W_k.  Sampled mode does nothing else; its value
+is the one packed sum's.
 
 Polynomials are summed by Kronecker substitution: every form is valued at
 one integer T = 2^B, so each product and sum is one big-integer operation,
@@ -503,14 +504,14 @@ def _plan(n):
 
 
 def _legs_at(plan, p, q):
-    """r = _c_legs(n) at (p, q), route C's A_k(t0) = r_k / (k! (q-p)^k) at
-    t0 = p/q, once each leg k of the plan is certified against it there.
-    Each form i*t0 + j is (i*p + j*q)/q at t0, and F(lam) has as many
-    numerator as denominator forms, so the q's cancel: the sum of F(lam)
-    over the partitions of k is N_k / W_k, W_k the lcm of their dens, each
-    term its hooks' numerators times the exact W_k // (their dens).  A zero
-    form (t0 is a pole) raises ZeroDivisionError there, and
-    ConsistencyError names the first k with N_k k! (q-p)^k != r_k W_k."""
+    """Certify each leg k of the plan at t0 = p/q against route C's
+    A_k(t0) = r_k / (k! (q-p)^k), r = _c_legs(n) at (p, q).  Each form
+    i*t0 + j is (i*p + j*q)/q at t0, and F(lam) has as many numerator as
+    denominator forms, so the q's cancel: the sum of F(lam) over the
+    partitions of k is N_k / W_k, W_k the lcm of their dens, each term its
+    hooks' numerators times the exact W_k // (their dens).  A zero form (t0
+    is a pole) raises ZeroDivisionError there, and ConsistencyError names
+    the first k with N_k k! (q-p)^k != r_k W_k."""
     forms, table, legs = plan
     v = [i * p + j * q for j, i in forms]
     num, den = [], []
@@ -542,7 +543,6 @@ def _legs_at(plan, p, q):
             raise ConsistencyError("leg A_%d disagrees with route C at t = %s"
                                    % (k, Fraction(p, q)))
         scale *= (k + 1) * d
-    return r
 
 
 def _convolve(counts, A, B, x):
@@ -592,38 +592,28 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
                         samples=None) -> Fraction:
     """Integral of the top Chern class over Hilb^n of the plane.
 
-    Both modes take the factored sum of the module docstring, its counts
-    from _counts, each checked where its leg is summed, and both sum route
-    C's legs by _convolve.  symbolic mode, which takes no `samples` or
-    `seed`, certifies each leg A_k, k <= n, through the cache of _a_leg (a
-    call after one at n' sums only the legs with k > n') and checks N = c *
-    D.  sampled mode evaluates the sum at `samples` (an int, MIN_SAMPLES by
-    default) distinct random rational points with numerators and
-    denominators bounded by 10**6, redrawing a pole of some F or G (every
-    partition of size at most n is p2 or p3 of some triple, so these are
-    the poles of the per-triple sum), certifies every leg there (_legs_at)
-    and requires exact agreement.  Either value is returned only if it is
-    [q^n] prod (1-q^m)^-7 (_euler_pow_at), ConsistencyError naming n and both
-    values if not.  A ConsistencyError means a bug.
+    Both modes take their value from one sum, the factored sum of the
+    module docstring over route C's legs by _convolve, packed, checked as
+    N = c * D, and returned only if it is [q^n] prod (1-q^m)^-7
+    (_euler_pow_at), ConsistencyError naming n and both values if not.
+    Its counts come from _counts, each checked where its leg is summed.
+    They differ in how they certify route A against route C.  symbolic
+    mode, which takes no `samples` or `seed`, certifies each leg A_k,
+    k <= n, through the cache of _a_leg (a call after one at n' sums only
+    the legs with k > n').  sampled mode draws `samples` (an int,
+    MIN_SAMPLES by default) distinct random rational points t0 with
+    numerators and denominators bounded by 10**6, redrawing a pole of some
+    F or G (every partition of size at most n is p2 or p3 of some triple,
+    so these are the poles of the per-triple sum), and certifies every leg
+    at t0 and at 1/t0 (_legs_at).  A ConsistencyError means a bug.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("n must be a nonnegative integer, got %r" % (n,))
-    counts, f = _counts(n), factorial(n)
     if mode == "symbolic":
         if samples is not None or seed is not None:
             raise ValueError("samples and seed apply to sampled mode only")
-        # n!^2 (1-t)^n = (-1)^n n!^2 (t-1)^n times the terms p(a) A_b B_c:
-        # p(a) (1-t)^a, (n!/b!) S_b and (n!/c!) (-1)^c rev(S_c), the last
-        # S_c with each form (j, i) read as (-i, -j)
         for k in range(n + 1):
             _a_leg(k)   # certified against S_k before any sum is taken
-
-        def numerator(ev):
-            return _convolve(counts, _c_legs(n, ev),
-                             _c_legs(n, lambda f: ev((-f[1], -f[0]))),
-                             ev([1, -1]))
-        value = _constant(n, *_packed(numerator, (-1) ** n * f * f,
-                                      Counter({(-1, 1): n})))
     elif mode == "sampled":
         samples = MIN_SAMPLES if samples is None else samples
         if not isinstance(samples, int) or isinstance(samples, bool):
@@ -634,31 +624,34 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
         plan = _plan(n)
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
         seen = set()
-        drawn = []   # (point, value)
-        while len(drawn) < samples:
+        while samples:
             t0 = Fraction(rng.randint(-_BOUND, _BOUND), rng.randint(1, _BOUND))
             if t0 in seen:
                 continue
             seen.add(t0)
             p, q = t0.numerator, t0.denominator
-            try:   # B_c(t0) = A_c(q/p), (-1)^c r_c / (c! (q-p)^c), r at (q, p)
-                A = _legs_at(plan, p, q)
-                B = [(-1) ** c * x for c, x in enumerate(_legs_at(plan, q, p))]
+            try:   # the legs at t0, and at 1/t0, where B_k(t0) = A_k(1/t0)
+                _legs_at(plan, p, q)
+                _legs_at(plan, q, p)
             except ZeroDivisionError:
                 continue  # t0 is a pole of some F or G: draw again
-            drawn.append((t0, Fraction(_convolve(counts, A, B, q - p),
-                                       f * f * (q - p) ** n)))
-        if any(v != drawn[0][1] for _, v in drawn):
-            raise ConsistencyError(
-                "sampled localization values disagree for n=%d: %s"
-                % (n, drawn))
-        value = drawn[0][1]
+            samples -= 1
     else:
         raise ValueError("mode must be 'symbolic' or 'sampled', got %r"
                          % (mode,))
+    # n!^2 (1-t)^n = (-1)^n n!^2 (t-1)^n times the terms p(a) A_b B_c:
+    # p(a) (1-t)^a, (n!/b!) S_b and (n!/c!) (-1)^c rev(S_c), the last S_c
+    # with each form (j, i) read as (-i, -j)
+    counts, f = _counts(n), factorial(n)
+
+    def numerator(ev):
+        return _convolve(counts, _c_legs(n, ev),
+                         _c_legs(n, lambda f: ev((-f[1], -f[0]))),
+                         ev([1, -1]))
+    value = _constant(n, *_packed(numerator, (-1) ** n * f * f,
+                                  Counter({(-1, 1): n})))
     want = _euler_pow_at(-7, n)
     if value != want:
         raise ConsistencyError("the integral for n=%d is %s, not [q^n] prod "
                                "(1-q^m)^-7 = %d" % (n, value, want))
     return value
-

@@ -13,10 +13,15 @@ The module also provides the standard product consumed downstream: the
 generating function of Hilbert-scheme Euler numbers for a surface with
 Euler number e, the e-th power of the inverse Euler product.  For e = -24
 it is the twenty-fourth power of the Dedekind eta function divided by q.
+Every Euler-power list is certified once, when it is filled, by Euler's
+pentagonal theorem (_certify_euler_pow), which shares no code with the
+products that fill it.
 """
 
 from fractions import Fraction
 from math import lcm
+
+from .errors import ConsistencyError
 
 __all__ = [
     "PuiseuxSeries", "goettsche_series", "hilb_euler",
@@ -224,6 +229,32 @@ def _list_inv(a, terms: int):
     return out
 
 
+def _certify_euler_pow(k: int, f):
+    """ConsistencyError naming k and the first bad index unless the list f
+    is prod (1-q^n)^k through its length.  With P = prod (1-q^n), by
+    Euler's pentagonal theorem the sum of (-1)^j q^(j(3j-1)/2) over all
+    integers j, f = P^k exactly when f_0 = 1 and P f' = k P' f.  Its
+    coefficient at q^(m-1) is the sum of P_e (m - (k+1)e) f_(m-e) over
+    e <= m, whose e = 0 term is m f_m, so a wrong f_m fails at index m; P
+    has O(sqrt(m)) terms there."""
+    P = []   # (e, P_e) at the generalized pentagonal numbers, ascending
+    j = 0
+    while j * (3 * j - 1) // 2 < len(f):
+        for e in sorted({j * (3 * j - 1) // 2, j * (3 * j + 1) // 2}):
+            P.append((e, -1 if j % 2 else 1))
+        j += 1
+    for m in range(len(f)):
+        total = 0 if m else f[0] - 1   # the sum below is 0 at m = 0
+        for e, sign in P:
+            if e > m:
+                break
+            total += sign * (m - (k + 1) * e) * f[m - e]
+        if total:
+            raise ConsistencyError(
+                "[q^%d] prod (1-q^n)^%d fails the pentagonal theorem's "
+                "certificate" % (m, k))
+
+
 _EULER_POW_KEYS = 64   # exponents kept, the least recently used dropped
 _euler_pow_cache: dict = {}   # k -> coefficients, least recently used first
 
@@ -241,7 +272,7 @@ def _euler_pow_at(k: int, m: int) -> int:
 def _euler_pow_cached(k: int, terms: int):
     # the cached coefficient list of prod (1-q^n)^k, at least to order
     # q^terms, marked most recently used; a short list is refilled to at
-    # least twice its length
+    # least twice its length, and each fill is certified before it is cached
     cached = _euler_pow_cache.pop(k, None)
     if cached is not None and len(cached) > terms:
         _euler_pow_cache[k] = cached
@@ -255,6 +286,7 @@ def _euler_pow_cached(k: int, terms: int):
         for _ in range(abs(k)):
             acc = _list_mul(acc, base, want)
         out = _list_inv(acc, want) if k < 0 else acc
+    _certify_euler_pow(k, out)
     _euler_pow_cache[k] = out
     if len(_euler_pow_cache) > _EULER_POW_KEYS:
         del _euler_pow_cache[next(iter(_euler_pow_cache))]

@@ -219,8 +219,10 @@ def eta_identity() -> str:
 
 
 def test_eta_identity_catches_wrong_euler_product(monkeypatch):
-    # G_e * G_-e = 1 holds for any base product; the closed forms of
-    # the eta-identity check catch one coefficient off by one at q^100
+    # G_e * G_-e = 1 holds for any base product; one coefficient off by one
+    # at q^100 is caught first by the pentagonal certificate of the first
+    # fill that reaches it, and with that certificate gone, by the closed
+    # forms of the eta-identity check
     real = qseries._euler_coeffs
 
     def off_by_one(terms):
@@ -228,12 +230,17 @@ def test_eta_identity_catches_wrong_euler_product(monkeypatch):
         if terms >= 100:
             co[100] += 1
         return co
-    monkeypatch.setattr(qseries, "_euler_pow_cache", {})
     monkeypatch.setattr(qseries, "_euler_coeffs", off_by_one)
-    with pytest.raises(ConsistencyError) as err:
-        eta_identity()
-    assert str(err.value) == ("[q^100] prod (1-q^n)^1 is 2, "
-                              "the pentagonal theorem gives 1")
+    for certify, error in (
+            (qseries._certify_euler_pow, "[q^100] prod (1-q^n)^1 fails the "
+             "pentagonal theorem's certificate"),
+            (lambda k, f: None, "[q^100] prod (1-q^n)^1 is 2, the "
+             "pentagonal theorem gives 1")):
+        monkeypatch.setattr(qseries, "_euler_pow_cache", {})
+        monkeypatch.setattr(qseries, "_certify_euler_pow", certify)
+        with pytest.raises(ConsistencyError) as err:
+            eta_identity()
+        assert str(err.value) == error
 
 
 def _exponents_in_class(closed: dict, ell: int, what: str) -> int:

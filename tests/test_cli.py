@@ -20,7 +20,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from sheafcount import cli
+from sheafcount import cli, qseries
 from sheafcount.errors import ConsistencyError
 from sheafcount.qseries import goettsche_series
 
@@ -422,6 +422,29 @@ def test_euler_cap_leaves_table_commands_alone(capsys, tmp_path):
                   "--d-max", "2"]):
         code, _, _ = run(capsys, argv)
         assert code == 0, argv
+
+
+def test_wrong_euler_product_exits_two(capsys, monkeypatch):
+    # [q^5] prod (1-q^n) one too large in every fill: without the pentagonal
+    # certificate, goettsche printed 176232 for 176256, dt 5922096 for
+    # 5930496, and z --check passed its two routes, which share the list
+    real = qseries._euler_coeffs
+
+    def off_by_one(terms):
+        co = real(terms)
+        if terms >= 5:
+            co[5] += 1
+        return co
+    monkeypatch.setattr(qseries, "_euler_coeffs", off_by_one)
+    for argv in (["goettsche", "--euler", "24", "--terms", "6"],
+                 ["dt", "--nl", fixture("two_copies"), "--d", "0", "--c",
+                  "-5"],
+                 ["z", "--nl", fixture("quartic_pencil"), "--terms", "6",
+                  "--check"]):
+        monkeypatch.setattr(qseries, "_euler_pow_cache", {})
+        assert run(capsys, argv) == (
+            2, "", "consistency failure: [q^5] prod (1-q^n)^-24 fails the "
+            "pentagonal theorem's certificate\n"), argv
 
 
 @pytest.mark.parametrize("cmd", ["goettsche", "z", "z-check", "dt", "dt-k", "dt-r2"])

@@ -515,15 +515,17 @@ def test_box_forms_mutant_raises_in_symbolic_mode(monkeypatch):
     assert str(err.value).startswith("leg A_3 disagrees with route C: ")
 
 
-def _mutant(old, new):
+def _mutant(old, new, *edits):
     """A fresh copy of localization, its caches cold, with the one
-    occurrence of old in its source replaced by new."""
+    occurrence of old in its source replaced by new, and likewise for each
+    further (old, new) pair of edits."""
     source = inspect.getsource(localization)
-    assert source.count(old) == 1, old
+    for old, new in ((old, new), *edits):
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
     module = types.ModuleType("sheafcount._mutant")
     module.__package__ = "sheafcount"
-    exec(compile(source.replace(old, new), localization.__file__, "exec"),
-         module.__dict__)
+    exec(compile(source, localization.__file__, "exec"), module.__dict__)
     return module
 
 
@@ -609,8 +611,8 @@ def test_c_leg_first_values():
 ])
 def test_wrong_count_raises(mode, old, new, k, count):
     # E(t) + E(1/t) = -6 makes every p(a)'s partner sum constant in t, so a
-    # wrong count passes N = c * D and agrees at every point: with p(2) + 1
-    # and no count check, n = 2..5 give 36, 146, 517 and 1645.  The leg
+    # wrong count passes N = c * D: with p(2) + 1 and no count check, n =
+    # 2..5 give 36, 146, 517 and 1645 (test_census_count_check).  The leg
     # that enumerates the partitions of k holds its count to p(k), in both
     # modes
     for n in range(2, 9):
@@ -644,14 +646,16 @@ def test_convolve_mutant_raises(mode):
 
 
 def test_constant_mutant_raises():
-    # the constant read off N = c * D returned as c + 1; sampled mode takes
-    # no constant from a polynomial, so only symbolic mode reaches it
+    # the constant read off N = c * D returned as c + 1: both modes take
+    # their value from the one packed sum, so both reach it
     mutant = _mutant("return Fraction(N[-1], D[-1]) if N",
                      "return Fraction(N[-1], D[-1]) + 1 if N")
-    for n in range(1, 9):
-        with pytest.raises(ConsistencyError) as err:
-            mutant.hilb_chern_integral(n)
-        assert str(err.value) == _euler_mismatch(n, INTEGRALS[n] + 1)
+    for mode in ("symbolic", "sampled"):
+        for n in range(1, 9):
+            with pytest.raises(ConsistencyError) as err:
+                mutant.hilb_chern_integral(n, mode)
+            assert str(err.value) == _euler_mismatch(n, INTEGRALS[n] + 1), (
+                mode, n)
 
 
 # route census rows: a mutant of the one split step or of the one cancel
@@ -687,33 +691,40 @@ def test_census_split_and_cancel_mutants(mode, old, new, first, error):
 
 
 # more census rows: for each mode, None if every n = 0..8 prints the right
-# value, else (first, error), the first n that raises and the start of its
-# message, {n} read as n; from first on, every n raises
-_SAMPLED_A1 = (1, "leg A_1 disagrees with route C at t = 185499/463901")
+# value, else (raising, error), the range of the n that raise and the start
+# of their message, {n} read as n
+_SAMPLED_A1 = (range(1, 9),
+               "leg A_1 disagrees with route C at t = 185499/463901")
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
 @pytest.mark.parametrize("old, new, symbolic, sampled", [
     # _unpack's half one too large, digits in [-T/2 - 1, T/2 - 1): route A
     # unpacks its leg sums, route C is only valued, so leg A_0's
-    # certificate raises at every n; sampled mode unpacks nothing
+    # certificate raises at every n; sampled mode unpacks only the one
+    # packed sum, and only its digit 1 at n = 0, T = 4, is misread: from
+    # n = 1 its l1 bound keeps every coefficient far below T/2
     pytest.param("half = 1 << (bits - 1)", "half = (1 << (bits - 1)) + 1",
-                 (0, "leg A_0 disagrees with route C: "), None,
-                 id="unpack-half-plus-one"),
+                 (range(9), "leg A_0 disagrees with route C: "),
+                 (range(1), "localization sum for n=0 is not constant: "
+                  "-3*t - 3"), id="unpack-half-plus-one"),
     # one too small, digits in [-T/2 + 1, T/2 + 1): the width keeps every
     # coefficient strictly inside (-T/2, T/2), so no digit is misread
     pytest.param("half = 1 << (bits - 1)", "half = (1 << (bits - 1)) - 1",
                  None, None, id="unpack-half-minus-one"),
     # _width one bit short, T/2 at most the bound, not above it: leg A_0,
-    # N = 1 at bound 1 and T = 2, is misread; sampled mode packs nothing
+    # N = 1 at bound 1 and T = 2, is misread, and so is the packed sum of
+    # n = 0, the same 1 at T = 2, the one sampled mode misreads
     pytest.param("j, _ in forms)).bit_length() + 1",
                  "j, _ in forms)).bit_length()",
-                 (0, "leg A_0 disagrees with route C: "), None,
-                 id="width-no-plus-one"),
+                 (range(9), "leg A_0 disagrees with route C: "),
+                 (range(1), "localization sum for n=0 is not constant: "
+                  "-t^2 - t - 1"), id="width-no-plus-one"),
     # _width from half the l1 bound: leg A_0's bound 1 halved is still 1
-    # as the width reads it, leg A_1's digits are misread
+    # as the width reads it, leg A_1's digits are misread; the packed sum's
+    # bound is loose enough that no digit of it is
     pytest.param("max(bound, 1,", "max(bound // 2, 1,",
-                 (1, "leg A_1 disagrees with route C: "), None,
+                 (range(1, 9), "leg A_1 disagrees with route C: "), None,
                  id="width-bound-halved"),
     # the hooks (1, 0) and (0, 1) swapped in sampled mode's plan: leg A_2
     # sums the partitions (2) and (1, 1), whose hooks the swap exchanges,
@@ -721,36 +732,60 @@ _SAMPLED_A1 = (1, "leg A_1 disagrees with route C at t = 185499/463901")
     pytest.param("return (a + l) * (a + l + 1) // 2 + a",
                  "return (a + l) * (a + l + 1) // 2 + (l if a + l == 1 "
                  "else a)", None,
-                 (3, "leg A_3 disagrees with route C at t = 185499/463901"),
+                 (range(3, 9),
+                  "leg A_3 disagrees with route C at t = 185499/463901"),
                  id="hook-id-swapped"),
     # each of _box_forms' four forms with its constant term + 1: both modes
     # read them, and leg A_1's certificate raises from n = 1, symbolic
     # mode's as polynomials, sampled mode's at the first point
     pytest.param("(((-a, a - l - 2),", "(((-a + 1, a - l - 2),",
-                 (1, "leg A_1 disagrees with route C: (4*t^2 - 4*t + 1)/"
-                  "(t^2 - t), not (4*t - 2)/(t - 1)"), _SAMPLED_A1,
+                 (range(1, 9), "leg A_1 disagrees with route C: (4*t^2 - "
+                  "4*t + 1)/(t^2 - t), not (4*t - 2)/(t - 1)"), _SAMPLED_A1,
                  id="box-num-first"),
     pytest.param("(a + 1, l - a - 2)),", "(a + 2, l - a - 2)),",
-                 (1, "leg A_1 disagrees with route C: 4, not (4*t - 2)/"
-                  "(t - 1)"), _SAMPLED_A1, id="box-num-second"),
+                 (range(1, 9), "leg A_1 disagrees with route C: 4, not "
+                  "(4*t - 2)/(t - 1)"), _SAMPLED_A1, id="box-num-second"),
     pytest.param("((-a, a - l - 1),", "((-a + 1, a - l - 1),",
-                 (1, "leg A_1 disagrees with route C: (4*t^2 - 2*t)/(t^2 - "
-                  "2*t + 1), not (4*t - 2)/(t - 1)"), _SAMPLED_A1,
-                 id="box-den-first"),
+                 (range(1, 9), "leg A_1 disagrees with route C: (4*t^2 - "
+                  "2*t)/(t^2 - 2*t + 1), not (4*t - 2)/(t - 1)"),
+                 _SAMPLED_A1, id="box-den-first"),
     pytest.param("(a + 1, l - a - 1)))", "(a + 2, l - a - 1)))",
-                 (1, "leg A_1 disagrees with route C: (4*t - 2)/(t - 2), "
-                  "not (4*t - 2)/(t - 1)"), _SAMPLED_A1, id="box-den-second"),
+                 (range(1, 9), "leg A_1 disagrees with route C: (4*t - 2)/"
+                  "(t - 2), not (4*t - 2)/(t - 1)"), _SAMPLED_A1,
+                 id="box-den-second"),
 ])
 def test_census_mutants(mode, old, new, symbolic, sampled):
     mutant = _mutant(old, new)
-    first, error = {"symbolic": symbolic, "sampled": sampled}[mode] or (9, "")
+    raising, error = {"symbolic": symbolic,
+                      "sampled": sampled}[mode] or (range(0), "")
     for n in range(9):
-        if n >= first:
+        if n in raising:
             with pytest.raises(ConsistencyError) as err:
                 mutant.hilb_chern_integral(n, mode)
             assert str(err.value).startswith(error.format(n=n)), n
         else:
             assert mutant.hilb_chern_integral(n, mode) == INTEGRALS[n], n
+
+
+# the sums of the p2-plus-one count mutant for n = 2..8 with _check_count's
+# comparison removed: each is constant in t
+UNCHECKED_COUNTS = [36, 146, 517, 1645, 4837, 13323, 34797]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+def test_census_count_check(mode):
+    # the census row of _check_count: under p(2) + 1 with its comparison
+    # removed, N = c * D holds and every leg passes its certificate, and
+    # the Euler product raises in both modes from n = 2
+    mutant = _mutant("_c_at(n, 1, 1)[n] // factorial(n)",
+                     "_c_at(n, 1, 1)[n] // factorial(n) + (n == 2)",
+                     ("if summed != _counts(k)[k]:", "if False:"))
+    for n in range(2):
+        assert mutant.hilb_chern_integral(n, mode) == INTEGRALS[n], n
+    for n, got in enumerate(UNCHECKED_COUNTS, 2):
+        with pytest.raises(ConsistencyError) as err:
+            mutant.hilb_chern_integral(n, mode)
+        assert str(err.value) == _euler_mismatch(n, got), n
 
 
 def _wrong_euler_coefficient(monkeypatch):
@@ -815,24 +850,19 @@ NON_CONSTANT = {
 }
 
 
-def test_non_constant_sum_raises(monkeypatch):
+def test_non_constant_sum_raises():
     # with B_k = A_k (G replaced by F) the factored sum is not constant in
-    # t; the symbolic B legs are route C's with each form (j, i) read as
-    # (-i, -j), the sampled ones read F at the swapped point; every leg
-    # passes its certificate, and N = c * D is checked anyway
+    # t; the B legs are route C's with each form (j, i) read as (-i, -j),
+    # in the one sum both modes take their value from; every leg passes its
+    # certificate, and N = c * D is checked anyway
     mutant = _mutant("_c_legs(n, lambda f: ev((-f[1], -f[0])))",
                      "_c_legs(n, ev)")
-    for n, text in NON_CONSTANT.items():
-        with pytest.raises(ConsistencyError) as err:
-            mutant.hilb_chern_integral(n)
-        assert str(err.value) == (
-            "localization sum for n=%d is not constant: %s" % (n, text))
-    # sorting the point's two integers reads both legs at the same point
-    legs_at = localization._legs_at
-    monkeypatch.setattr(localization, "_legs_at",
-                        lambda plan, p, q: legs_at(plan, *sorted((p, q))))
-    with pytest.raises(ConsistencyError):
-        hilb_chern_integral(2, "sampled")
+    for mode in ("symbolic", "sampled"):
+        for n, text in NON_CONSTANT.items():
+            with pytest.raises(ConsistencyError) as err:
+                mutant.hilb_chern_integral(n, mode)
+            assert str(err.value) == (
+                "localization sum for n=%d is not constant: %s" % (n, text))
 
 
 def _f_at(lam, t0):
@@ -858,13 +888,15 @@ def _forms_of(plan, indices):
 
 
 def test_sampled_legs_equal_term_sums():
-    # route C's r_k / (k! (q-p)^k), returned once every leg is certified at
-    # t0 = p/q, against the sum of F(lam) term by term, at points with no pole
+    # route C's r_k / (k! (q-p)^k), r = _c_legs at t0 = p/q, which _legs_at
+    # certifies every leg against there, against the sum of F(lam) term by
+    # term, at points with no pole
     n = 12
     plan = _plan(n)
     for t0 in (Fraction(104729, 7919), Fraction(-1299709, 15485863)):
         p, q = t0.numerator, t0.denominator
-        r = localization._legs_at(plan, p, q)
+        localization._legs_at(plan, p, q)
+        r = localization._c_legs(n, lambda f: f[1] * p + f[0] * q)
         assert len(r) == n + 1
         for k in range(n + 1):
             assert Fraction(r[k], factorial(k) * (q - p) ** k) == sum(
@@ -958,18 +990,15 @@ def test_box_forms_mutant_raises_in_sampled_mode(monkeypatch, seed):
 
 @pytest.mark.parametrize("old, new, first, leg", [
     WRONG_E,
-    # B_c at the point without its sign (-1)^c, and the shared convolution
-    # without the powers of q - p: each sum is no longer constant
-    pytest.param("(-1) ** c * x for c, x in enumerate",
-                 "x for c, x in enumerate", 1, None, id="b-unsigned"),
+    # the shared convolution without the powers of 1 - t: the sum is no
+    # longer constant
     pytest.param("m * x ** a for a, m", "m for a, m", 1, None,
                  id="no-power-of-1-t"),
     *C_AT_MUTANTS,
 ])
 def test_sampled_route_c_mutant_raises(old, new, first, leg):
-    # route C's e mutant, sampled mode's own sign mutant, the convolution's
-    # and the _c_at mutants, each from the first n it can reach; the
-    # certificate names the leg where given
+    # route C's e mutant, the convolution's and the _c_at mutants, each from
+    # the first n it can reach; the certificate names the leg where given
     for n in range(first, 9):
         with pytest.raises(ConsistencyError) as err:
             _mutant(old, new).hilb_chern_integral(n, "sampled")

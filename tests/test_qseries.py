@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from sheafcount import qseries
+from sheafcount.errors import ConsistencyError
 from sheafcount.qseries import (
     PuiseuxSeries,
     goettsche_series,
@@ -138,6 +139,60 @@ def test_euler_pow_cache_drops_least_recently_used(monkeypatch):
     assert len(cache) == 64
     assert -31 not in cache and -32 in cache
     assert list(cache)[-2:] == [-32, 32]
+
+
+@pytest.mark.parametrize("k", [-1000, -24, -7, -1, 1, 24, 1000])
+def test_euler_pow_certificate_names_the_first_bad_index(monkeypatch, k):
+    # a wrong [q^m] of the base product makes every power wrong from q^m on;
+    # the pentagonal certificate raises at index m, before the list is
+    # cached, and the lists that stop short of q^m pass
+    real = qseries._euler_coeffs
+
+    def off_by_one(terms):
+        co = real(terms)
+        if terms >= 40:
+            co[40] += 1
+        return co
+    monkeypatch.setattr(qseries, "_euler_pow_cache", {})
+    monkeypatch.setattr(qseries, "_euler_coeffs", off_by_one)
+    assert qseries._euler_pow(k, 39) == binomial_euler_pow(k, 39)
+    qseries._euler_pow_cache.clear()
+    with pytest.raises(ConsistencyError) as err:
+        qseries._euler_pow(k, 60)
+    assert str(err.value) == ("[q^40] prod (1-q^n)^%d fails the pentagonal "
+                              "theorem's certificate" % k)
+    assert k not in qseries._euler_pow_cache
+
+
+def test_euler_pow_certificate_checks_each_fill_once(monkeypatch):
+    # cached lists are read without a second check: a read the cache covers
+    # certifies nothing, and a refill certifies its new list once
+    certified = []
+    certify = qseries._certify_euler_pow
+    monkeypatch.setattr(qseries, "_euler_pow_cache", {})
+    monkeypatch.setattr(qseries, "_certify_euler_pow", lambda k, f: (
+        certified.append((k, len(f))), certify(k, f)))
+    qseries._euler_pow(-24, 10)
+    qseries._euler_pow_at(-24, 7)
+    goettsche_series(24, 10)
+    hilb_euler(10)
+    assert certified == [(-24, 11)]
+    hilb_euler(11)   # a refill to twice the length
+    assert certified == [(-24, 11), (-24, 23)]
+
+
+def test_euler_pow_certificate_rejects_each_wrong_coefficient():
+    # against the binomial expansion, which shares no code with the fill or
+    # the check: the true list passes, and one coefficient off by one fails
+    # at its own index, f_0 included
+    for k in (-1000, -24, -1, 0, 1, 7, 1000):
+        f = binomial_euler_pow(k, 40)
+        qseries._certify_euler_pow(k, f)
+        for m in (0, 1, 17, 40):
+            g = list(f)
+            g[m] -= 1
+            with pytest.raises(ConsistencyError, match=r"\[q\^%d\] " % m):
+                qseries._certify_euler_pow(k, g)
 
 
 def test_terms_validation():
