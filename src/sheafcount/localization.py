@@ -73,16 +73,15 @@ with each form (j, i) of d and e read as (-i, -j); 1 - t is written
 
 Sampled mode certifies route A at points instead, in integers too, from the
 raw forms of the boxes, with none of the splitting, cancelling or packing
-above.  At t0 = p/q the forms of F(lam) valued at (p, q) give F(lam)(t0),
-and at (q, p) G(lam)(t0).  What does not depend on the point is taken once
-per process and n (_plan): the distinct forms, each hook's num and den form
-indices (_hook_id) and each leg's partitions as tuples of hook indices.  At
-a point each form and each hook's products are valued once, and leg k is
-summed over W_k, the lcm of its partitions' dens there: a partition adds
-prod(num) * (W_k // prod(den)), exact by construction.  Route C certifies
-every leg at every point, at t0 and at 1/t0, where B_k(t0) = A_k(1/t0) is
-read: N_k k! (q-p)^k = r_k W_k.  Sampled mode does nothing else; its value
-is the one packed sum's.
+above.  At t0 = p/q the forms of F(lam) valued at (p, q) give F(lam)(t0).
+What does not depend on the point is taken once per process and n (_plan):
+the distinct forms, each hook's num and den form indices (_hook_id) and
+each leg's partitions as tuples of hook indices.  At a point each form and
+each hook's products are valued once, and leg k is summed over W_k, the
+lcm of its partitions' dens there: a partition adds prod(num) * (W_k //
+prod(den)), exact by construction.  Route C certifies every leg at every
+point: N_k k! (q-p)^k = r_k W_k.  Sampled mode does nothing else; its
+value is the one packed sum's.
 
 Polynomials are summed by Kronecker substitution: every form is valued at
 one integer T = 2^B, so each product and sum is one big-integer operation,
@@ -603,9 +602,8 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     the legs with k > n').  sampled mode draws `samples` (an int,
     MIN_SAMPLES by default) distinct random rational points t0 with
     numerators and denominators bounded by 10**6, redrawing a pole of some
-    F or G (every partition of size at most n is p2 or p3 of some triple,
-    so these are the poles of the per-triple sum), and certifies every leg
-    at t0 and at 1/t0 (_legs_at).  A ConsistencyError means a bug.
+    F, and certifies every leg at each t0 (_legs_at).  A ConsistencyError
+    means a bug.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("n must be a nonnegative integer, got %r" % (n,))
@@ -630,11 +628,10 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
                 continue
             seen.add(t0)
             p, q = t0.numerator, t0.denominator
-            try:   # the legs at t0, and at 1/t0, where B_k(t0) = A_k(1/t0)
+            try:
                 _legs_at(plan, p, q)
-                _legs_at(plan, q, p)
             except ZeroDivisionError:
-                continue  # t0 is a pole of some F or G: draw again
+                continue  # t0 is a pole of some F: draw again
             samples -= 1
     else:
         raise ValueError("mode must be 'symbolic' or 'sampled', got %r"

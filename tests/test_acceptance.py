@@ -90,11 +90,13 @@ def sum_constancy() -> str:
     got = hilb_chern_integral(4, "sampled")
     _expect(got == 490, "n=4 sampled: %s != 490" % got)
     for n in range(5, 8):
-        # raises unless three random rational points give the same value
+        # raises unless route A is certified against route C at each of
+        # three random rational points and the value is the Euler product's
         hilb_chern_integral(n, "sampled", samples=3)
     return ("per-triple sums of weight quotients constant and equal to the "
             "integral for n = 0..8, each held to [q^n] prod (1-q^m)^-7, "
-            "sampled n = 4 is 490, sampled agreement at 3 points for n = 5..7")
+            "sampled n = 4 is 490, sampled route A certified at 3 points and "
+            "the value held to the Euler product for n = 5..7")
 
 
 def test_per_triple_sum_catches_a_wrong_obstruction(monkeypatch):

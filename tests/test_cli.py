@@ -159,6 +159,10 @@ def test_p3_domain_error(capsys):
     code, out, err = run(capsys, ["p3", "--s", "0", "--d", "2"])
     assert code == 1 and out == ""
     assert err == "error: no configuration: s=0, d=2 give n=-1 < 0\n"
+    # a negative --n is refused by the check that every spelling reaches
+    code, out, err = run(capsys, ["p3", "--n", "-1"])
+    assert code == 1 and out == ""
+    assert err == "error: the number of points must be nonnegative\n"
 
 
 @pytest.mark.parametrize("s, d", [("-5", "0"), ("1", "-5")])
@@ -340,6 +344,24 @@ def test_z_check_ok_on_all_fixtures(capsys):
                                     "--terms", "6", "--check"])
         assert code == 0
         assert out.strip() == "closed = direct: OK"
+
+
+def test_z_check_names_the_components_that_disagree(capsys, monkeypatch):
+    # the direct route's component 1 off by 1 at q^0, the others right: the
+    # run fails with exit 2, prints nothing on stdout, and names that d on
+    # one line
+    direct = cli.z_series_direct
+
+    def off(spec, terms, d):
+        series = direct(spec, terms, d)
+        series[1] = series[1] + 1
+        return series
+    monkeypatch.setattr(cli, "z_series_direct", off)
+    code, out, err = run(capsys, ["z", "--nl", fixture("mixed_shift"),
+                                  "--terms", "6", "--check"])
+    assert code == 2 and out == ""
+    assert err == (
+        "consistency failure: closed and direct series disagree for d in [1]\n")
 
 
 def test_z_negative_terms_names_the_bound(capsys):

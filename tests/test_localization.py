@@ -550,6 +550,12 @@ C_AT_MUTANTS = [
 # both modes take it, and leg A_1's certificate raises for every n from 1
 WRONG_E = pytest.param("ev((2, -4))", "ev((2, -3))", 1, 1, id="wrong-e")
 
+# route C's d = 1 - t, in the same line, read as 1 - 2t: r_0 = 1 and
+# r_1 = e do not read d, so n = 0, 1 are right, and leg A_2's certificate
+# raises for every n from 2 in both modes
+WRONG_D = pytest.param("_c_at(n, ev((1, -1))", "_c_at(n, ev((1, -2))", 2, 2,
+                       id="wrong-d")
+
 
 @pytest.mark.parametrize("old, new, first, leg", [
     # B_c's forms (j, i) read as (-j, -i), not (-i, -j): the swap dropped,
@@ -564,6 +570,7 @@ WRONG_E = pytest.param("ev((2, -4))", "ev((2, -3))", 1, 1, id="wrong-e")
     pytest.param("m * x ** a for a, m", "m for a, m", 1, None,
                  id="no-power-of-1-t"),
     WRONG_E,
+    WRONG_D,
     *C_AT_MUTANTS,
 ])
 def test_route_c_mutant_raises(old, new, first, leg):
@@ -990,6 +997,7 @@ def test_box_forms_mutant_raises_in_sampled_mode(monkeypatch, seed):
 
 @pytest.mark.parametrize("old, new, first, leg", [
     WRONG_E,
+    WRONG_D,
     # the shared convolution without the powers of 1 - t: the sum is no
     # longer constant
     pytest.param("m * x ** a for a, m", "m for a, m", 1, None,
@@ -997,8 +1005,9 @@ def test_box_forms_mutant_raises_in_sampled_mode(monkeypatch, seed):
     *C_AT_MUTANTS,
 ])
 def test_sampled_route_c_mutant_raises(old, new, first, leg):
-    # route C's e mutant, the convolution's and the _c_at mutants, each from
-    # the first n it can reach; the certificate names the leg where given
+    # route C's e and d mutants, the convolution's and the _c_at mutants,
+    # each from the first n it can reach; the certificate names the leg
+    # where given
     for n in range(first, 9):
         with pytest.raises(ConsistencyError) as err:
             _mutant(old, new).hilb_chern_integral(n, "sampled")

@@ -633,6 +633,12 @@ def test_phi_rejects_unreduced_degree():
         phi_series(spec, 4, 5)
     with pytest.raises(ValueError):
         phi_series(spec, -1, 5)
+    # both Z routes refuse a component outside [0, ell) too
+    for route in (z_series_closed, z_series_direct):
+        for d in (4, -1):
+            with pytest.raises(ValueError,
+                               match=r"d must lie in \[0, ell\), got %d" % d):
+                route(spec, 5, d)
 
 
 def test_z_series_refuse_negative_terms():

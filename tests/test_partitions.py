@@ -57,6 +57,8 @@ PCOUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
 def test_counts_match_pentagonal_recurrence():
     assert pentagonal_counts(12) == PCOUNTS
     assert enumerate_partitions(0) == [()]
+    with pytest.raises(ValueError, match="cannot partition a negative"):
+        enumerate_partitions(-1)
     for n in range(13):
         assert len(enumerate_partitions(n)) == PCOUNTS[n]
 
@@ -146,6 +148,8 @@ def test_triple_counts_match_series_cube():
         ts = enumerate_triples(n)
         assert len(ts) == want[n]
         assert all(sum(map(sum, t)) == n for t in ts)
+    with pytest.raises(ValueError, match="total size must be nonnegative"):
+        enumerate_triples(-1)
 
 
 def test_triple_order_groups_by_first_two_sizes():

@@ -227,6 +227,10 @@ def test_equality_is_grid_invariant():
     assert a == b
     assert hash(a) == hash(b)
     assert a != PuiseuxSeries(1, {1: 5}, 6)
+    # refining keeps the series; a grid that is no multiple is refused
+    assert b.with_grid(6) == b and b.with_grid(6).grid == 6
+    with pytest.raises(ValueError, match="grid 3 does not refine 2"):
+        b.with_grid(3)
 
 
 def test_coefficient_lookup_rules():
