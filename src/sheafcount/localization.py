@@ -51,12 +51,13 @@ E(t) = 2(2t-1)/(1-t) and deg R_k = k.  One recurrence, _c_at, gives
 r_k = k! d^k [x^k] prod (1-x^m)^(-e/d) in integers, homogeneous of degree
 k in (d, e): S_k = k! R_k is r_k at d = 1 - t, e = 2 - 4t, never expanded
 but valued at each caller's own point (_c_legs), q^k S_k(p/q) at t = p/q;
-and p(k) is r_k / k! at d = e = 1 (_counts).  E(t) + E(1/t) = -6, so the
-sum of A_b B_c over b + c = m is [q^m] prod (1-q^k)^-6 whatever t is, and
-the sum is constant whatever the counts are: each leg's partition count is
-held to p(k) (_check_count).  Nor can N = c * D see a wrong weight in the
-sum's assembly, so the value is held to [q^n] prod (1-q^m)^-7 (qseries'
-_euler_pow_at, sharing no code with _convolve, _constant or _c_at).
+and p(k) is r_k / k! at d = e = 1.  E(t) + E(1/t) = -6, so the sum of
+A_b B_c over b + c = m is [q^m] prod (1-q^k)^-6 whatever t is, and the sum
+is constant whatever the counts are: N = c * D sees neither a wrong count
+nor a wrong weight in the sum's assembly, so the value is held to
+[q^n] prod (1-q^m)^-7 (qseries' _euler_pow_at, sharing no code with
+_convolve, _constant or _c_at).  A leg that misses a partition is caught
+by its own certificate against route C.
 
 The symbolic mode certifies route A in big integers: it divides no
 polynomial, adds no Fraction and expands no polynomial term by term.  A_k
@@ -179,17 +180,21 @@ def _times_forms(coeffs, forms):
     return coeffs
 
 
-def _poly_str(coeffs):
-    """The nonzero polynomial coeffs (lowest first) in t, highest power
-    first: 4*t - 2, 1/4*t^4 + 1/2*t^3."""
+def _poly_str(coeffs, q):
+    """The nonzero polynomial coeffs / q in t, coeffs integers (lowest
+    first) and q > 0, highest power first, each coefficient reduced:
+    4*t - 2, 1/4*t^4 + 1/2*t^3."""
     parts = []
     for e, c in reversed(list(enumerate(coeffs))):
         if not c:
             continue
+        g = gcd(c, q)
+        a, b = abs(c) // g, q // g
+        coeff = str(a) if b == 1 else "%d/%d" % (a, b)
         if e == 0:
-            mon = str(abs(c))
+            mon = coeff
         else:
-            head = "" if abs(c) == 1 else str(abs(c)) + "*"
+            head = "" if a == b == 1 else coeff + "*"
             mon = head + ("t" if e == 1 else "t^%d" % e)
         sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
         parts.append(sign + mon)
@@ -197,15 +202,16 @@ def _poly_str(coeffs):
 
 
 def _quotient_str(coeffs, scale, den):
-    """The integer polynomial coeffs over scale * prod(den), den a sequence
-    of forms (j, i) with i > 0, as its numerator over its monic
-    denominator, or its numerator alone when den is empty."""
+    """The integer polynomial coeffs over scale * prod(den), scale a nonzero
+    integer and den a sequence of forms (j, i) with i > 0, as its numerator
+    over its monic denominator, or its numerator alone when den is empty."""
     lead = prod(i for _, i in den)
-    top = _poly_str([Fraction(c, scale * lead) for c in coeffs])
+    if scale < 0:
+        coeffs, scale = [-c for c in coeffs], -scale
+    top = _poly_str(coeffs, scale * lead)
     if not den:
         return top
-    return "(%s)/(%s)" % (top, _poly_str([Fraction(c, lead)
-                                          for c in _times_forms([1], den)]))
+    return "(%s)/(%s)" % (top, _poly_str(_times_forms([1], den), lead))
 
 
 class Contribution(namedtuple("Contribution", "scale num den")):
@@ -345,16 +351,14 @@ def _tree(dens, lo, hi):
 def _leg_poly(contributions):
     """A sum of Contributions as (N, c, L), the sum = N / (c prod(L)): L the
     multiset union of their dens and c the lcm of their scales'
-    denominators, and N an integer coefficient list; ([], 1, Counter()) for
-    no Contributions.  N is summed by a balanced merge over _tree, built
-    once, so both passes of _packed walk it: a leaf's numerator is its
-    scale times c, times prod(num), and a node's is N1 prod(L - L1) + N2
-    prod(L - L2), N1 / prod(L1) and N2 / prod(L2) its halves' sums.  Under
-    _at(bits) each distinct form is valued once at T = 2**bits and no
-    polynomial is divided; under _norm the same code bounds the l1 norm."""
+    denominators, and N an integer coefficient list, for at least one
+    Contribution.  N is summed by a balanced merge over _tree, built once,
+    so both passes of _packed walk it: a leaf's numerator is its scale times
+    c, times prod(num), and a node's is N1 prod(L - L1) + N2 prod(L - L2),
+    N1 / prod(L1) and N2 / prod(L2) its halves' sums.  Under _at(bits) each
+    distinct form is valued once at T = 2**bits and no polynomial is
+    divided; under _norm the same code bounds the l1 norm."""
     terms = list(contributions)
-    if not terms:   # _tree splits no empty range
-        return [], 1, Counter()
     c = lcm(*(x.scale.denominator for x in terms))
     L, tree = _tree([x.den for x in terms], 0, len(terms))
     distinct = set(L).union(*(x.num for x in terms))
@@ -414,7 +418,8 @@ def _c_weights(n):
 def _c_at(n, d, e):
     """[r_0, ..., r_n], r_k = k! d^k [x^k] prod (1-x^m)^(-e/d), in integers
     by the one Euler-power recurrence, k f_k = (e/d) sum over j <= k of
-    sigma(j) f_{k-j} for f_k = r_k / (k! d^k)."""
+    sigma(j) f_{k-j} for f_k = r_k / (k! d^k).  At d = e = 1, r_k = k! p(k),
+    p(k) the partition counts hilb_chern_integral convolves."""
     powers, r = [1], [1]   # d^(j-1) and r_k
     for ws in _c_weights(n):
         r.append(e * sum(w * x * y for w, x, y in zip(ws, powers, r[::-1])))
@@ -430,32 +435,16 @@ def _c_legs(n, ev):
 
 
 @functools.cache
-def _counts(n):
-    """(p(0), ..., p(n)), p(k) = r_k // k! of _c_at at d = e = 1: the
-    partition counts both modes convolve, and _check_count checks."""
-    return (_counts(n - 1) if n else ()) + (_c_at(n, 1, 1)[n] // factorial(n),)
-
-
-def _check_count(k, summed):
-    """ConsistencyError naming p(k) unless leg A_k summed p(k) partitions."""
-    if summed != _counts(k)[k]:
-        raise ConsistencyError("p(%d) = %d disagrees with leg A_%d's partition"
-                               " count %d" % (k, _counts(k)[k], k, summed))
-
-
-@functools.cache
 def _a_leg(k):
     """A_k = (N_k, c_k, L_k), _leg_poly over the Contributions F(lam) of
     the partitions lam of k, each _cancel of _leg_split(lam, 0), its F side:
     summed once per process and k, shared, so never mutated, and certified
-    before it is cached by _check_count and by route C, ConsistencyError
-    naming k unless k! N_k (1-t)^k = S_k c_k prod(L_k): both sides valued at
-    T = 2**bits, T/2 above the sum of their l1 bounds k! ||N_k|| 2^k and
+    by route C before it is cached, ConsistencyError naming k unless
+    k! N_k (1-t)^k = S_k c_k prod(L_k): both sides valued at T = 2**bits,
+    T/2 above the sum of their l1 bounds k! ||N_k|| 2^k and
     c_k ||S_k|| prod(|i| + |j|), and compared as integers, not expanded."""
-    contributions = [_cancel(*_leg_split(lam, 0))
-                     for lam in enumerate_partitions(k)]
-    _check_count(k, len(contributions))
-    N, c, L = leg = _leg_poly(contributions)
+    N, c, L = leg = _leg_poly(_cancel(*_leg_split(lam, 0))
+                              for lam in enumerate_partitions(k))
     f = factorial(k)
 
     def sides(ev):   # f N (1-t)^k and c S_k prod(L) under ev
@@ -486,7 +475,7 @@ def _plan(n):
     """Sampled mode's point-free plan for n, (forms, hooks, legs), _plan(n -
     1) extended by the hooks with a + l = n - 1 and by leg n: the distinct
     forms; each hook's num and den form indices, by _hook_id; each
-    partition's hook indices, by k, leg n checked by _check_count."""
+    partition's hook indices, by k."""
     if n < 0:
         return (), (), ()
     forms, table, legs = _plan(n - 1)
@@ -498,7 +487,6 @@ def _plan(n):
                    for a in range(n))
     H = tuple(tuple(_hook_id(a, l) for a, l in hooks(lam))
               for lam in enumerate_partitions(n))
-    _check_count(n, len(H))
     return tuple(index), table, legs + (H,)
 
 
@@ -595,15 +583,14 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     module docstring over route C's legs by _convolve, packed, checked as
     N = c * D, and returned only if it is [q^n] prod (1-q^m)^-7
     (_euler_pow_at), ConsistencyError naming n and both values if not.
-    Its counts come from _counts, each checked where its leg is summed.
-    They differ in how they certify route A against route C.  symbolic
-    mode, which takes no `samples` or `seed`, certifies each leg A_k,
-    k <= n, through the cache of _a_leg (a call after one at n' sums only
-    the legs with k > n').  sampled mode draws `samples` (an int,
-    MIN_SAMPLES by default) distinct random rational points t0 with
-    numerators and denominators bounded by 10**6, redrawing a pole of some
-    F, and certifies every leg at each t0 (_legs_at).  A ConsistencyError
-    means a bug.
+    Its counts p(k) are read off one _c_at row.  They differ in how they
+    certify route A against route C.  symbolic mode, which takes no
+    `samples` or `seed`, certifies each leg A_k, k <= n, through the cache
+    of _a_leg (a call after one at n' sums only the legs with k > n').
+    sampled mode draws `samples` (an int, MIN_SAMPLES by default) distinct
+    random rational points t0 with numerators and denominators bounded by
+    10**6, redrawing a pole of some F, and certifies every leg at each t0
+    (_legs_at).  A ConsistencyError means a bug.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("n must be a nonnegative integer, got %r" % (n,))
@@ -639,7 +626,8 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     # n!^2 (1-t)^n = (-1)^n n!^2 (t-1)^n times the terms p(a) A_b B_c:
     # p(a) (1-t)^a, (n!/b!) S_b and (n!/c!) (-1)^c rev(S_c), the last S_c
     # with each form (j, i) read as (-i, -j)
-    counts, f = _counts(n), factorial(n)
+    counts = [r // factorial(k) for k, r in enumerate(_c_at(n, 1, 1))]
+    f = factorial(n)
 
     def numerator(ev):
         return _convolve(counts, _c_legs(n, ev),

@@ -238,16 +238,15 @@ def _parse_rational(raw, where: str) -> Fraction:
         return Fraction(raw)
     if isinstance(raw, str):
         s = raw.strip()
-        if not re.match(r"^[+-]?\d+(/[1-9]\d*)?$", s):
-            raise NLValidationError(
-                "%s: %r is not an exact rational 'p' or 'p/q'" % (where, raw))
-        try:
-            return Fraction(s)
-        except ValueError as exc:   # p or q past the str(int) digit cap
-            raise NLValidationError("%s: %s" % (where, exc)) from exc
+        if re.match(r"^[+-]?\d+(/[1-9]\d*)?$", s):
+            try:
+                return Fraction(s)
+            except ValueError as exc:   # p or q past the str(int) digit cap
+                raise NLValidationError("%s: %s" % (where, exc)) from exc
+    # a malformed string, or None, a list or a dict; nl_loads refuses a JSON
+    # float before it gets here (_reject_float)
     raise NLValidationError(
-        "%s: %r is not an exact rational (floating point is not accepted)"
-        % (where, raw))
+        "%s: %r is not an exact rational 'p' or 'p/q'" % (where, raw))
 
 
 def _require_int(doc, key, default=None):

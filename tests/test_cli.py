@@ -725,6 +725,15 @@ def test_nl_validate_float_rejected(capsys, tmp_path):
     bad.write_text('{"ell": 2, "k": 0, "nl": [{"h": 1, "d": 0, "value": 0.5}]}')
     code, _, err = run(capsys, ["nl-validate", str(bad)])
     assert code == 1 and "float" in err
+    # a value that is neither a number nor a string is not called floating
+    # point: one line naming what an exact rational is written as
+    for value, shown in (("null", "None"), ("[1]", "[1]")):
+        bad.write_text('{"ell": 2, "k": 0, "nl": [{"h": 1, "d": 0, '
+                       '"value": %s}]}' % value)
+        code, out, err = run(capsys, ["nl-validate", str(bad)])
+        assert (code, out) == (1, "")
+        assert err == ("error: %s: row 0: %s is not an exact rational 'p' "
+                       "or 'p/q'\n" % (bad, shown))
 
 
 def test_nl_validate_deep_nesting_is_one_line_error(tmp_path):

@@ -35,14 +35,12 @@ INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
 @pytest.fixture(autouse=True)
 def cold_legs():
-    # the legs A_k, route C's weights and counts, the split forms of each
-    # hook and sampled mode's plans are cached per process: a leg packed
-    # under one test's replaced _width or factors must not reach another
-    # test, and a test that expects a leg to be summed must find the cache
-    # empty
+    # the legs A_k, route C's weights, the split forms of each hook and
+    # sampled mode's plans are cached per process: a leg packed under one
+    # test's replaced _width or factors must not reach another test, and a
+    # test that expects a leg to be summed must find the cache empty
     caches = (localization._a_leg, localization._c_weights,
-              localization._counts, localization._hook_split,
-              localization._plan)
+              localization._hook_split, localization._plan)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -270,8 +268,8 @@ def test_leg_bound_holds(monkeypatch):
 def test_merged_leg_equals_the_flat_sum():
     # the balanced merge returns what the flat sum over the whole union
     # does, (N, c, L) alike: on every leg k <= 12, both sides; on the
-    # per-triple terms of the sum-constancy check for n <= 5; on a single
-    # term; and on no term at all, which the tree never splits
+    # per-triple terms of the sum-constancy check for n <= 5; and on a
+    # single term
     for side in (0, 1):
         for k in range(13):
             terms = _leg_terms(k, side)
@@ -283,7 +281,6 @@ def test_merged_leg_equals_the_flat_sum():
     one = [fixed_point_contribution(((1,), (2, 1), (1, 1)))]
     assert one[0].den
     assert localization._leg_poly(one) == _flat_leg(one)
-    assert localization._leg_poly([]) == ([], 1, Counter())
 
 
 def test_cancel_is_the_multiset_difference():
@@ -515,14 +512,12 @@ def test_box_forms_mutant_raises_in_symbolic_mode(monkeypatch):
     assert str(err.value).startswith("leg A_3 disagrees with route C: ")
 
 
-def _mutant(old, new, *edits):
+def _mutant(old, new):
     """A fresh copy of localization, its caches cold, with the one
-    occurrence of old in its source replaced by new, and likewise for each
-    further (old, new) pair of edits."""
+    occurrence of old in its source replaced by new."""
     source = inspect.getsource(localization)
-    for old, new in ((old, new), *edits):
-        assert source.count(old) == 1, old
-        source = source.replace(old, new)
+    assert source.count(old) == 1, old
+    source = source.replace(old, new)
     module = types.ModuleType("sheafcount._mutant")
     module.__package__ = "sheafcount"
     exec(compile(source, localization.__file__, "exec"), module.__dict__)
@@ -533,8 +528,8 @@ def _mutant(old, new, *edits):
 # the counts p(k) all take: r read unreversed, d^(j-1) read as d^(2j-2),
 # sigma(j) as the number of divisors, and r_2 tripled, with every r the
 # recurrence takes from it.  Each raises in both modes for every n from 2,
-# through a leg's certificate or its partition count (at n = 1 only
-# r_1 = e is taken, which none of them changes)
+# through leg A_2's certificate (at n = 1 only r_1 = e is taken, which none
+# of them changes)
 C_AT_MUTANTS = [
     pytest.param("zip(ws, powers, r[::-1])", "zip(ws, powers, r)", 2, None,
                  id="r-not-reversed"),
@@ -592,7 +587,7 @@ def test_c_at_counts_partitions():
     for k in range(26):
         assert (localization._c_at(k, 1, 1)[k]
                 == factorial(k) * len(enumerate_partitions(k))), k
-    assert localization._counts(100)[100] == 190569292
+    assert localization._c_at(100, 1, 1)[100] // factorial(100) == 190569292
 
 
 def test_c_leg_first_values():
@@ -607,33 +602,57 @@ def test_c_leg_first_values():
                     == sum(x * t ** e for e, x in enumerate(S))), (k, t)
 
 
-@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
-@pytest.mark.parametrize("old, new, k, count", [
-    pytest.param("_c_at(n, 1, 1)[n] // factorial(n)",
-                 "_c_at(n, 1, 1)[n] // factorial(n) + (n == 2)", 2, 3,
-                 id="p2-plus-one"),
-    # [x^k] prod (1-x^m)^-2 for p(k): 2 at k = 1
-    pytest.param("_c_at(n, 1, 1)", "_c_at(n, 1, 2)", 1, 2,
-                 id="exponent-minus-two"),
-])
-def test_wrong_count_raises(mode, old, new, k, count):
-    # E(t) + E(1/t) = -6 makes every p(a)'s partner sum constant in t, so a
-    # wrong count passes N = c * D: with p(2) + 1 and no count check, n =
-    # 2..5 give 36, 146, 517 and 1645 (test_census_count_check).  The leg
-    # that enumerates the partitions of k holds its count to p(k), in both
-    # modes
-    for n in range(2, 9):
-        with pytest.raises(ConsistencyError) as err:
-            _mutant(old, new).hilb_chern_integral(n, mode)
-        assert str(err.value) == (
-            "p(%d) = %d disagrees with leg A_%d's partition count %d"
-            % (k, count, k, len(enumerate_partitions(k)))), n
-
-
 def _euler_mismatch(n, got):
     """The error text of a value got for n, not [q^n] prod (1-q^m)^-7."""
     return ("the integral for n=%d is %s, not [q^n] prod (1-q^m)^-7 = %d"
             % (n, got, INTEGRALS[n]))
+
+
+# the census row of the partition counts p(k) both modes convolve: a count
+# mutant and its sums for n = 1..8, None where no wrong count is taken yet
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+@pytest.mark.parametrize("old, new, sums", [
+    pytest.param("r // factorial(k) for", "r // factorial(k) + (k == 2) for",
+                 [None, 36, 146, 517, 1645, 4837, 13323, 34797],
+                 id="p2-plus-one"),
+    # [x^k] prod (1-x^m)^-2 for p(k): 2 at k = 1
+    pytest.param("_c_at(n, 1, 1)", "_c_at(n, 1, 2)",
+                 [8, 44, 192, 726, 2464, 7704, 22528, 62337],
+                 id="exponent-minus-two"),
+])
+def test_wrong_count_raises(mode, old, new, sums):
+    # E(t) + E(1/t) = -6 makes every p(a)'s partner sum constant in t, so a
+    # wrong count passes N = c * D, and no leg reads the counts, so every
+    # leg passes its certificate: the Euler product raises in both modes
+    # from the first n that takes a wrong count
+    mutant = _mutant(old, new)
+    assert mutant.hilb_chern_integral(0, mode) == 1
+    for n, got in enumerate(sums, 1):
+        if got is None:
+            assert mutant.hilb_chern_integral(n, mode) == INTEGRALS[n], n
+            continue
+        with pytest.raises(ConsistencyError) as err:
+            mutant.hilb_chern_integral(n, mode)
+        assert str(err.value) == _euler_mismatch(n, got), n
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+def test_dropped_partition_raises(monkeypatch, mode):
+    # a partition of 3 missing from the partitions the legs sum: the counts
+    # come from route C's recurrence and stay right, so leg A_3's own
+    # certificate against route C raises in both modes from n = 3
+    def dropped(k):   # (3,) left out of the partitions of 3
+        lams = enumerate_partitions(k)
+        return lams[1:] if k == 3 else lams
+    monkeypatch.setattr(localization, "enumerate_partitions", dropped)
+    for n in range(3):
+        assert hilb_chern_integral(n, mode) == INTEGRALS[n], n
+    error = {"symbolic": "leg A_3 disagrees with route C: ",
+             "sampled": "leg A_3 disagrees with route C at t = 185499/463901"}
+    for n in range(3, 9):
+        with pytest.raises(ConsistencyError) as err:
+            hilb_chern_integral(n, mode)
+        assert str(err.value).startswith(error[mode]), n
 
 
 # the sums of the _convolve mutant below for n = 1..8: each is constant in t
@@ -772,27 +791,6 @@ def test_census_mutants(mode, old, new, symbolic, sampled):
             assert str(err.value).startswith(error.format(n=n)), n
         else:
             assert mutant.hilb_chern_integral(n, mode) == INTEGRALS[n], n
-
-
-# the sums of the p2-plus-one count mutant for n = 2..8 with _check_count's
-# comparison removed: each is constant in t
-UNCHECKED_COUNTS = [36, 146, 517, 1645, 4837, 13323, 34797]
-
-
-@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
-def test_census_count_check(mode):
-    # the census row of _check_count: under p(2) + 1 with its comparison
-    # removed, N = c * D holds and every leg passes its certificate, and
-    # the Euler product raises in both modes from n = 2
-    mutant = _mutant("_c_at(n, 1, 1)[n] // factorial(n)",
-                     "_c_at(n, 1, 1)[n] // factorial(n) + (n == 2)",
-                     ("if summed != _counts(k)[k]:", "if False:"))
-    for n in range(2):
-        assert mutant.hilb_chern_integral(n, mode) == INTEGRALS[n], n
-    for n, got in enumerate(UNCHECKED_COUNTS, 2):
-        with pytest.raises(ConsistencyError) as err:
-            mutant.hilb_chern_integral(n, mode)
-        assert str(err.value) == _euler_mismatch(n, got), n
 
 
 def _wrong_euler_coefficient(monkeypatch):
@@ -1083,6 +1081,33 @@ def test_sampled_resamples_on_pole(monkeypatch):
     assert hilb_chern_integral(2, "sampled") == 35
     assert len(draws) == 8   # the pole, then three good points
 
+    # a point drawn twice is certified once and counts once: its second
+    # draw is skipped as seen
+    class SecondPointRepeatsTheFirst:
+        def __init__(self, seed):
+            self.rng = real(seed)
+            self.values = []
+
+        def randint(self, lo, hi):
+            draws.append((lo, hi))
+            if 3 <= len(draws) <= 4:
+                return self.values[len(draws) - 3]
+            self.values.append(self.rng.randint(lo, hi))
+            return self.values[-1]
+
+    legs_at, certified = localization._legs_at, []
+
+    def counted(plan, p, q):
+        certified.append((p, q))
+        return legs_at(plan, p, q)
+    monkeypatch.setattr(localization, "_legs_at", counted)
+    monkeypatch.setattr(localization.random, "Random",
+                        SecondPointRepeatsTheFirst)
+    draws.clear()
+    assert hilb_chern_integral(2, "sampled") == 35
+    assert len(draws) == 8   # a point, the same point, then two more
+    assert len(certified) == len(set(certified)) == 3
+
 
 def test_sampled_resamples_on_a_pole_of_minus_t(monkeypatch):
     # the first point drawn is t = 0/1, where the den form (0, -1) of the
@@ -1161,7 +1186,7 @@ def test_negative_n_rejected():
 @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
 @pytest.mark.parametrize("n", [2.5, 2.0, "3", None, True])
 def test_non_integer_n_rejected(n, mode):
-    # refused up front: 2.5 would recurse through _counts without end, 2.0
-    # fail deep inside on a float index, and True pass as 1
+    # refused up front: 2.5 and 2.0 would fail deep inside on a float, and
+    # True pass as 1
     with pytest.raises(ValueError, match="integer"):
         hilb_chern_integral(n, mode)

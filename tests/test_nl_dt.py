@@ -141,6 +141,7 @@ def test_records_equal_by_values_within_one_class():
     spec = FibrationSpec(4, 0, NLTable(4, {(1, 1): F(1)}))
     assert spec == FibrationSpec(4, 0, NLTable(4, {(1, 1): F(1)}))
     assert spec != FibrationSpec(4, 0, NLTable(4, {(1, 1): F(2)}))
+    assert (NLTable(4, {}) == 1) is False
 
 
 def test_records_hashability():
@@ -211,6 +212,9 @@ def test_zero_entries_dropped():
     for key in ((True, 1), (0, False)):
         with pytest.raises(NLValidationError, match="integers"):
             NLTable(4, {key: 1})
+    for ell in (0, True):
+        with pytest.raises(NLValidationError, match="ell must be a positive"):
+            NLTable(ell, {})
 
 
 def test_bound_edge_cases():

@@ -205,6 +205,7 @@ def test_terms_validation():
 def test_constructor_normalizes():
     s = PuiseuxSeries(2, {1: Fraction(1, 2), 3: 0}, 6)
     assert s.coeffs == {1: Fraction(1, 2)}
+    assert repr(s) == "PuiseuxSeries(grid=2, {1: Fraction(1, 2)}, trunc=6)"
     with pytest.raises(ValueError):
         PuiseuxSeries(2, {7: 1}, 6)      # above truncation
     with pytest.raises(ValueError):
@@ -226,6 +227,7 @@ def test_equality_is_grid_invariant():
     b = PuiseuxSeries(2, {2: 5}, 10)
     assert a == b
     assert hash(a) == hash(b)
+    assert (a == "q") is False
     assert a != PuiseuxSeries(1, {1: 5}, 6)
     # refining keeps the series; a grid that is no multiple is refused
     assert b.with_grid(6) == b and b.with_grid(6).grid == 6
@@ -249,6 +251,8 @@ def test_addition_mixed_grids():
     assert s.grid == 6 and s.bound == 3
     assert s.coefficient(Fraction(1, 2)) == 1
     assert s.coefficient(1) == 2
+    with pytest.raises(TypeError):
+        a + "q"
 
 
 def test_scalar_addition_keeps_truncation():
@@ -283,6 +287,8 @@ def test_multiplication_by_scalar():
     a = PuiseuxSeries(4, {1: Fraction(1, 3)}, 9)
     assert (a * 3).coefficient(Fraction(1, 4)) == 1
     assert (a * 0).coeffs == {}
+    with pytest.raises(TypeError):
+        a * "q"
 
 
 def test_sums_and_products_that_cancel_store_no_zero():
