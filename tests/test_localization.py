@@ -637,6 +637,24 @@ def test_wrong_count_raises(mode, old, new, sums):
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+def test_census_count_check(mode):
+    # the census row of each count p(k), k = 1..6, one too large: the sum
+    # is linear in the counts with partner [q^(n-k)] prod (1-q^m)^-6, so it
+    # is right below n = k and off by 1 at n = k and by 6 at n = k + 1,
+    # where the Euler product raises in both modes
+    for k in range(1, 7):
+        mutant = _mutant("r // factorial(k) for",
+                         "r // factorial(k) + (k == %d) for" % k)
+        for n in range(k):
+            assert mutant.hilb_chern_integral(n, mode) == INTEGRALS[n], (k, n)
+        for n, off in ((k, 1), (k + 1, 6)):
+            with pytest.raises(ConsistencyError) as err:
+                mutant.hilb_chern_integral(n, mode)
+            assert (str(err.value)
+                    == _euler_mismatch(n, INTEGRALS[n] + off)), (k, n)
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
 def test_dropped_partition_raises(monkeypatch, mode):
     # a partition of 3 missing from the partitions the legs sum: the counts
     # come from route C's recurrence and stay right, so leg A_3's own
