@@ -6,7 +6,7 @@ Two computational pillars, tied together by cross-checks:
   one equivariant parameter t (`partitions`, `localization`): the
   symbolic sum adds fractions of products of integer linear forms
   i t + j over one common denominator, as big integers at one packed
-  point t = 2^B, and sampled mode certifies its legs at rational points
+  point t = 2^B, and sampled mode certifies its legs at integer points
   before taking the same sum; a single
   fixed-point contribution is a scale times primitive linear forms over
   such forms, with the common forms cancelled, which is canonical, so the

@@ -291,7 +291,7 @@ _COMMANDS = {
          "n = s(s+3)/2 - d + 1"),
         ("--d", int, None, "with --s (s changes n only, not the integrand)"),
         ("--mode", ("symbolic", "sampled"), "symbolic",
-         "symbolic (default), or sampled at seeded rational points"),
+         "symbolic (default), or sampled at seeded integer points"),
         ("--samples", int, None, "evaluation points in sampled mode "
          "(%d to %d, default %d)" % (MIN_SAMPLES, P3_MAX_SAMPLES, MIN_SAMPLES)),
         ("--seed", int, None, "seed for sampled mode (fixed default)"),

@@ -50,10 +50,10 @@ Route C gives each leg in closed form by Carlsson and Okounkov's formula
 E(t) = 2(2t-1)/(1-t) and deg R_k = k.  One recurrence, _c_at, gives
 r_k = k! d^k [x^k] prod (1-x^m)^(-e/d) in integers, homogeneous of degree
 k in (d, e): S_k = k! R_k is r_k at d = 1 - t, e = 2 - 4t, never expanded
-but valued at each caller's own point (_c_legs), q^k S_k(p/q) at t = p/q;
-and p(k) is r_k / k! at d = e = 1.  E(t) + E(1/t) = -6, so the sum of
-A_b B_c over b + c = m is [q^m] prod (1-q^k)^-6 whatever t is, and the sum
-is constant whatever the counts are: N = c * D sees neither a wrong count
+but valued at each caller's own point (_c_legs), S_k(P) at an integer
+t = P; and p(k) is r_k / k! at d = e = 1.  E(t) + E(1/t) = -6, so the sum
+of A_b B_c over b + c = m is [q^m] prod (1-q^k)^-6 whatever t is, and the
+sum is constant whatever the counts are: N = c * D sees neither a wrong count
 nor a wrong weight in the sum's assembly, so the value is held to
 [q^n] prod (1-q^m)^-7 (qseries' _euler_pow_at, sharing no code with
 _convolve, _constant or _c_at).  A leg that misses a partition is caught
@@ -72,17 +72,15 @@ A_b = S_b / (b! (1-t)^b) and B_c = (-1)^c rev(S_c) / (c! (1-t)^c), r_c
 with each form (j, i) of d and e read as (-i, -j); 1 - t is written
 -(t - 1), keeping _split's i > 0.
 
-Sampled mode certifies route A at points instead, in integers too, from the
-raw forms of the boxes, with none of the splitting, cancelling or packing
-above.  At t0 = p/q the forms of F(lam) valued at (p, q) give F(lam)(t0).
-What does not depend on the point is taken once per process and n (_plan):
-the distinct forms, each hook's num and den form indices (_hook_id) and
-each leg's partitions as tuples of hook indices.  At a point each form and
-each hook's products are valued once, and leg k is summed over W_k, the
-lcm of its partitions' dens there: a partition adds prod(num) * (W_k //
-prod(den)), exact by construction.  Route C certifies every leg at every
-point: N_k k! (q-p)^k = r_k W_k.  Sampled mode does nothing else; its
-value is the one packed sum's.
+Sampled mode certifies route A at integer points instead, from the same
+terms, with none of the packing above: the Contributions F(lam) that _a_leg
+sums, each _cancel of _leg_split, taken once per process and k with each
+scale read as two integers (_point_terms).  At t0 = P each term's num and
+den are valued as integers, and leg k is summed over W_k, the lcm of its
+terms' dens there: a term adds its num times W_k // its den, exact by
+construction, and W_k = 0 marks P as a pole, drawn again.  Route C
+certifies every leg at every point, in order: N_k k! (1-P)^k = r_k W_k.
+Sampled mode does nothing else; its value is the one packed sum's.
 
 Polynomials are summed by Kronecker substitution: every form is valued at
 one integer T = 2^B, so each product and sum is one big-integer operation,
@@ -166,8 +164,8 @@ def _box_forms(a, l):
 
     and, read as (i, j), to G(p), p at the third, s1 and s2 swapped.  No den
     form vanishes: a-l-1 = 0 with a = 0 would need l = -1, and the other has
-    constant term a+1 >= 1.  The one per-hook recipe: sampled mode's _plan
-    reads it raw, and _hook_split splits it for every other caller."""
+    constant term a+1 >= 1.  The one per-hook recipe, read only through
+    _hook_split, which splits it for every caller."""
     return (((-a, a - l - 2), (a + 1, l - a - 2)),
             ((-a, a - l - 1), (a + 1, l - a - 1)))
 
@@ -464,72 +462,48 @@ def _a_leg(k):
     return leg
 
 
-def _hook_id(a, l):
-    """The index of the hook (a, l) in _plan's hooks: (a+l)(a+l+1)/2 + a,
-    so the hooks with a + l < n fill range(n(n+1)/2), by a + l, then a."""
-    return (a + l) * (a + l + 1) // 2 + a
-
-
 @functools.cache
-def _plan(n):
-    """Sampled mode's point-free plan for n, (forms, hooks, legs), _plan(n -
-    1) extended by the hooks with a + l = n - 1 and by leg n: the distinct
-    forms; each hook's num and den form indices, by _hook_id; each
-    partition's hook indices, by k."""
-    if n < 0:
-        return (), (), ()
-    forms, table, legs = _plan(n - 1)
-    index = {f: x for x, f in enumerate(forms)}
-
-    def ids(fs):
-        return tuple(index.setdefault(f, len(index)) for f in fs)
-    table += tuple(tuple(map(ids, _box_forms(a, n - 1 - a)))
-                   for a in range(n))
-    H = tuple(tuple(_hook_id(a, l) for a, l in hooks(lam))
-              for lam in enumerate_partitions(n))
-    return tuple(index), table, legs + (H,)
+def _point_terms(k):
+    """Leg k's terms for sampled mode, (sn, sd, num, den) per partition lam
+    of k: F(lam) = _cancel(*_leg_split(lam, 0)) = sn prod(num) / (sd
+    prod(den)), the Contributions _a_leg sums, each scale read once as two
+    integers; once per process and k, shared, so never mutated."""
+    terms = []
+    for lam in enumerate_partitions(k):
+        x = _cancel(*_leg_split(lam, 0))
+        terms.append((*x.scale.as_integer_ratio(), x.num, x.den))
+    return tuple(terms)
 
 
-def _legs_at(plan, p, q):
-    """Certify each leg k of the plan at t0 = p/q against route C's
-    A_k(t0) = r_k / (k! (q-p)^k), r = _c_legs(n) at (p, q).  Each form
-    i*t0 + j is (i*p + j*q)/q at t0, and F(lam) has as many numerator as
-    denominator forms, so the q's cancel: the sum of F(lam) over the
-    partitions of k is N_k / W_k, W_k the lcm of their dens, each term its
-    hooks' numerators times the exact W_k // (their dens).  A zero form (t0
-    is a pole) raises ZeroDivisionError there, and ConsistencyError names
-    the first k with N_k k! (q-p)^k != r_k W_k."""
-    forms, table, legs = plan
-    v = [i * p + j * q for j, i in forms]
-    num, den = [], []
-    for ns, ds in table:
-        x = y = 1
-        for f in ns:
-            x *= v[f]
-        for f in ds:
-            y *= v[f]
-        num.append(x)
-        den.append(y)
-    d = q - p
-    r = _c_legs(len(legs) - 1, lambda f: f[1] * p + f[0] * q)
-    scale = 1   # k! (q-p)^k
-    for k, H in enumerate(legs):
-        xs, ys = [], []   # prod(num) and prod(den) of each partition of k
-        for hs in H:
-            x = y = 1
-            for h in hs:
-                x *= num[h]
-                y *= den[h]
+def _legs_at(n, P):
+    """Certify each leg k <= n at the integer point t0 = P against route C's
+    A_k(P) = r_k / (k! (1-P)^k), r = _c_legs at P, in order, leg k read from
+    its _point_terms once leg k - 1 holds: the sum of its terms is N_k /
+    W_k, W_k the lcm of their dens at P, each term its num times the exact
+    W_k // its den.  False if some W_k is 0 (P is a pole), else True;
+    ConsistencyError names the first k with N_k k! (1-P)^k != r_k W_k."""
+    r = _c_legs(n, lambda f: f[1] * P + f[0])
+    scale = 1   # k! (1-P)^k
+    for k in range(n + 1):
+        xs, ys = [], []   # each term's num and den at P
+        for x, y, num, den in _point_terms(k):
+            for j, i in num:
+                x *= i * P + j
+            for j, i in den:
+                y *= i * P + j
             xs.append(x)
             ys.append(y)
         W = lcm(*ys)
+        if not W:
+            return False
         total = 0
         for x, y in zip(xs, ys):
             total += x * (W // y)
         if total * scale != r[k] * W:
-            raise ConsistencyError("leg A_%d disagrees with route C at t = %s"
-                                   % (k, Fraction(p, q)))
-        scale *= (k + 1) * d
+            raise ConsistencyError("leg A_%d disagrees with route C at t = %d"
+                                   % (k, P))
+        scale *= (k + 1) * (1 - P)
+    return True
 
 
 def _convolve(counts, A, B, x):
@@ -588,8 +562,8 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
     `samples` or `seed`, certifies each leg A_k, k <= n, through the cache
     of _a_leg (a call after one at n' sums only the legs with k > n').
     sampled mode draws `samples` (an int, MIN_SAMPLES by default) distinct
-    random rational points t0 with numerators and denominators bounded by
-    10**6, redrawing a pole of some F, and certifies every leg at each t0
+    random integer points t0 in [-10**6, 10**6], redrawing a pole of some F,
+    and certifies every leg at each t0 from the terms of _point_terms
     (_legs_at).  A ConsistencyError means a bug.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -606,20 +580,15 @@ def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,
         if samples < MIN_SAMPLES:
             raise ValueError("sampled mode needs at least %d points"
                              % MIN_SAMPLES)
-        plan = _plan(n)
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
         seen = set()
         while samples:
-            t0 = Fraction(rng.randint(-_BOUND, _BOUND), rng.randint(1, _BOUND))
-            if t0 in seen:
+            P = rng.randint(-_BOUND, _BOUND)
+            if P in seen:
                 continue
-            seen.add(t0)
-            p, q = t0.numerator, t0.denominator
-            try:
-                _legs_at(plan, p, q)
-            except ZeroDivisionError:
-                continue  # t0 is a pole of some F: draw again
-            samples -= 1
+            seen.add(P)
+            if _legs_at(n, P):   # False at a pole of some F: draw again
+                samples -= 1
     else:
         raise ValueError("mode must be 'symbolic' or 'sampled', got %r"
                          % (mode,))

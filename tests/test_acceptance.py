@@ -91,7 +91,7 @@ def sum_constancy() -> str:
     _expect(got == 490, "n=4 sampled: %s != 490" % got)
     for n in range(5, 8):
         # raises unless route A is certified against route C at each of
-        # three random rational points and the value is the Euler product's
+        # three random integer points and the value is the Euler product's
         hilb_chern_integral(n, "sampled", samples=3)
     return ("per-triple sums of weight quotients constant and equal to the "
             "integral for n = 0..8, each held to [q^n] prod (1-q^m)^-7, "
@@ -135,12 +135,15 @@ def test_contribution_routes_catch_swapped_legs(monkeypatch):
 
 @pytest.fixture
 def cold_legs():
-    # the symbolic legs are cached per process: a leg summed before a
-    # mutant is patched in would hide it, and one summed under it would
-    # reach later tests
-    localization._a_leg.cache_clear()
+    # the symbolic legs and sampled mode's leg terms are cached per
+    # process: a leg summed or a term built before a mutant is patched in
+    # would hide it, and one built under it would reach later tests
+    caches = (localization._a_leg, localization._point_terms)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    localization._a_leg.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 @pytest.mark.parametrize("side, triple", [
@@ -153,10 +156,10 @@ def test_contribution_routes_see_the_split_forms(monkeypatch, cold_legs,
     # fixed_point_contribution reads the split forms the symbolic sum adds,
     # so the contribution-routes check names the one configuration with
     # that hook on that side.
-    # The G side is a mutant neither mode sees: symbolic mode reads only F
-    # sides and route C's rev(S_c), sampled mode the raw _box_forms, and
-    # both still give 140, so the contribution-routes check is what
-    # certifies the G side that p3 --verbose prints
+    # The G side is a mutant neither mode sees: both modes read only the F
+    # sides, as polynomials or at points, and route C's rev(S_c), and both
+    # still give 140, so the contribution-routes check is what certifies
+    # the G side that p3 --verbose prints
     split = localization._hook_split
 
     def doubled(a, l):

@@ -10,7 +10,7 @@ from-scratch reimplementation before being frozen here."""
 import inspect
 import random
 import types
-from collections import Counter, namedtuple
+from collections import Counter
 from fractions import Fraction
 from math import factorial, lcm, prod
 
@@ -32,15 +32,20 @@ from sheafcount.qseries import goettsche_series
 # n = 8..10 are the coefficients of prod (1-q^m)^-7 (test_integrals_match_series)
 INTEGRALS = [1, 7, 35, 140, 490, 1547, 4522, 12405, 32305, 80465, 192899]
 
+# the first point sampled mode draws at its default seed, which the census
+# rows name in their sampled-mode errors
+FIRST_POINT = 370998
+
 
 @pytest.fixture(autouse=True)
 def cold_legs():
     # the legs A_k, route C's weights, the split forms of each hook and
-    # sampled mode's plans are cached per process: a leg packed under one
-    # test's replaced _width or factors must not reach another test, and a
-    # test that expects a leg to be summed must find the cache empty
+    # sampled mode's leg terms are cached per process: a leg packed or a
+    # term built under one test's replaced _width or factors must not reach
+    # another test, and a test that expects a leg to be summed must find
+    # the cache empty
     caches = (localization._a_leg, localization._c_weights,
-              localization._hook_split, localization._plan)
+              localization._hook_split, localization._point_terms)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -666,7 +671,8 @@ def test_dropped_partition_raises(monkeypatch, mode):
     for n in range(3):
         assert hilb_chern_integral(n, mode) == INTEGRALS[n], n
     error = {"symbolic": "leg A_3 disagrees with route C: ",
-             "sampled": "leg A_3 disagrees with route C at t = 185499/463901"}
+             "sampled": "leg A_3 disagrees with route C at t = %d"
+             % FIRST_POINT}
     for n in range(3, 9):
         with pytest.raises(ConsistencyError) as err:
             hilb_chern_integral(n, mode)
@@ -703,10 +709,10 @@ def test_constant_mutant_raises():
 
 
 # route census rows: a mutant of the one split step or of the one cancel
-# step of route A's forms, with what each mode does at n = 0..8.  Sampled
-# mode values the raw box forms at points and takes neither step, so it
-# prints the right value; symbolic mode raises from the first leg the
-# mutant changes, that leg's route C certificate
+# step of route A's forms, with what each mode does at n = 0..8.  Both modes
+# sum the terms these steps build, so both raise from the first leg the
+# mutant changes, that leg's route C certificate: symbolic mode with the
+# leg as polynomials, sampled mode at the first point
 @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
 @pytest.mark.parametrize("old, new, first, error", [
     # _split's sign rule dropped: a form whose leading coefficient is
@@ -725,8 +731,11 @@ def test_constant_mutant_raises():
 ])
 def test_census_split_and_cancel_mutants(mode, old, new, first, error):
     mutant = _mutant(old, new)
+    if mode == "sampled":
+        error = ("leg A_%d disagrees with route C at t = %d"
+                 % (first, FIRST_POINT))
     for n in range(9):
-        if mode == "symbolic" and n >= first:
+        if n >= first:
             with pytest.raises(ConsistencyError) as err:
                 mutant.hilb_chern_integral(n, mode)
             assert str(err.value) == error, n
@@ -738,7 +747,7 @@ def test_census_split_and_cancel_mutants(mode, old, new, first, error):
 # value, else (raising, error), the range of the n that raise and the start
 # of their message, {n} read as n
 _SAMPLED_A1 = (range(1, 9),
-               "leg A_1 disagrees with route C at t = 185499/463901")
+               "leg A_1 disagrees with route C at t = %d" % FIRST_POINT)
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
@@ -770,15 +779,6 @@ _SAMPLED_A1 = (range(1, 9),
     pytest.param("max(bound, 1,", "max(bound // 2, 1,",
                  (range(1, 9), "leg A_1 disagrees with route C: "), None,
                  id="width-bound-halved"),
-    # the hooks (1, 0) and (0, 1) swapped in sampled mode's plan: leg A_2
-    # sums the partitions (2) and (1, 1), whose hooks the swap exchanges,
-    # so only leg A_3 sees it; symbolic mode reads no hook index
-    pytest.param("return (a + l) * (a + l + 1) // 2 + a",
-                 "return (a + l) * (a + l + 1) // 2 + (l if a + l == 1 "
-                 "else a)", None,
-                 (range(3, 9),
-                  "leg A_3 disagrees with route C at t = 185499/463901"),
-                 id="hook-id-swapped"),
     # each of _box_forms' four forms with its constant term + 1: both modes
     # read them, and leg A_1's certificate raises from n = 1, symbolic
     # mode's as polynomials, sampled mode's at the first point
@@ -896,100 +896,56 @@ def _f_at(lam, t0):
     return c.scale * _at_point((c.num, c.den), t0)
 
 
-# the fields of sampled mode's plan, in the order _plan returns them
-Plan = namedtuple("Plan", "forms hooks legs")
-
-
-def _plan(n):
-    """localization._plan(n) with its fields named."""
-    return Plan(*localization._plan(n))
-
-
-def _forms_of(plan, indices):
-    """The forms (j, i) of plan.forms at the given indices."""
-    return [plan.forms[f] for f in indices]
+def _term_at(term, P):
+    """A _point_terms term (sn, sd, num, den) valued at the integer P, as a
+    Fraction."""
+    sn, sd, num, den = term
+    return Fraction(sn * prod(i * P + j for j, i in num),
+                    sd * prod(i * P + j for j, i in den))
 
 
 def test_sampled_legs_equal_term_sums():
-    # route C's r_k / (k! (q-p)^k), r = _c_legs at t0 = p/q, which _legs_at
-    # certifies every leg against there, against the sum of F(lam) term by
-    # term, at points with no pole
+    # at integer points with no pole, each term of leg k is F(lam) of the
+    # partition lam of k in its place, and route C's r_k / (k! (1-P)^k),
+    # r = _c_legs at P, which _legs_at certifies every leg against there,
+    # is their sum, both against F(lam) by the character route
     n = 12
-    plan = _plan(n)
-    for t0 in (Fraction(104729, 7919), Fraction(-1299709, 15485863)):
-        p, q = t0.numerator, t0.denominator
-        localization._legs_at(plan, p, q)
-        r = localization._c_legs(n, lambda f: f[1] * p + f[0] * q)
+    for P in (104729, -1299709):
+        assert localization._legs_at(n, P)
+        r = localization._c_legs(n, lambda f: f[1] * P + f[0])
         assert len(r) == n + 1
         for k in range(n + 1):
-            assert Fraction(r[k], factorial(k) * (q - p) ** k) == sum(
-                _f_at(lam, t0) for lam in enumerate_partitions(k))
-
-
-def test_sampled_hooks_decode_to_the_partitions_hooks():
-    # each index tuple of the plan's legs is hooks(lam) through _hook_id, in
-    # enumerate_partitions order
-    plan = _plan(12)
-    assert len(plan.legs) == 13
-    ids = {localization._hook_id(a, l): (a, l)
-           for a in range(12) for l in range(12 - a)}
-    for k, H in enumerate(plan.legs):
-        assert [[ids[h] for h in hs] for hs in H] == [
-            partitions.hooks(lam) for lam in enumerate_partitions(k)], k
-
-
-def test_hook_ids_follow_the_fill_order():
-    # _hook_id maps the hooks (a, l) with a + l < n onto range(n(n+1)/2),
-    # and the plan's hook table holds at each index the form indices of
-    # that hook's _box_forms, numerators and denominators; the plan for n
-    # extends the plan for n - 1, whose indices stay as they were
-    for n in range(17):
-        plan = _plan(n)
-        assert len(plan.hooks) == n * (n + 1) // 2, n
-        if n:
-            prev = _plan(n - 1)
-            for field in ("forms", "hooks", "legs"):
-                old = getattr(prev, field)
-                assert getattr(plan, field)[:len(old)] == old, (n, field)
-        assert sorted(localization._hook_id(a, l) for a in range(n)
-                      for l in range(n - a)) == list(range(len(plan.hooks)))
-        for a in range(n):
-            for l in range(n - a):
-                num, den = plan.hooks[localization._hook_id(a, l)]
-                assert (tuple(_forms_of(plan, num)), tuple(_forms_of(plan, den))
-                        ) == localization._box_forms(a, l), (n, a, l)
-
-
-def _faulty_sampled(n, fault):
-    """hilb_chern_integral(n, "sampled") with the plan of every _legs_at
-    call replaced by fault(plan), plan with its fields named."""
-    legs_at = localization._legs_at
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(localization, "_legs_at",
-                   lambda plan, p, q: legs_at(fault(Plan(*plan)), p, q))
-        return hilb_chern_integral(n, "sampled")
+            terms = localization._point_terms(k)
+            want = [_f_at(lam, P) for lam in enumerate_partitions(k)]
+            assert [_term_at(x, P) for x in terms] == want, (P, k)
+            assert Fraction(r[k], factorial(k) * (1 - P) ** k) == sum(want)
 
 
 def test_sampled_sum_catches_a_term_over_the_whole():
-    # with the den forms of one hook dropped from the plan's hook table,
-    # every term with that hook is taken over W_k // (the other dens), W_k
-    # the lcm of the dens so read, instead of W_k // prod(den): it is F(lam)
-    # times that hook's den, so the first leg that has the hook,
-    # k = a + l + 1, disagrees with route C at the first point; each of the
-    # 6 hooks of n = 3, in turn
-    hooks = [(a, l) for a in range(3) for l in range(3 - a)]
-    assert len(hooks) == 6
-    for a, l in hooks:
-        h = localization._hook_id(a, l)
+    # with the den forms of one partition's term dropped, that term is taken
+    # over W_k // sd, W_k the lcm of the dens so read, instead of W_k // its
+    # whole den: it is F(lam) times its den forms' product, so leg
+    # k = |lam| disagrees with route C at the first point; each partition
+    # of k <= 3 whose term has den forms, in turn
+    point_terms = localization._point_terms
+    lams = [lam for k in range(4) for lam, x in zip(enumerate_partitions(k),
+                                                    point_terms(k)) if x[3]]
+    assert lams == [(1,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+    for lam in lams:
+        k = sum(lam)
 
-        def fault(plan, h=h):
-            table = list(plan.hooks)
-            table[h] = (table[h][0], ())
-            return plan._replace(hooks=tuple(table))
-        with pytest.raises(ConsistencyError) as err:
-            _faulty_sampled(3, fault)
-        assert str(err.value).startswith(
-            "leg A_%d disagrees with route C at t = " % (a + l + 1)), (a, l)
+        def fault(j, lam=lam):
+            terms = list(point_terms(j))
+            if j == sum(lam):
+                i = enumerate_partitions(j).index(lam)
+                terms[i] = terms[i][:3] + ((),)
+            return tuple(terms)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(localization, "_point_terms", fault)
+            with pytest.raises(ConsistencyError) as err:
+                hilb_chern_integral(3, "sampled")
+        assert str(err.value) == ("leg A_%d disagrees with route C at t = %d"
+                                  % (k, FIRST_POINT)), lam
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
@@ -1033,34 +989,36 @@ def test_sampled_route_c_mutant_raises(old, new, first, leg):
 
 
 def test_sampled_leg_over_a_short_lcm_raises():
-    # W_k taken without the den of (k,), the first partition of k, at one
-    # leg k in turn: (k,) and (1^k) are the partitions whose dens the lcm
-    # needs, so that term's W_k // prod(den) is inexact, and leg A_k
-    # disagrees with route C at the first point of n = k and n = 8, while
-    # n = k - 1, which does not sum leg k, holds.  The den of (2, 1) divides
-    # the lcm of the dens of (3,) and (1, 1, 1): left out of W_3, it leaves
-    # W_3 as it was, and n = 3 holds
+    # W_k taken without the den of (1^k), the last partition of k, at one
+    # leg k in turn: (1^k) alone has (t - 1)^k in its den, every other
+    # partition at most (t - 1)^(k - 2), so that term's W_k // prod(den) is
+    # inexact, and leg A_k disagrees with route C at the first point of
+    # n = k and n = 8, while n = k - 1, which does not sum leg k, holds.
+    # Which other dens W_k needs depends on the point: the den of (3,)
+    # divides the lcm of the others at each of the three default points, so
+    # left out of W_3 it leaves W_3 as it was, and n = 3 holds
     old = "W = lcm(*ys)"
     for k in range(1, 9):
-        mutant = _mutant(old, "W = lcm(*(ys[1:] if k == %d else ys))" % k)
+        mutant = _mutant(old, "W = lcm(*(ys[:-1] if k == %d else ys))" % k)
         assert mutant.hilb_chern_integral(k - 1, "sampled") == INTEGRALS[k - 1]
         for n in (k, 8):
             with pytest.raises(ConsistencyError) as err:
                 mutant.hilb_chern_integral(n, "sampled")
-            assert str(err.value).startswith(
-                "leg A_%d disagrees with route C at t = " % k), (k, n)
-    mutant = _mutant(old, "W = lcm(*(ys[:1] + ys[2:] if k == 3 else ys))")
+            assert str(err.value) == (
+                "leg A_%d disagrees with route C at t = %d"
+                % (k, FIRST_POINT)), (k, n)
+    mutant = _mutant(old, "W = lcm(*(ys[1:] if k == 3 else ys))")
     assert mutant.hilb_chern_integral(3, "sampled") == 140
 
 
 def test_sampled_plan_is_point_free():
-    # after one call at n the plan is cached, and a call at another seed
-    # reads no box form, hook or partition: only the plan
+    # after one call at n each leg's terms are cached, and a call at
+    # another seed reads no box form, hook or partition: only those terms
     for n in (3, 8):
         value = hilb_chern_integral(n, "sampled")
 
         def refuse(*args):
-            raise AssertionError("read after the plan was built")
+            raise AssertionError("read after the terms were built")
         with pytest.MonkeyPatch.context() as mp:
             for module in (localization, partitions):
                 for name in ("_box_forms", "hooks", "enumerate_partitions"):
@@ -1081,8 +1039,9 @@ def test_sampled_integrals():
 
 
 def test_sampled_resamples_on_pole(monkeypatch):
-    # the first point drawn is t = 1/1, a pole of the contribution of
-    # ((), (1,), ()); it must be skipped, not summed or raised
+    # the first point drawn is t = 1, a pole of the contribution of
+    # ((), (1,), ()); it must be skipped, not summed or raised.  Every point
+    # is one integer draw from [-10**6, 10**6]
     real = localization.random.Random
     draws = []
 
@@ -1092,12 +1051,12 @@ def test_sampled_resamples_on_pole(monkeypatch):
 
         def randint(self, lo, hi):
             draws.append((lo, hi))
-            return 1 if len(draws) <= 2 else self.rng.randint(lo, hi)
+            return 1 if len(draws) == 1 else self.rng.randint(lo, hi)
 
     monkeypatch.setattr(localization.random, "Random", FirstDrawIsOne)
     assert fixed_point_contribution(((), (1,), ())).den == ((-1, 1),)
     assert hilb_chern_integral(2, "sampled") == 35
-    assert len(draws) == 8   # the pole, then three good points
+    assert draws == [(-10**6, 10**6)] * 4   # the pole, then three good points
 
     # a point drawn twice is certified once and counts once: its second
     # draw is skipped as seen
@@ -1108,46 +1067,46 @@ def test_sampled_resamples_on_pole(monkeypatch):
 
         def randint(self, lo, hi):
             draws.append((lo, hi))
-            if 3 <= len(draws) <= 4:
-                return self.values[len(draws) - 3]
+            if len(draws) == 2:
+                return self.values[0]
             self.values.append(self.rng.randint(lo, hi))
             return self.values[-1]
 
     legs_at, certified = localization._legs_at, []
 
-    def counted(plan, p, q):
-        certified.append((p, q))
-        return legs_at(plan, p, q)
+    def counted(n, P):
+        certified.append(P)
+        return legs_at(n, P)
     monkeypatch.setattr(localization, "_legs_at", counted)
     monkeypatch.setattr(localization.random, "Random",
                         SecondPointRepeatsTheFirst)
     draws.clear()
     assert hilb_chern_integral(2, "sampled") == 35
-    assert len(draws) == 8   # a point, the same point, then two more
+    assert len(draws) == 4   # a point, the same point, then two more
     assert len(certified) == len(set(certified)) == 3
 
 
-def test_sampled_resamples_on_a_pole_of_minus_t(monkeypatch):
-    # the first point drawn is t = 0/1, where the den form (0, -1) of the
-    # box of (1,), which is -t, vanishes: its leg's lcm W_1 is 0 there, so
-    # the draw must be skipped, not summed or raised
+def test_sampled_resamples_on_a_pole_at_minus_one(monkeypatch):
+    # the first point drawn is t = -1, where the den form (1, 1), t + 1, of
+    # the term of (3,) vanishes: legs 0..2 hold there, but leg 3's lcm W_3
+    # is 0, so the draw must be skipped, not summed or raised
     real = localization.random.Random
     draws = []
 
-    class FirstDrawIsZero:
+    class FirstDrawIsMinusOne:
         def __init__(self, seed):
             self.rng = real(seed)
 
         def randint(self, lo, hi):
             draws.append((lo, hi))
-            if len(draws) <= 2:
-                return len(draws) - 1   # p = 0, then q = 1
-            return self.rng.randint(lo, hi)
+            return -1 if len(draws) == 1 else self.rng.randint(lo, hi)
 
-    monkeypatch.setattr(localization.random, "Random", FirstDrawIsZero)
-    assert (0, -1) in localization._box_forms(0, 0)[1]
-    assert hilb_chern_integral(2, "sampled") == 35
-    assert len(draws) == 8   # the pole, then three good points
+    assert (1, 1) in localization._point_terms(3)[0][3]
+    assert localization._legs_at(2, -1)
+    assert not localization._legs_at(3, -1)
+    monkeypatch.setattr(localization.random, "Random", FirstDrawIsMinusOne)
+    assert hilb_chern_integral(3, "sampled") == 140
+    assert len(draws) == 4   # the pole, then three good points
 
 
 def test_sampled_seed_determinism():
