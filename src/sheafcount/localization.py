@@ -63,8 +63,8 @@ The symbolic mode certifies route A in big integers: it divides no
 polynomial, adds no Fraction and expands no polynomial term by term.  A_k
 sums the Contributions F(lam) over the partitions of k, the very ones p3
 --verbose prints, each _cancel of _leg_split (the hooks' forms, split once
-per hook and process by _hook_split): A_k = N_k / (c_k prod L_k), L_k the
-multiset union of their den forms, c_k the lcm of their scales'
+per hook, side and process by _hook_split): A_k = N_k / (c_k prod L_k),
+L_k the multiset union of their den forms, c_k the lcm of their scales'
 denominators and N_k an integer polynomial.  _a_leg certifies each leg,
 k! N_k (1-t)^k = S_k c_k prod L_k, as one integer identity (below).  In
 either mode the sum is taken over route C's one form per leg:
@@ -97,9 +97,7 @@ and T/2, is zero exactly when its value at T is.  The convolution runs
 over D = n!^2 (1 - t)^n, each p(a)'s (1 - t)^a in the numerator N; the sum
 is constant exactly when N = c * D coefficient by coefficient, which is
 checked literally before c is returned, a sum that fails reported as the
-quotient N / D, unreduced.  _per_triple_sum sums the unfactored
-contribution_from_characters over the triples by the same merge as one
-leg and checks it by the same literal test.
+quotient N / D, unreduced.
 """
 
 import functools
@@ -110,7 +108,7 @@ from math import factorial, gcd, lcm, prod
 
 from .errors import ConsistencyError
 from .partitions import (arm, boxes, check_partition, enumerate_partitions,
-                         enumerate_triples, hooks, leg)
+                         hooks, leg)
 from .qseries import _euler_pow_at
 
 # sampled mode's default seed: any fixed value makes runs reproducible
@@ -379,13 +377,13 @@ def _leg_poly(contributions):
 
 
 @functools.cache
-def _hook_split(a, l):
-    """(F, G), each ((cn, num), (cd, den)): _split of the hook (a, l)'s num
-    and den forms, read as (i, j) for G; once per process and hook, shared,
-    so never mutated."""
-    F = _box_forms(a, l)
-    G = [[f[::-1] for f in forms] for forms in F]
-    return tuple(tuple(map(_split, forms)) for forms in (F, G))
+def _hook_split(a, l, side):
+    """((cn, num), (cd, den)): _split of the hook (a, l)'s num and den forms,
+    F's (side 0) or, each read as (i, j), G's (side 1); once per process,
+    hook and side, shared, so never mutated.  Only fixed_point_contribution
+    asks for side 1, so neither sum splits G."""
+    return tuple(_split([f[::-1] for f in forms] if side else forms)
+                 for forms in _box_forms(a, l))
 
 
 def _leg_split(p, side):
@@ -394,7 +392,7 @@ def _leg_split(p, side):
     multiplied out, the one builder of a fixed point's forms."""
     cn, num, cd, den = 1, [], 1, []
     for a, l in hooks(p):
-        (hn, hnum), (hd, hden) = _hook_split(a, l)[side]
+        (hn, hnum), (hd, hden) = _hook_split(a, l, side)
         cn *= hn
         cd *= hd
         num += hnum
@@ -539,14 +537,6 @@ def _constant(n, N, scale, L) -> Fraction:
             "localization sum for n=%d is not constant: %s"
             % (n, _quotient_str(N, scale, list(L.elements()))))
     return Fraction(N[-1], D[-1]) if N else Fraction(0)
-
-
-def _per_triple_sum(n) -> Fraction:
-    """The sum of contribution_from_characters over all triples of size n,
-    packed by _leg_poly like one leg: the reference for hilb_chern_integral,
-    sharing none of its weight algebra."""
-    return _constant(n, *_leg_poly(map(contribution_from_characters,
-                                       enumerate_triples(n))))
 
 
 def hilb_chern_integral(n: int, mode: str = "symbolic", *, seed=None,

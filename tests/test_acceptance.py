@@ -1,4 +1,5 @@
-"""Acceptance battery: the nine release gates, written once.
+"""Acceptance battery: the nine release gates, written once, and the
+mutation census that keeps each of them.
 
 A check is a function of no arguments that returns a one-line, timing-free
 description of what it verified and raises ConsistencyError when two
@@ -13,23 +14,33 @@ tests/test_acceptance.py` reads as a checklist.  Budgets are wall-clock on
 the machine running the suite.  NN is the release criterion's number, and
 criteria keep their numbers: criterion 1, the p3 point values, has no
 check, because every p3 run holds its value to [q^n] prod (1-q^m)^-7
-itself (tests/test_localization.py), so the first check is criterion 2.
-Beside a check stand the tests that plant a mutant in the code it reads,
-or in its own names, and show that the check catches it."""
+itself, so the first check is criterion 2.
 
+A check keeps its place by what it alone catches.  CENSUS, at the end, is
+one table of mutants of the package, each one source spelling replaced,
+with the first input it shows on and every check that catches it, among
+the gates and the four run-time certificates of the package; test_census
+runs the whole table, and test_census_names_every_check asserts that each
+check is the only catcher of some row or is KEPT for a stated reason."""
+
+import contextlib
+import importlib
+import inspect
+import io
 import random
+import sys
 import time
+import types
 from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sheafcount import localization, qseries
-from sheafcount.cli import SERIES_MAX_ORDER
+import sheafcount
+from sheafcount import cli, localization
 from sheafcount.errors import ConsistencyError, NLValidationError
 from sheafcount.localization import (
-    _per_triple_sum,
     contribution_from_characters,
     fixed_point_contribution,
     hilb_chern_integral,
@@ -50,7 +61,7 @@ from sheafcount.nl_dt import (
     z_series_closed,
     z_series_direct,
 )
-from sheafcount.partitions import enumerate_partitions, enumerate_triples
+from sheafcount.partitions import enumerate_triples
 from sheafcount.qseries import PuiseuxSeries, goettsche_series, hilb_euler
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "sheafcount" / "fixtures"
@@ -83,31 +94,14 @@ def _random_entries(rng, ell: int, count: int, top: int) -> dict:
 
 
 def sum_constancy() -> str:
-    for n in range(9):
-        total = _per_triple_sum(n)    # raises unless constant in t
-        want = hilb_chern_integral(n)
-        _expect(total == want, "n=%d: per-triple sum %s != %s" % (n, total, want))
-    got = hilb_chern_integral(4, "sampled")
-    _expect(got == 490, "n=4 sampled: %s != 490" % got)
-    for n in range(5, 8):
-        # raises unless route A is certified against route C at each of
-        # three random integer points and the value is the Euler product's
-        hilb_chern_integral(n, "sampled", samples=3)
-    return ("per-triple sums of weight quotients constant and equal to the "
-            "integral for n = 0..8, each held to [q^n] prod (1-q^m)^-7, "
-            "sampled n = 4 is 490, sampled route A certified at 3 points and "
-            "the value held to the Euler product for n = 5..7")
-
-
-def test_per_triple_sum_catches_a_wrong_obstruction(monkeypatch):
-    # with the obstruction equal to the tangent character every weight
-    # quotient is 1, so the sum at n = 1 counts the 3 fixed points, not 7
-    monkeypatch.setattr(localization, "obstruction_character",
-                        tangent_character)
-    assert localization._per_triple_sum(1) == 3
-    with pytest.raises(ConsistencyError) as err:
-        sum_constancy()
-    assert str(err.value) == "n=1: per-triple sum 3 != 7"
+    # sampled mode's runs, KEPT while the p3-sampled benchmark runs that
+    # mode: each call certifies route A against route C at three random
+    # integer points and holds the packed sum, constant by N = c * D, to the
+    # Euler product
+    for n in range(4, 8):
+        hilb_chern_integral(n, "sampled")
+    return ("sampled route A certified at 3 points, the sum constant and "
+            "held to the Euler product, for n = 4..7")
 
 
 def contribution_routes() -> str:
@@ -127,31 +121,17 @@ def test_contribution_routes_catch_swapped_legs(monkeypatch):
     # check names the first configuration where they differ
     split = localization._hook_split
     monkeypatch.setattr(localization, "_hook_split",
-                        lambda a, l: (split(a, l)[0],) * 2)
+                        lambda a, l, side: split(a, l, 0))
     with pytest.raises(ConsistencyError) as err:
         contribution_routes()
     assert str(err.value) == "contribution routes disagree at ((), (), (1,))"
-
-
-@pytest.fixture
-def cold_legs():
-    # the symbolic legs and sampled mode's leg terms are cached per
-    # process: a leg summed or a term built before a mutant is patched in
-    # would hide it, and one built under it would reach later tests
-    caches = (localization._a_leg, localization._point_terms)
-    for cached in caches:
-        cached.cache_clear()
-    yield
-    for cached in caches:
-        cached.cache_clear()
 
 
 @pytest.mark.parametrize("side, triple", [
     pytest.param(0, ((), (3,), ()), id="F-side"),
     pytest.param(1, ((), (), (3,)), id="G-side"),
 ])
-def test_contribution_routes_see_the_split_forms(monkeypatch, cold_legs,
-                                                 side, triple):
+def test_contribution_routes_see_the_split_forms(monkeypatch, side, triple):
     # the content of hook (0, 2)'s split numerator doubled on one side:
     # fixed_point_contribution reads the split forms the symbolic sum adds,
     # so the contribution-routes check names the one configuration with
@@ -162,12 +142,9 @@ def test_contribution_routes_see_the_split_forms(monkeypatch, cold_legs,
     # the G side that p3 --verbose prints
     split = localization._hook_split
 
-    def doubled(a, l):
-        sides = list(split(a, l))
-        if (a, l) == (0, 2):
-            (cn, num), den = sides[side]
-            sides[side] = ((2 * cn, num), den)
-        return tuple(sides)
+    def doubled(a, l, s):
+        (cn, num), den = split(a, l, s)
+        return ((2 * cn if (a, l, s) == (0, 2, side) else cn, num), den)
     monkeypatch.setattr(localization, "_hook_split", doubled)
     with pytest.raises(ConsistencyError) as err:
         contribution_routes()
@@ -191,61 +168,17 @@ def character_cardinalities() -> str:
 
 
 def eta_identity() -> str:
-    _expect(goettsche_series(24, 1).coefficient(1) == 24,
-            "chi(Hilb^1) of a K3 surface is not 24")
     # PuiseuxSeries.__mul__ does its own integer convolution, over one
-    # denominator per operand, and shares no code with _list_mul and
-    # _list_inv behind goettsche_series, so this checks their inversion
+    # denominator per operand, and shares no code with the Euler-power
+    # lists behind goettsche_series: the pentagonal certificate checks each
+    # list when it is filled, and this what goettsche_series makes of it
     for e in (-7, 0, 1, 7, 12, 24):
         _expect(goettsche_series(e, 30) * goettsche_series(-e, 30)
                 == PuiseuxSeries(1, {0: 1}, 30),
                 "G_%d * G_%d != 1 through q^30, G_e = prod (1-q^n)^-e"
                 % (e, -e))
-    # closed forms that share no code with the Euler product, through the
-    # CLI's longest series: G_e * G_-e = 1 holds for any wrong base
-    # product, these do not
-    top = SERIES_MAX_ORDER
-    pentagonal = {k * (3 * k - 1) // 2: (-1) ** abs(k)
-                  for k in range(-top, top + 1)}
-    jacobi = {k * (k + 1) // 2: (-1) ** k * (2 * k + 1) for k in range(top)}
-    partitions = {n: len(enumerate_partitions(n)) for n in range(26)}
-    for e, order, want, what in ((-1, top, pentagonal, "pentagonal theorem"),
-                                 (-3, top, jacobi, "Jacobi's identity"),
-                                 (1, 25, partitions, "partition count")):
-        series = goettsche_series(e, order)
-        for m in range(order + 1):
-            got = series.coefficient(m)
-            _expect(got == want.get(m, 0), "[q^%d] prod (1-q^n)^%d is %s, "
-                    "the %s gives %s" % (m, -e, got, what, want.get(m, 0)))
     return ("G_e * G_-e = 1, G_e = prod (1-q^n)^-e, for e in -7, 0, 1, 7, "
-            "12, 24 through q^30, q^1 coefficient 24; G_-1, G_-3 by the "
-            "pentagonal theorem and Jacobi's identity through q^%d, G_1 "
-            "against partition counts through q^25" % top)
-
-
-def test_eta_identity_catches_wrong_euler_product(monkeypatch):
-    # G_e * G_-e = 1 holds for any base product; one coefficient off by one
-    # at q^100 is caught first by the pentagonal certificate of the first
-    # fill that reaches it, and with that certificate gone, by the closed
-    # forms of the eta-identity check
-    real = qseries._euler_coeffs
-
-    def off_by_one(terms):
-        co = real(terms)
-        if terms >= 100:
-            co[100] += 1
-        return co
-    monkeypatch.setattr(qseries, "_euler_coeffs", off_by_one)
-    for certify, error in (
-            (qseries._certify_euler_pow, "[q^100] prod (1-q^n)^1 fails the "
-             "pentagonal theorem's certificate"),
-            (lambda k, f: None, "[q^100] prod (1-q^n)^1 is 2, the "
-             "pentagonal theorem gives 1")):
-        monkeypatch.setattr(qseries, "_euler_pow_cache", {})
-        monkeypatch.setattr(qseries, "_certify_euler_pow", certify)
-        with pytest.raises(ConsistencyError) as err:
-            eta_identity()
-        assert str(err.value) == error
+            "12, 24 through q^30")
 
 
 def _exponents_in_class(closed: dict, ell: int, what: str) -> int:
@@ -370,18 +303,15 @@ def test_index_check_catches_a_dropped_term(monkeypatch):
 
 
 def triple_counts() -> str:
-    literal = [1, 3, 9, 22, 51, 108, 221, 429, 810]
     # the Euler product at e = 3 is the cube of the partition series, and
     # shares no code with the enumeration
     top = 12
     series = goettsche_series(3, top)
-    co = [int(series.coefficient(n)) for n in range(top + 1)]
-    _expect(co[:len(literal)] == literal, "series cube %s != %s" % (co, literal))
     for n in range(top + 1):
-        got = len(enumerate_triples(n))
-        _expect(got == co[n], "n=%d: %d triples, expected %d" % (n, got, co[n]))
+        got, want = len(enumerate_triples(n)), int(series.coefficient(n))
+        _expect(got == want, "n=%d: %d triples, expected %d" % (n, got, want))
     return ("configuration counts match [q^n] prod (1-q^m)^-3 for n <= 12; "
-            "count at 12 is %d" % co[top])
+            "count at 12 is %d" % want)
 
 
 def bound_validation() -> str:
@@ -392,16 +322,7 @@ def bound_validation() -> str:
                 "violation message does not name h=2, d=1: %s" % exc)
     else:
         raise ConsistencyError("entry (h=2, d=1) at ell=4 was accepted")
-    rng = random.Random(77)
-    for _ in range(50):
-        ell = rng.choice([2, 4, 6, 8, 10])
-        # seeds at d in [0, ell) share no orbit, so they cannot conflict;
-        # the NLTable it returns raises if a cell leaves the bound
-        base = _random_entries(rng, ell, rng.randint(1, 6), 9)
-        nl_symmetry_extend(NLTable(ell, base), rng.randint(-9, 0),
-                           0, rng.randint(ell, 4 * ell))
-    return ("violations rejected by name; 50 randomized extensions "
-            "stayed inside the vanishing bound")
+    return "the violation (h=2, d=1) at ell=4 rejected by name"
 
 
 CHECKS = (
@@ -431,3 +352,369 @@ def _gate(number, check):
 
 for _test in (_gate(number, check) for number, check in enumerate(CHECKS, 2)):
     globals()[_test.__name__] = _test
+
+
+# -- the mutation census ---------------------------------------------------
+
+# the four run-time certificates of the package: the text of the error each
+# raises, and the edits that switch it off
+CERTIFICATES = {
+    "leg certificates": ("leg A_", (
+        ("localization", "if left != right:", "if False:"),
+        ("localization", "if total * scale != r[k] * W:", "if False:"))),
+    "N = c*D": ("localization sum for n=", (
+        ("localization", "if N and (len(N)", "if False and (len(N)"),)),
+    "Euler-product check": ("the integral for n=", (
+        ("localization", "if value != want:", "if False:"),)),
+    "pentagonal certificate": ("fails the pentagonal theorem's certificate", (
+        ("qseries", "        if total:", "        if False:"),)),
+}
+
+GATES = {check.name: check.fn for check in CHECKS}
+
+# the checks that catch no census row alone and stay, and why
+KEPT = {"sum constancy": "its sampled rows stay while the p3-sampled "
+        "benchmark runs sampled mode"}
+
+# a census row: a mutant, one occurrence of old in the module's source read
+# as new; the first input it shows on, whose output it changes or on which a
+# certificate raises, a command line (a word ending in .json names a bundled
+# table) or an expression over the package's modules; and every check that
+# catches it
+Row = namedtuple("Row", "id module old new input by")
+
+LEG, NCD, EULER = "leg certificates", "N = c*D", "Euler-product check"
+
+
+def _modes(ids, module, old, new, line, by, sampled_by=None):
+    # the row in symbolic mode and in sampled mode, ids a pair or one id
+    # with {} for the mode
+    first, second = ids if isinstance(ids, tuple) else (
+        ids.format("symbolic"), ids.format("sampled"))
+    return (Row(first, module, old, new, line, by),
+            Row(second, module, old, new, line + " --mode sampled",
+                by if sampled_by is None else sampled_by))
+
+
+# the box-den-first mutant makes a den form 0 * t + 0 at the hook (1, 0):
+# with the leg certificates off, sampled mode's terms divide by it
+_BOX = [("box-num-first", "(((-a, a - l - 2),", "(((-a + 1, a - l - 2),", ()),
+        ("box-num-second", "(a + 1, l - a - 2)),", "(a + 2, l - a - 2)),", ()),
+        ("box-den-first", "((-a, a - l - 1),", "((-a + 1, a - l - 1),",
+         ("sum constancy",)),
+        ("box-den-second", "(a + 1, l - a - 1)))", "(a + 2, l - a - 1)))", ())]
+_UNPACK = "half = 1 << (bits - 1)"
+_WIDTH = "j, _ in forms)).bit_length() + 1"
+_B = "ev((-f[1], -f[0]))"
+# route C's recurrence, its d and e, and the sum over its legs, read wrong:
+# (name, old, new, the first n it gets wrong, its catchers)
+_C_AT = [("wrong-d", "_c_at(n, ev((1, -1))", "_c_at(n, ev((1, -2))", 2,
+          (LEG, NCD, EULER)),
+         ("r-not-reversed", "zip(ws, powers, r[::-1])", "zip(ws, powers, r)",
+          2, (LEG, NCD, EULER)),
+         ("wrong-power", "powers[-1] * d)", "powers[-1] * d * d)", 2,
+          (LEG, NCD, EULER)),
+         ("wrong-sigma", "sum(d for d in", "sum(1 for d in", 2, (LEG, EULER)),
+         ("scaled-leg", "r.append(e * ",
+          "r.append((3 if len(r) == 2 else 1) * e * ", 2, (LEG, NCD, EULER)),
+         ("wrong-e", "ev((2, -4))", "ev((2, -3))", 1, (LEG, EULER)),
+         ("no-power-of-1-t", "m * x ** a for a, m", "m for a, m", 1,
+          (NCD, EULER))]
+_COUNT = "r // factorial(k) for"
+
+CENSUS = (
+    # route A, each hook's forms, its split and cancel steps, and the merge
+    # of a leg: the leg certificates, and the contribution-routes check
+    # where p3 --verbose prints the change
+    *(row for name, old, new, by in _BOX for row in _modes(
+        "census_mutants[%s-{}]" % name, "localization", old, new, "p3 --n 1",
+        (*by, "contribution routes", LEG))),
+    *_modes("census_split_and_cancel_mutants[split-unsigned-{}]",
+            "localization", "g = gcd(i, j) if i > 0 or (i == 0 and j > 0) "
+            "else -gcd(i, j)", "g = gcd(i, j)", "p3 --n 2", (LEG,)),
+    *_modes("census_split_and_cancel_mutants[cancel-den-twice-{}]",
+            "localization", "sorted(den)))", "sorted(den + den[:1])))",
+            "p3 --n 1", ("contribution routes", LEG)),
+    Row("merge_mutant_raises[drops-L-minus-L2]", "localization",
+        "walk(right) * at(short2)", "walk(right)", "p3 --n 3", (LEG,)),
+    Row("merge_mutant_raises[drops-L-minus-L1]", "localization",
+        "walk(left) * at(short1)", "walk(left)", "p3 --n 2", (LEG,)),
+    Row("census_mutants[width-bound-halved-symbolic]", "localization",
+        "max(bound, 1,", "max(bound // 2, 1,", "p3 --n 1", (LEG,)),
+    Row("hooks-arm", "partitions",
+        "return [(conj[col] - row - 1, width - col - 1)",
+        "return [(conj[col] - row, width - col - 1)", "p3 --n 1",
+        ("contribution routes", LEG)),
+    # the packing: symbolic mode unpacks its legs, both modes the sum
+    *_modes("census_mutants[unpack-half-plus-one-{}]", "localization",
+            _UNPACK, "half = (1 << (bits - 1)) + 1", "p3 --n 0",
+            (LEG, NCD, EULER), (NCD, EULER)),
+    *_modes("census_mutants[width-no-plus-one-{}]", "localization", _WIDTH,
+            "j, _ in forms)).bit_length()", "p3 --n 0", (LEG, NCD, EULER),
+            (NCD, EULER)),
+    # route C and the one sum both modes take their value from
+    *(row for name, old, new, n, by in _C_AT for row in _modes(
+        ("route_c_mutant_raises[%s]" % name,
+         "sampled_route_c_mutant_raises[%s]" % name), "localization", old,
+        new, "p3 --n %d" % n, by)),
+    Row("route_c_mutant_raises[b-not-reversed]", "localization", _B,
+        "ev((-f[0], -f[1]))", "p3 --n 1", (NCD, EULER)),
+    Row("route_c_mutant_raises[b-unsigned]", "localization", _B,
+        "ev((f[1], f[0]))", "p3 --n 1", (NCD, EULER)),
+    *_modes(("non_constant_sum_raises",) * 2, "localization",
+            "_c_legs(n, lambda f: %s)" % _B, "_c_legs(n, ev)", "p3 --n 1",
+            (NCD, EULER)),
+    Row("convolve-at-2-minus-t", "localization", "ev([1, -1]))",
+        "ev([2, -1]))", "p3 --n 1", (NCD,)),
+    *_modes("convolve_mutant_raises[{}]", "localization", "col = [m * x ** a",
+            "col = [(1 + (a == 1)) * m * x ** a", "p3 --n 1", (EULER,)),
+    *_modes(("constant_mutant_raises",) * 2, "localization",
+            "return Fraction(N[-1], D[-1]) if N",
+            "return Fraction(N[-1], D[-1]) + 1 if N", "p3 --n 0", (EULER,)),
+    # the partition counts: each sum is linear in them, and constant
+    *_modes("wrong_count_raises[p2-plus-one-{}]", "localization", _COUNT,
+            "r // factorial(k) + (k == 2) for", "p3 --n 2", (EULER,)),
+    *_modes("wrong_count_raises[exponent-minus-two-{}]", "localization",
+            "_c_at(n, 1, 1)", "_c_at(n, 1, 2)", "p3 --n 1", (EULER,)),
+    *(row for k in range(1, 7) for row in _modes(
+        "census_count_check[{}]", "localization", _COUNT,
+        "r // factorial(k) + (k == %d) for" % k, "p3 --n %d" % k, (EULER,))),
+    # what p3 --verbose prints beside the value, and the character route
+    Row("g-read-as-f", "localization", "if side else forms",
+        "if False else forms", "p3 --n 1 --verbose", ("contribution routes",)),
+    Row("p1-pair-twice", "localization", "out.append((l + 1, -a))",
+        "out += [(l + 1, -a)] * 2",
+        "localization.tangent_character(((1,), (), ()))",
+        ("character cardinalities",)),
+    Row("a-triple-slot-dropped", "partitions", "for n2 in range(n - n1 + 1):",
+        "for n2 in range(n - n1):", "p3 --n 0 --verbose",
+        ("configuration counts",)),
+    # the Euler powers and what goettsche_series makes of them
+    Row("euler-coefficient-100", "qseries", "    return co\n\n\ndef _list_mul",
+        "    co[100:101] = [x + 1 for x in co[100:101]]\n    return co\n\n\n"
+        "def _list_mul", "goettsche --euler -1 --terms 100",
+        ("pentagonal certificate",)),
+    Row("inverse-unsigned", "qseries", "out[k] = -acc * c0",
+        "out[k] = acc * c0", "goettsche --euler 1 --terms 1",
+        ("eta identity", "configuration counts", EULER,
+         "pentagonal certificate")),
+    Row("goettsche-unsigned", "qseries", "co = _euler_pow(-e, terms)",
+        "co = _euler_pow(e, terms)", "goettsche --euler 24 --terms 1",
+        ("closed = direct", "configuration counts")),
+    Row("goettsche-abs", "qseries", "{m: Fraction(c) for m",
+        "{m: Fraction(abs(c)) for m", "goettsche --euler -1 --terms 1",
+        ("eta identity",)),
+    Row("goettsche-one-term-long", "qseries", "if c}, terms)",
+        "if c}, terms + 1)", "goettsche --euler 24 --terms 1",
+        ("eta identity",)),
+    Row("hilb-euler-zero", "qseries", "    if m < 0:\n        return Fraction",
+        "    if m < 1:\n        return Fraction", "qseries.hilb_euler(0)",
+        ("index formulas",)),
+    # the two Z routes, and the K3 side's tables and formulas
+    Row("series-sum-negated", "qseries", "out[k] = out.get(k, 0) + v",
+        "out[k] = out.get(k, 0) - v", "z --nl mixed_shift.json --terms 0",
+        ("closed = direct",)),
+    Row("shift-negated", "qseries", "step = int(e * grid)",
+        "step = -int(e * grid)", "z --nl two_copies.json --terms 0",
+        ("closed = direct",)),
+    Row("terms-shifted", "qseries", "(Fraction(k, self.grid), v)",
+        "(Fraction(k + 1, self.grid), v)", "z --nl two_copies.json --terms 0",
+        ("closed = direct",)),
+    Row("z-grid-doubled", "nl_dt", ".with_grid(2 * spec.ell)",
+        ".with_grid(4 * spec.ell)", "z --nl two_copies.json --terms 0",
+        ("closed = direct",)),
+    Row("phi-exponent", "nl_dt", "num = grid + d * d - grid * h",
+        "num = grid - d * d - grid * h", "phi --nl mixed_shift.json --d 1 "
+        "--terms 0", ("closed = direct",)),
+    Row("dt-k-term-unsigned", "nl_dt", "r * r + 1 - r * c, -spec.k))",
+        "r * r + 1 - r * c, spec.k))", "dt --nl mixed_shift.json --d 0 --c 2",
+        ("closed = direct",)),
+    Row("dt-order-plus-one", "nl_dt", "(r * r + h - r * c, v) for",
+        "(r * r + h - r * c + 1, v) for", "dt --nl two_copies.json --d 0 "
+        "--c 0", ("closed = direct", "index formulas")),
+    Row("pair-shift-unsigned", "nl_dt", "Fraction(2 * d + ell, 2 * r)",
+        "Fraction(2 * d - ell, 2 * r)", "nl_dt.dt_symmetry_pair(1, 2, 0, 0)",
+        ("symmetry pairing",)),
+    Row("extend-short-of-d-max", "nl_dt", "d_min <= nd <= d_max",
+        "d_min <= nd < d_max", "nl-extend symmetry_window.json --h-lo -20 "
+        "--d-min 0 --d-max 9", ("symmetry pairing",)),
+    Row("index-drops-r-squared", "nl_dt", "v.h - v.r * v.omega - v.r * v.r",
+        "v.h - v.r * v.omega", "nl_dt.hilb_index(nl_dt.MukaiVector(1, 0, 0))",
+        ("index formulas",)),
+    Row("omega-plus-one", "nl_dt", "return self.beta_sq // 2 - self.tau\n",
+        "return self.beta_sq // 2 - self.tau + 1\n",
+        "nl_dt.hilb_index(nl_dt.MukaiVector(2, -2, 3))", ("index formulas",)),
+    Row("bound-off-by-one", "nl_dt", "2 * ell * (h - 1) <= d * d",
+        "2 * ell * (h - 2) <= d * d", "nl_dt.NLTable(4, {(2, 1): 1}).entries",
+        ("bound validation",)),
+)
+
+# mutants that change nothing the package prints or returns, shown so
+EQUIVALENT = (
+    *_modes("census_mutants[unpack-half-minus-one-{}]", "localization",
+            _UNPACK, "half = (1 << (bits - 1)) - 1", "p3 --n 8", ()),
+    Row("census_mutants[width-bound-halved-sampled]", "localization",
+        "max(bound, 1,", "max(bound // 2, 1,", "p3 --n 8 --mode sampled", ()),
+)
+
+# the package's modules, each after those it imports from
+_PACKAGE = ("errors", "partitions", "qseries", "localization", "nl_dt", "cli")
+
+
+def _home(value):
+    # the package module a value of this file's globals comes from, or None
+    where = value.__name__ if isinstance(value, types.ModuleType) else getattr(
+        value, "__module__", None)
+    if isinstance(where, str) and where.startswith("sheafcount."):
+        return where.rpartition(".")[2]
+    return None
+
+
+@contextlib.contextmanager
+def _mutant(*edits):
+    """The package with each edit (module, old, new) made in a fresh copy of
+    its module, old occurring once in its source.  Each module that imports
+    from a fresh copy is copied fresh too, so nl_dt and cli see a mutated
+    qseries, and this file's gates read the copies.  Yields the modules by
+    name; the real ones are back in place after."""
+    real = {name: importlib.import_module("sheafcount." + name)
+            for name in _PACKAGE}
+    fresh, names = {}, dict(globals())
+    try:
+        for name, module in real.items():
+            source = inspect.getsource(module)
+            mine = [(old, new) for where, old, new in edits if where == name]
+            if not mine and not any("from .%s import" % dep in source
+                                    for dep in fresh):
+                continue
+            for old, new in mine:
+                assert source.count(old) == 1, (name, old)
+                source = source.replace(old, new)
+            copy = fresh[name] = types.ModuleType(module.__name__)
+            copy.__package__, copy.__file__ = "sheafcount", module.__file__
+            sys.modules[module.__name__] = copy
+            setattr(sheafcount, name, copy)
+            exec(compile(source, module.__file__, "exec"), vars(copy))
+        for key, value in names.items():
+            if _home(value) in fresh:
+                copy = fresh[_home(value)]
+                globals()[key] = (copy if isinstance(value, types.ModuleType)
+                                  else getattr(copy, key))
+        yield types.SimpleNamespace(**{**real, **fresh})
+    finally:
+        globals().update(names)
+        for name, module in real.items():
+            sys.modules[module.__name__] = module
+            setattr(sheafcount, name, module)
+
+
+def _run(m, line):
+    """(exit code, output) of a census input under the modules m: a command
+    line through cli.main, stdout on exit 0 and stderr otherwise, or an
+    expression, its repr, or 2 and the message of its ConsistencyError."""
+    words = line.split()
+    if words[0] in cli._COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = m.cli.main([str(FIXTURES / w) if w.endswith(".json") else w
+                               for w in words])
+        return code, (err if code else out).getvalue()
+    try:
+        return 0, repr(eval(line, dict(vars(m))))
+    except ConsistencyError as exc:
+        return 2, str(exc)
+
+
+def _off(names):
+    return [edit for name in names if name in CERTIFICATES
+            for edit in CERTIFICATES[name][1]]
+
+
+def _fails(fn):
+    # the repr of what fn() raises, or ""
+    try:
+        fn()
+    except Exception as exc:
+        return repr(exc)
+    return ""
+
+
+def _catches(row, name):
+    # with the row's other certificates off: a gate raises, a certificate
+    # raises its error on the row's input or in a gate
+    with _mutant((row.module, row.old, row.new),
+                 *_off(set(row.by) - {name})) as m:
+        if name in GATES:
+            return bool(_fails(GATES[name]))
+        error = CERTIFICATES[name][0]
+        code, text = _run(m, row.input)
+        return code == 2 and error in text or any(
+            error in _fails(fn) for fn in GATES.values())
+
+
+def census_row(row):
+    """Each check the row names catches its mutant, and a row that names
+    none (EQUIVALENT) has its input give what the real package gives."""
+    for name in row.by:
+        assert _catches(row, name), (row.id, row.input, name)
+    if not row.by:
+        with _mutant() as m:
+            want = _run(m, row.input)
+        with _mutant((row.module, row.old, row.new)) as m:
+            assert _run(m, row.input) == want, row.id
+
+
+def _alone(row):
+    # the row's one catcher switched off, its input ends with exit 0 and
+    # every other gate passes: no other check catches it
+    name, = row.by
+    with _mutant((row.module, row.old, row.new), *_off([name])) as m:
+        assert _run(m, row.input)[0] == 0, row.id
+        for other, fn in GATES.items():
+            assert other == name or not _fails(fn), (row.id, other)
+
+
+def test_census():
+    # every row's catchers, and for each check the first row it alone
+    # catches shown to escape every other check; that row's edit undone,
+    # the check catches nothing
+    shown = set()
+    for row in CENSUS + EQUIVALENT:
+        census_row(row)
+        if len(row.by) == 1 and row.by[0] not in shown:
+            shown.add(row.by[0])
+            _alone(row)
+            assert not _catches(row._replace(new=row.old), row.by[0]), row.id
+
+
+def test_census_names_every_check():
+    # each gate and certificate is the only catcher of some row, or is kept
+    # for a stated reason: a check added without a row fails here
+    alone = {row.by[0] for row in CENSUS if len(row.by) == 1}
+    assert alone | set(KEPT) == set(GATES) | set(CERTIFICATES)
+    assert not alone & set(KEPT)
+    assert all(row.by for row in CENSUS)
+
+
+def census_selection(family):
+    """The rows of CENSUS and EQUIVALENT with ids family[key] as one test
+    with a case per key, or with id family as one test: each runs
+    census_row on its rows.  Former per-row tests keep their ids so."""
+    rows = [row for row in CENSUS + EQUIVALENT
+            if row.id.partition("[")[0] == family]
+    keys = list(dict.fromkeys(row.id for row in rows))
+
+    def run(key):
+        for row in rows:
+            if row.id == key:
+                census_row(row)
+    if keys == [family]:
+        def test():
+            run(family)
+    else:
+        @pytest.mark.parametrize("key", keys, ids=[
+            key.partition("[")[2][:-1] for key in keys])
+        def test(key):
+            run(key)
+    test.__name__ = "test_" + family
+    return test
