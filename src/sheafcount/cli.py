@@ -142,9 +142,9 @@ def _require_order(m: int, what: str):
 
 
 def cmd_p3(args) -> int:
-    if args.mode == "symbolic" and (args.samples is not None
-                                    or args.seed is not None):
-        raise ValueError("--samples and --seed apply to --mode sampled only")
+    # n >= 0, the samples floor and the sampling flags are
+    # hilb_chern_integral's rules: the value is computed, or refused, before
+    # anything is listed
     if args.n is not None:
         if args.s is not None or args.d is not None:
             raise ValueError("give either --n or the pair --s/--d, not both")
@@ -157,29 +157,20 @@ def cmd_p3(args) -> int:
         if s < 0 or d < 0:
             raise ValueError("degrees must be nonnegative: s=%d, d=%d" % (s, d))
         n = s * (s + 3) // 2 - d + 1
-        if n < 0:
-            raise ValueError("no configuration: s=%d, d=%d give n=%d < 0"
-                             % (s, d, n))
-    if n < 0:
-        raise ValueError("the number of points must be nonnegative")
     if n > P3_MAX_N:
         raise ValueError("n = %d is above the cap of %d points"
                          % (n, P3_MAX_N))
-    samples = MIN_SAMPLES if args.samples is None else args.samples
-    if samples < MIN_SAMPLES:
-        raise ValueError("--samples %d is below the minimum of %d points"
-                         % (samples, MIN_SAMPLES))
-    if samples > P3_MAX_SAMPLES:
+    if args.samples is not None and args.samples > P3_MAX_SAMPLES:
         raise ValueError("--samples %d is above the cap of %d"
-                         % (samples, P3_MAX_SAMPLES))
+                         % (args.samples, P3_MAX_SAMPLES))
+    value = hilb_chern_integral(n, args.mode, seed=args.seed,
+                                samples=args.samples)
     if args.verbose:
         triples = enumerate_triples(n)
         print("# %d monomial configurations for n = %d" % (len(triples), n))
         if args.mode == "symbolic":
             for tr in triples:
                 print("# %r: %s" % (tr, fixed_point_contribution(tr)))
-    value = hilb_chern_integral(n, args.mode, seed=args.seed,
-                                samples=args.samples)
     _emit_value(value, args.format)
     return 0
 

@@ -1,4 +1,4 @@
-"""Acceptance battery: the nine release gates, written once, and the
+"""Acceptance battery: the ten release gates, written once, and the
 mutation census that keeps each of them.
 
 A check is a function of no arguments that returns a one-line, timing-free
@@ -27,12 +27,14 @@ import contextlib
 import importlib
 import inspect
 import io
+import itertools
 import random
 import sys
 import time
 import types
 from collections import namedtuple
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -104,6 +106,59 @@ def sum_constancy() -> str:
             "held to the Euler product, for n = 4..7")
 
 
+def _printed(*argv) -> str:
+    # the stdout of cli.main(argv), which must exit 0
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    _expect(code == 0, "%s exits %d: %s" % (" ".join(argv), code,
+                                            err.getvalue().strip()))
+    return out.getvalue()
+
+
+def _text_at(poly: str, t0: int) -> Fraction:
+    # the value at t0 of a polynomial in t as p3 --verbose prints it: terms
+    # [-][c*]t^e, [-][c*]t or [-]c, c an integer or p/q, joined by " + " and
+    # " - "
+    total = Fraction(0)
+    for term in poly.replace(" - ", " + -").split(" + "):
+        sign = -1 if term.startswith("-") else 1
+        coeff, t, power = term.lstrip("-").partition("t")
+        if t:
+            coeff, e = coeff.rstrip("*") or "1", int(power.lstrip("^") or 1)
+        else:
+            e = 0
+        total += sign * Fraction(coeff) * t0 ** e
+    return total
+
+
+def _verbose_lines(n: int) -> int:
+    # each quotient p3 --n n --verbose prints, read back as text, against
+    # its Contribution at the first two integers t0 >= 2 where none of the
+    # Contribution's forms vanishes
+    lines = _printed("p3", "--n", str(n), "--verbose").splitlines()
+    triples = enumerate_triples(n)
+    _expect(len(lines) == len(triples) + 2, "p3 --n %d --verbose prints %d "
+            "lines for %d configurations" % (n, len(lines), len(triples)))
+    for tr, line in zip(triples, lines[1:]):
+        head, text = "# %r: " % (tr,), line.partition(": ")[2]
+        c = fixed_point_contribution(tr)
+        num, _, den = (text[1:-1].partition(")/(") if text.startswith("(")
+                       else (text, "", "1"))
+        forms = c.num + c.den
+        for t0 in itertools.islice((t0 for t0 in itertools.count(2)
+                                    if all(i * t0 + j for j, i in forms)), 2):
+            want = c.scale * Fraction(prod(i * t0 + j for j, i in c.num),
+                                      prod(i * t0 + j for j, i in c.den))
+            try:
+                got = _text_at(num, t0) / _text_at(den, t0)
+            except (ValueError, ZeroDivisionError):   # not such a quotient
+                got = None
+            _expect(line.startswith(head) and got == want,
+                    "p3 --verbose prints %r, not %s at t = %d" % (line, want, t0))
+    return len(triples)
+
+
 def contribution_routes() -> str:
     checked = 0
     for n in range(9):
@@ -111,8 +166,10 @@ def contribution_routes() -> str:
             _expect(fixed_point_contribution(tr) == contribution_from_characters(tr),
                     "contribution routes disagree at %r" % (tr,))
             checked += 1
+    printed = sum(_verbose_lines(n) for n in range(5))
     return ("direct product = weight quotient on all %d configurations "
-            "with n <= 8" % checked)
+            "with n <= 8; the %d quotients p3 --verbose prints for n <= 4 "
+            "read back at two points each" % (checked, printed))
 
 
 def test_contribution_routes_catch_swapped_legs(monkeypatch):
@@ -255,9 +312,16 @@ def invariant_symmetry() -> str:
         table = nl_symmetry_extend(NLTable(ell, entries), -10, 0, 2 * ell - 1)
         pairs += _pairs_hold(FibrationSpec(ell=ell, k=0, nl=table),
                              range(ell), range(-5, 6))
-    pairs += _pairs_hold(_fixture("symmetry_window"), (1,), range(-2, 3))
+    # symmetry_window closed in a window below d = 0, so that its orbits
+    # are walked both ways: its cells (2, -3) and (7, -7) come from the
+    # backward walk alone, and d = -7 and -3 pair them
+    window = _fixture("symmetry_window")
+    closed = nl_symmetry_extend(window.nl, -20, -8, 9)
+    pairs += _pairs_hold(FibrationSpec(ell=window.ell, k=window.k, nl=closed),
+                         (-7, -3, 1, 5), range(-2, 3))
     return ("%d symmetry pairs: closed rank-1 tables at c in [-5,5], "
-            "d in [0,ell), and symmetry_window at d = 1, c in [-2,2]" % pairs)
+            "d in [0,ell), and symmetry_window closed in d in [-8,9] at "
+            "d = -7, -3, 1, 5, c in [-2,2]" % pairs)
 
 
 def index_consistency() -> str:
@@ -325,6 +389,30 @@ def bound_validation() -> str:
     return "the violation (h=2, d=1) at ell=4 rejected by name"
 
 
+def cli_values() -> str:
+    # the command line's own value paths, which no other check reads: p3's
+    # spelling n = s(s+3)/2 - d + 1 against the library's value at that n,
+    # and goettsche's series, printed as text, against goettsche_series
+    runs = 0
+    for s in range(4):
+        for d in range(s * (s + 3) // 2 + 2):
+            n = s * (s + 3) // 2 - d + 1
+            got = _printed("p3", "--s", str(s), "--d", str(d))
+            _expect(got == "%s\n" % hilb_chern_integral(n),
+                    "p3 --s %d --d %d prints %r, not the value at n = %d"
+                    % (s, d, got, n))
+            runs += 1
+    for e in (-24, 7, 24):
+        lines = _printed("goettsche", "--euler", str(e), "--terms",
+                         "3").splitlines()
+        got = [tuple(map(Fraction, line[3:].split("): "))) for line in lines[:-1]]
+        _expect(got == goettsche_series(e, 3).terms() and lines[-1] == "O(q^(4))",
+                "goettsche --euler %d --terms 3 prints %r" % (e, lines))
+    return ("p3 --s s --d d for s <= 3 and every d with n >= 0 (%d runs) = "
+            "hilb_chern_integral(n); goettsche --euler e --terms 3 = "
+            "goettsche_series for e in -24, 7, 24" % runs)
+
+
 CHECKS = (
     Check("sum constancy", 5.0, sum_constancy),
     Check("contribution routes", 2.0, contribution_routes),
@@ -335,6 +423,7 @@ CHECKS = (
     Check("index formulas", 1.0, index_consistency),
     Check("configuration counts", None, triple_counts),
     Check("bound validation", None, bound_validation),
+    Check("CLI value paths", 2.0, cli_values),
 )
 
 
@@ -386,22 +475,23 @@ Row = namedtuple("Row", "id module old new input by")
 LEG, NCD, EULER = "leg certificates", "N = c*D", "Euler-product check"
 
 
-def _modes(ids, module, old, new, line, by, sampled_by=None):
+def _modes(ids, module, old, new, line, by):
     # the row in symbolic mode and in sampled mode, ids a pair or one id
-    # with {} for the mode
+    # with {} for the mode.  The gates run symbolic p3, so a mutant the leg
+    # certificates see there is theirs in either mode
     first, second = ids if isinstance(ids, tuple) else (
         ids.format("symbolic"), ids.format("sampled"))
     return (Row(first, module, old, new, line, by),
-            Row(second, module, old, new, line + " --mode sampled",
-                by if sampled_by is None else sampled_by))
+            Row(second, module, old, new, line + " --mode sampled", by))
 
 
 # the box-den-first mutant makes a den form 0 * t + 0 at the hook (1, 0):
-# with the leg certificates off, sampled mode's terms divide by it
+# with the leg certificates off, both modes divide by it, sampled mode's
+# terms and symbolic p3 --n 4 (exit 3)
 _BOX = [("box-num-first", "(((-a, a - l - 2),", "(((-a + 1, a - l - 2),", ()),
         ("box-num-second", "(a + 1, l - a - 2)),", "(a + 2, l - a - 2)),", ()),
         ("box-den-first", "((-a, a - l - 1),", "((-a + 1, a - l - 1),",
-         ("sum constancy",)),
+         ("sum constancy", "CLI value paths")),
         ("box-den-second", "(a + 1, l - a - 1)))", "(a + 2, l - a - 1)))", ())]
 _UNPACK = "half = 1 << (bits - 1)"
 _WIDTH = "j, _ in forms)).bit_length() + 1"
@@ -431,7 +521,8 @@ CENSUS = (
         (*by, "contribution routes", LEG))),
     *_modes("census_split_and_cancel_mutants[split-unsigned-{}]",
             "localization", "g = gcd(i, j) if i > 0 or (i == 0 and j > 0) "
-            "else -gcd(i, j)", "g = gcd(i, j)", "p3 --n 2", (LEG,)),
+            "else -gcd(i, j)", "g = gcd(i, j)", "p3 --n 2",
+            ("contribution routes", LEG)),
     *_modes("census_split_and_cancel_mutants[cancel-den-twice-{}]",
             "localization", "sorted(den)))", "sorted(den + den[:1])))",
             "p3 --n 1", ("contribution routes", LEG)),
@@ -439,8 +530,8 @@ CENSUS = (
         "walk(right) * at(short2)", "walk(right)", "p3 --n 3", (LEG,)),
     Row("merge_mutant_raises[drops-L-minus-L1]", "localization",
         "walk(left) * at(short1)", "walk(left)", "p3 --n 2", (LEG,)),
-    Row("census_mutants[width-bound-halved-symbolic]", "localization",
-        "max(bound, 1,", "max(bound // 2, 1,", "p3 --n 1", (LEG,)),
+    *_modes("census_mutants[width-bound-halved-{}]", "localization",
+            "max(bound, 1,", "max(bound // 2, 1,", "p3 --n 1", (LEG,)),
     Row("hooks-arm", "partitions",
         "return [(conj[col] - row - 1, width - col - 1)",
         "return [(conj[col] - row, width - col - 1)", "p3 --n 1",
@@ -448,10 +539,9 @@ CENSUS = (
     # the packing: symbolic mode unpacks its legs, both modes the sum
     *_modes("census_mutants[unpack-half-plus-one-{}]", "localization",
             _UNPACK, "half = (1 << (bits - 1)) + 1", "p3 --n 0",
-            (LEG, NCD, EULER), (NCD, EULER)),
+            (LEG, NCD, EULER)),
     *_modes("census_mutants[width-no-plus-one-{}]", "localization", _WIDTH,
-            "j, _ in forms)).bit_length()", "p3 --n 0", (LEG, NCD, EULER),
-            (NCD, EULER)),
+            "j, _ in forms)).bit_length()", "p3 --n 0", (LEG, NCD, EULER)),
     # route C and the one sum both modes take their value from
     *(row for name, old, new, n, by in _C_AT for row in _modes(
         ("route_c_mutant_raises[%s]" % name,
@@ -482,6 +572,9 @@ CENSUS = (
     # what p3 --verbose prints beside the value, and the character route
     Row("g-read-as-f", "localization", "if side else forms",
         "if False else forms", "p3 --n 1 --verbose", ("contribution routes",)),
+    Row("poly-str-signs-swapped", "localization",
+        '("- " if c < 0 else "+ ")', '("+ " if c < 0 else "- ")',
+        "p3 --n 1 --verbose", ("contribution routes",)),
     Row("p1-pair-twice", "localization", "out.append((l + 1, -a))",
         "out += [(l + 1, -a)] * 2",
         "localization.tangent_character(((1,), (), ()))",
@@ -506,7 +599,7 @@ CENSUS = (
         ("eta identity",)),
     Row("goettsche-one-term-long", "qseries", "if c}, terms)",
         "if c}, terms + 1)", "goettsche --euler 24 --terms 1",
-        ("eta identity",)),
+        ("eta identity", "CLI value paths")),
     Row("hilb-euler-zero", "qseries", "    if m < 0:\n        return Fraction",
         "    if m < 1:\n        return Fraction", "qseries.hilb_euler(0)",
         ("index formulas",)),
@@ -538,6 +631,9 @@ CENSUS = (
     Row("extend-short-of-d-max", "nl_dt", "d_min <= nd <= d_max",
         "d_min <= nd < d_max", "nl-extend symmetry_window.json --h-lo -20 "
         "--d-min 0 --d-max 9", ("symmetry pairing",)),
+    Row("extend-forward-only", "nl_dt", "for step in (1, -1):",
+        "for step in (1,):", "nl-extend symmetry_window.json --h-lo -20 "
+        "--d-min -8 --d-max 9", ("symmetry pairing",)),
     Row("index-drops-r-squared", "nl_dt", "v.h - v.r * v.omega - v.r * v.r",
         "v.h - v.r * v.omega", "nl_dt.hilb_index(nl_dt.MukaiVector(1, 0, 0))",
         ("index formulas",)),
@@ -547,14 +643,18 @@ CENSUS = (
     Row("bound-off-by-one", "nl_dt", "2 * ell * (h - 1) <= d * d",
         "2 * ell * (h - 2) <= d * d", "nl_dt.NLTable(4, {(2, 1): 1}).entries",
         ("bound validation",)),
+    # the command line's own value paths
+    Row("p3-s-d-off-by-one", "cli", "// 2 - d + 1", "// 2 - d + 2",
+        "p3 --s 1 --d 1", ("CLI value paths",)),
+    Row("goettsche-negated", "cli", "goettsche_series(args.euler,",
+        "goettsche_series(-args.euler,", "goettsche --euler 24 --terms 2",
+        ("CLI value paths",)),
 )
 
 # mutants that change nothing the package prints or returns, shown so
 EQUIVALENT = (
     *_modes("census_mutants[unpack-half-minus-one-{}]", "localization",
             _UNPACK, "half = (1 << (bits - 1)) - 1", "p3 --n 8", ()),
-    Row("census_mutants[width-bound-halved-sampled]", "localization",
-        "max(bound, 1,", "max(bound // 2, 1,", "p3 --n 8 --mode sampled", ()),
 )
 
 # the package's modules, each after those it imports from

@@ -93,20 +93,42 @@ def test_p3_verbose_golden(capsys, n, mode, fmt):
     assert out == golden.read_text(encoding="utf-8")
 
 
-def test_p3_conflicting_selectors(capsys):
-    code, _, err = run(capsys, ["p3", "--n", "1", "--s", "1", "--d", "1"])
-    assert code == 1 and "either" in err
-    code, _, err = run(capsys, ["p3", "--s", "1"])
-    assert code == 1
-
-
-@pytest.mark.parametrize("argv", [
+# the p3 argvs the tests below refuse, "p3" left off
+_CLASHING_SELECTORS = [["--n", "1", "--s", "1", "--d", "1"], ["--s", "1"]]
+_CAPPED = [
     ["--n", str(10**6)],
     ["--n", str(cli.P3_MAX_N + 1)],
     ["--s", "2000", "--d", "0"],
     ["--n", "3", "--mode", "sampled", "--samples", str(10**6)],
     ["--n", "3", "--mode", "sampled", "--samples", str(cli.P3_MAX_SAMPLES + 1)],
-])
+]
+_TOO_FEW_SAMPLES = [
+    ["--n", "3", "--mode", "sampled", "--samples", "0"],
+    ["--n", "3", "--mode", "sampled", "--samples", "2"],
+    ["--n", "3", "--mode", "sampled", "--samples", "2", "--verbose"],
+    ["--s", "1", "--d", "1", "--mode", "sampled", "--samples", "-1"],
+]
+_SAMPLING_FLAGS = [
+    ["--n", "3", "--samples", "10", "--seed", "5"],
+    ["--n", "3", "--seed", "5"],
+    ["--n", "3", "--samples", "3"],
+    ["--n", "3", "--samples", "0"],
+    ["--n", "3", "--samples", "2", "--verbose"],
+    ["--n", "3", "--samples", str(cli.P3_MAX_SAMPLES + 1)],
+    ["--s", "1", "--d", "1", "--mode", "symbolic", "--seed", "1"],
+]
+_NEGATIVE_N = [["--s", "0", "--d", "2"], ["--n", "-1"]]
+_NEGATIVE_DEGREES = [("-5", "0"), ("1", "-5")]
+
+
+def test_p3_conflicting_selectors(capsys):
+    code, _, err = run(capsys, ["p3"] + _CLASHING_SELECTORS[0])
+    assert code == 1 and "either" in err
+    code, _, err = run(capsys, ["p3"] + _CLASHING_SELECTORS[1])
+    assert code == 1
+
+
+@pytest.mark.parametrize("argv", _CAPPED)
 def test_p3_caps_refuse_up_front(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, ["p3"] + argv)
@@ -115,37 +137,26 @@ def test_p3_caps_refuse_up_front(capsys, argv):
     assert len(err.splitlines()) == 1 and "cap" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["--n", "3", "--mode", "sampled", "--samples", "0"],
-    ["--n", "3", "--mode", "sampled", "--samples", "2"],
-    ["--n", "3", "--mode", "sampled", "--samples", "2", "--verbose"],
-    ["--s", "1", "--d", "1", "--mode", "sampled", "--samples", "-1"],
-])
+@pytest.mark.parametrize("argv", _TOO_FEW_SAMPLES)
 def test_p3_refuses_too_few_samples(capsys, argv):
-    # before anything is printed
+    # by hilb_chern_integral, before anything is printed
     code, out, err = run(capsys, ["p3"] + argv)
     assert code == 1 and out == ""
-    assert err.splitlines() == [
-        "error: --samples %s is below the minimum of 3 points"
-        % argv[argv.index("--samples") + 1]]
+    assert err.splitlines() == ["error: sampled mode needs at least 3 points"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["--n", "3", "--samples", "10", "--seed", "5"],
-    ["--n", "3", "--seed", "5"],
-    ["--n", "3", "--samples", "3"],
-    ["--n", "3", "--samples", "0"],
-    ["--n", "3", "--samples", "2", "--verbose"],
-    ["--n", "3", "--samples", str(cli.P3_MAX_SAMPLES + 1)],
-    ["--s", "1", "--d", "1", "--mode", "symbolic", "--seed", "1"],
-])
+@pytest.mark.parametrize("argv", _SAMPLING_FLAGS)
 def test_p3_symbolic_refuses_sampling_flags(capsys, argv):
     # symbolic mode draws no points, so a flag that picks them changes
-    # nothing there and is refused, whatever its value
+    # nothing there and is refused by hilb_chern_integral, whatever its
+    # value; only the command line's cap on --samples is checked before
     code, out, err = run(capsys, ["p3"] + argv)
     assert code == 1 and out == ""
+    over = str(cli.P3_MAX_SAMPLES + 1)
     assert err.splitlines() == [
-        "error: --samples and --seed apply to --mode sampled only"]
+        "error: --samples %s is above the cap of %d"
+        % (over, cli.P3_MAX_SAMPLES) if over in argv else
+        "error: samples and seed apply to sampled mode only"]
 
 
 def test_p3_at_cap_runs(capsys):
@@ -156,20 +167,38 @@ def test_p3_at_cap_runs(capsys):
 
 
 def test_p3_domain_error(capsys):
-    code, out, err = run(capsys, ["p3", "--s", "0", "--d", "2"])
-    assert code == 1 and out == ""
-    assert err == "error: no configuration: s=0, d=2 give n=-1 < 0\n"
-    # a negative --n is refused by the check that every spelling reaches
-    code, out, err = run(capsys, ["p3", "--n", "-1"])
-    assert code == 1 and out == ""
-    assert err == "error: the number of points must be nonnegative\n"
+    # n < 0 is refused by hilb_chern_integral, whichever spelling gives it
+    for argv in _NEGATIVE_N:
+        code, out, err = run(capsys, ["p3"] + argv)
+        assert code == 1 and out == ""
+        assert err == "error: n must be a nonnegative integer, got -1\n"
 
 
-@pytest.mark.parametrize("s, d", [("-5", "0"), ("1", "-5")])
+@pytest.mark.parametrize("s, d", _NEGATIVE_DEGREES)
 def test_p3_negative_degrees_refused(capsys, s, d):
     code, out, err = run(capsys, ["p3", "--s", s, "--d", d])
     assert code == 1 and out == ""
     assert err == "error: degrees must be nonnegative: s=%s, d=%s\n" % (s, d)
+
+
+def test_p3_refusals_are_one_line(capsys):
+    # every p3 argv refused above or in the parity corpus, usage errors
+    # included: exit 1, one stderr line and nothing on stdout, whether the
+    # command line or hilb_chern_integral refuses it
+    corpus = json.loads((GOLDEN / "p3_parity.json").read_text(encoding="utf-8"))
+    argvs = [["p3"] + argv for argv in _CLASHING_SELECTORS + _CAPPED
+             + _TOO_FEW_SAMPLES + _SAMPLING_FLAGS + _NEGATIVE_N]
+    argvs += [["p3", "--s", s, "--d", d] for s, d in _NEGATIVE_DEGREES]
+    argvs += [row["argv"] for row in corpus
+              if row["argv"][0] == "p3" and row["code"]]
+    assert len(argvs) == 36
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # a usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, len(err.splitlines())) == (1, "", 1), argv
 
 
 # -- usage errors and help ----------------------------------------------
